@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+import time
 
-from .config import Config, load_config
+from .config import FORMATS, Config, load_config
 from .families import example1_ell
 from .field import new_ctx
 from .linpoly import (
@@ -34,7 +34,7 @@ from .planarity import (
     is_planar_rank,
     is_planar_reduction,
 )
-from .search import SearchJob, run as search_run
+from .search import FAMILIES, ORACLES, SearchJob, run as search_run
 from .selftest import run_selftest
 
 EX_USAGE = 64
@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
                      description="planar-function toolkit on finite field towers")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--format", choices=("json", "csv", "jsonl"), default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                         help="sampling seed (hex accepted)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -73,12 +73,10 @@ def _build_parser() -> _Parser:
     p_scan.add_argument("--p", type=int)
     p_scan.add_argument("--m", type=int)
     p_scan.add_argument("--n", type=int)
-    p_scan.add_argument("--family",
-                        choices=("monomial", "binomial", "nbc", "cubic", "example1"))
+    p_scan.add_argument("--family", choices=FAMILIES)
     p_scan.add_argument("--filter", action="append", default=[],
                         dest="filters", metavar="NAME")
-    p_scan.add_argument("--oracle", choices=("bruteforce", "rank", "reduction"),
-                        default="bruteforce")
+    p_scan.add_argument("--oracle", choices=ORACLES, default="bruteforce")
     p_scan.add_argument("--oracle-all", action="store_true")
     p_scan.add_argument("--sample", type=int, default=0,
                         help="sample this many candidates instead of exhausting")
@@ -188,9 +186,11 @@ def cmd_verify(args, config: Config) -> int:
         records.append(dict(rep.to_json(ctx), method=name))
     criterion = None
     if ctx.n == 2 and ctx.rel_trace(cand.a) != 0:
+        started = time.perf_counter()
         criterion = criterion_quadratic(cand)
+        ms = (time.perf_counter() - started) * 1e3
         records.append({"method": "criterion-n2", "planar": criterion,
-                        "witness": None, "ms": 0.0})
+                        "witness": None, "ms": ms})
     verdicts = {rec["planar"] for rec in records}
     agreement = len(verdicts) == 1
     planar = bool(verdicts == {True})

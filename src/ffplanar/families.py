@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .field import FieldCtx
-from .linpoly import LinearizedPoly, fp_rank
+from .linpoly import LinearizedPoly
 from .planarity import PlanarCandidate
 
 

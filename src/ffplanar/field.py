@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-DEFAULT_TABLE_CAP = 1 << 22
+from .config import DEFAULT_TABLE_CAP
 
 # add/sub lookup matrices are only built for small fields; larger fields use
 # digitwise vector arithmetic instead

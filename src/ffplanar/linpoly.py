@@ -20,49 +20,47 @@ from .field import FieldCtx
 # Dense linear algebra over F_p.
 # ---------------------------------------------------------------------------
 
-def fp_rref(rows: np.ndarray, p: int):
-    """Reduced row echelon form mod p; returns (matrix, pivot column list)."""
-    mat = np.array(rows, dtype=np.int64) % p
-    nrows, ncols = mat.shape
+def fp_rref(rows, p: int):
+    """Reduced row echelon form mod p of a 2-D sequence (lists or an ndarray);
+    returns (reduced rows as lists, pivot column list)."""
+    mat = [[int(v) % p for v in row] for row in rows]
     pivots = []
     r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i, c]:
-                piv = i
-                break
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            mat[[r, piv]] = mat[[piv, r]]
-        mat[r] = mat[r] * pow(int(mat[r, c]), p - 2, p) % p
-        for i in range(nrows):
-            if i != r and mat[i, c]:
-                mat[i] = (mat[i] - mat[i, c] * mat[r]) % p
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        top = mat[r] = [v * inv % p for v in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = [(a - f * b) % p for a, b in zip(row, top)]
         pivots.append(c)
         r += 1
-        if r == nrows:
+        if r == len(mat):
             break
     return mat, pivots
 
 
-def fp_rank(rows: np.ndarray, p: int) -> int:
+def fp_rank(rows, p: int) -> int:
     return len(fp_rref(rows, p)[1])
 
 
-def fp_nullspace(mat: np.ndarray, p: int) -> list[np.ndarray]:
+def fp_nullspace(mat, p: int) -> list[list[int]]:
     """Basis of {v : mat @ v = 0 mod p}, one vector per free column."""
     red, pivots = fp_rref(mat, p)
-    ncols = mat.shape[1]
+    # a matrix without rows still has columns when it is an ndarray
+    ncols = len(red[0]) if red else np.shape(mat)[-1]
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        v = np.zeros(ncols, dtype=np.int64)
+        v = [0] * ncols
         v[f] = 1
         for r_i, c in enumerate(pivots):
-            v[c] = (-red[r_i, f]) % p
+            v[c] = -red[r_i][f] % p
         basis.append(v)
     return basis
 
@@ -91,22 +89,16 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ctx: FieldCtx, elems) -> "Subspace":
-        rows = np.array([ctx.digits(e) for e in elems], dtype=np.int64)
-        if len(rows) == 0:
-            return cls(ctx, ())
-        red, pivots = fp_rref(rows, ctx.p)
-        basis = tuple(ctx.from_digits(red[i]) for i in range(len(pivots)))
-        return cls(ctx, basis)
+        red, pivots = fp_rref([ctx.digits(e) for e in elems], ctx.p)
+        return cls(ctx, tuple(ctx.from_digits(row) for row in red[:len(pivots)]))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, e: int) -> bool:
-        rows = [self.ctx.digits(b) for b in self.basis]
-        rank0 = len(rows)
-        rows.append(self.ctx.digits(e))
-        return fp_rank(np.array(rows, dtype=np.int64), self.ctx.p) == rank0
+        rows = [self.ctx.digits(b) for b in (*self.basis, e)]
+        return fp_rank(rows, self.ctx.p) == self.dim
 
     def elements(self) -> tuple[int, ...]:
         """All p^dim member elements; one field addition per element visited."""
@@ -122,14 +114,8 @@ class Subspace:
             self._elems = tuple(cur)
         return self._elems
 
-    def elements_array(self) -> np.ndarray:
-        return np.array(self.elements(), dtype=np.int64)
-
     def intersection_dim(self, other: "Subspace") -> int:
-        joint = list(self.basis) + list(other.basis)
-        if not joint:
-            return 0
-        rows = np.array([self.ctx.digits(e) for e in joint], dtype=np.int64)
+        rows = [self.ctx.digits(e) for e in self.basis + other.basis]
         return self.dim + other.dim - fp_rank(rows, self.ctx.p)
 
     def to_json(self) -> dict:

@@ -5,8 +5,10 @@ permutes the field:
 
 * bruteforce - evaluates every difference map and checks bijectivity with a
   hit count, for any function given as a value table;
-* rank       - uses that the difference maps of this shape are linear in x up
-  to a constant, and tests an F_p matrix for full rank per direction;
+* rank       - f is a Dembowski-Ostrom polynomial, so f(x+v) - f(x) - f(v) + f(0)
+  is an F_p-bilinear form B(v, x); f is planar iff x -> B(v, x) has full rank
+  for every v != 0, and the F_p matrix of that map is sum_i v_i M_i, built
+  from the d = m*n matrices M_i of the basis directions v = p^i;
 * reduction  - substitutes x = u/v and scans the equivalent two-variable
   nonvanishing condition, skipping u whose ell-value lies outside F_q.
 
@@ -24,8 +26,6 @@ import numpy as np
 from .config import DEFAULT_BRUTE_CAP
 from .field import FieldCtx
 from .linpoly import LinearizedPoly, Subspace, fp_nullspace
-
-BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,15 @@ def check_witness(f, ctx: FieldCtx, witness) -> bool:
     return d1 == d2
 
 
+def _checked(report: VerificationReport, f, ctx: FieldCtx) -> VerificationReport:
+    """Re-verify a non-planar report's witness; raises, so that it also runs
+    under python -O."""
+    if report.witness is not None and not check_witness(f, ctx, report.witness):
+        raise RuntimeError(f"{report.method} produced an invalid witness "
+                           f"{report.witness}")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Brute force on value tables.
 # ---------------------------------------------------------------------------
@@ -193,10 +202,8 @@ def is_planar_bruteforce(cand: PlanarCandidate,
     ctx = cand.ctx
     if ctx.order > brute_cap:
         raise ValueError(f"field order {ctx.order} exceeds brute-force cap {brute_cap}")
-    report = _table_planarity(ctx, cand.f_table(), "bruteforce", started)
-    if report.witness is not None:
-        assert check_witness(cand, ctx, report.witness)
-    return report
+    return _checked(_table_planarity(ctx, cand.f_table(), "bruteforce", started),
+                    cand, ctx)
 
 
 def eval_general(ctx: FieldCtx, monomials, x: int) -> int:
@@ -226,10 +233,7 @@ def is_planar_bruteforce_general(ctx: FieldCtx, monomials,
     if ctx.order > brute_cap:
         raise ValueError(f"field order {ctx.order} exceeds brute-force cap {brute_cap}")
     report = _table_planarity(ctx, general_table(ctx, monomials), "bruteforce", started)
-    if report.witness is not None:
-        assert check_witness(lambda x: eval_general(ctx, monomials, x), ctx,
-                             report.witness)
-    return report
+    return _checked(report, lambda x: eval_general(ctx, monomials, x), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +241,8 @@ def is_planar_bruteforce_general(ctx: FieldCtx, monomials,
 # ---------------------------------------------------------------------------
 
 def _difference_matrix(cand: PlanarCandidate, two_ell: LinearizedPoly,
-                       v: int) -> np.ndarray:
-    """F_p matrix of x -> Tr(a v x^q + a v^q x) + 2 ell(v x)."""
+                       v: int) -> list[list[int]]:
+    """F_p matrix rows of x -> Tr(a v x^q + a v^q x) + 2 ell(v x)."""
     ctx = cand.ctx
     av = ctx.mul(cand.a, v)
     avq = ctx.mul(cand.a, ctx.frobenius(v, ctx.m))
@@ -249,23 +253,34 @@ def _difference_matrix(cand: PlanarCandidate, two_ell: LinearizedPoly,
             ctx.add(ctx.mul(av, ctx.frobenius(x, ctx.m)), ctx.mul(avq, x))
         )
         cols.append(ctx.digits(ctx.add(t, two_ell(ctx.mul(v, x)))))
-    return np.array(cols, dtype=np.int64).T
+    return [list(row) for row in zip(*cols)]
 
 
 def is_planar_rank(cand: PlanarCandidate) -> VerificationReport:
-    """Planar iff the linear part of every difference map has full rank."""
+    """Planar iff the linear part of every difference map has full rank.
+
+    The matrix of direction v is sum_i v_i M_i (reduced mod p by the
+    eliminator), where M_i is the matrix of the basis direction p^i, built
+    when the scan first reaches it."""
     started = time.perf_counter()
     ctx = cand.ctx
     two_ell = cand.ell.scale(2)
+    zero = [[0] * ctx.degree] * ctx.degree
+    basis = []
     for v in range(1, ctx.order):
-        mat = _difference_matrix(cand, two_ell, v)
+        if v == ctx.p ** len(basis):
+            basis.append(_difference_matrix(cand, two_ell, v))
+        mat = zero
+        for vi, m_i in zip(ctx.digits(v), basis):
+            if vi:
+                mat = [[a + vi * b for a, b in zip(row, row_i)]
+                       for row, row_i in zip(mat, m_i)]
         null = fp_nullspace(mat, ctx.p)
         if null:
             x0 = ctx.from_digits(null[0])
             ms = (time.perf_counter() - started) * 1e3
-            report = VerificationReport(False, "rank", (v, x0, 0), ms)
-            assert check_witness(cand, ctx, report.witness)
-            return report
+            return _checked(VerificationReport(False, "rank", (v, x0, 0), ms),
+                            cand, ctx)
     ms = (time.perf_counter() - started) * 1e3
     return VerificationReport(True, "rank", None, ms)
 
@@ -302,9 +317,8 @@ def is_planar_reduction(cand: PlanarCandidate,
             v = int(vs[hits[0]])
             witness = (v, ctx.mul(u, ctx.inv(v)), 0)
             ms = (time.perf_counter() - started) * 1e3
-            report = VerificationReport(False, "reduction", witness, ms)
-            assert check_witness(cand, ctx, report.witness)
-            return report
+            return _checked(VerificationReport(False, "reduction", witness, ms),
+                            cand, ctx)
     ms = (time.perf_counter() - started) * 1e3
     return VerificationReport(True, "reduction", None, ms)
 
@@ -314,52 +328,10 @@ def is_planar_reduction(cand: PlanarCandidate,
 # ---------------------------------------------------------------------------
 
 def fq_value_subspace(ell: LinearizedPoly) -> Subspace:
-    """The subspace {u : ell(u) in F_q}, as the kernel of u -> ell(u)^q - ell(u)."""
+    """The subspace {u : ell(u) in F_q}, as the kernel of (x^q - x) o ell."""
     ctx = ell.ctx
-    return Subspace.from_vectors(ctx, _fq_value_elements(ell))
-
-
-def _fq_value_elements(ell: LinearizedPoly) -> list[int]:
-    """Members of {u : ell(u) in F_q} by a small dense kernel computation,
-    kept in plain Python for per-candidate sweep speed."""
-    ctx = ell.ctx
-    d, p = ctx.degree, ctx.p
-    rows = [[0] * d for _ in range(d)]
-    for j in range(d):
-        y = ell(p**j)
-        z = ctx.sub(ctx.frobenius(y, ctx.m), y)
-        for i, digit in enumerate(ctx.digits(z)):
-            rows[i][j] = digit
-    pivots = []
-    r = 0
-    for c in range(d):
-        piv = next((i for i in range(r, d) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(d):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    elems = [0]
-    for fcol in range(d):
-        if fcol in pivots:
-            continue
-        vec = [0] * d
-        vec[fcol] = 1
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -rows[ri][fcol] % p
-        b = ctx.from_digits(vec)
-        block = list(elems)
-        for lam in range(1, p):
-            shift = ctx.mul(lam, b)
-            block.extend(ctx.add(e, shift) for e in elems)
-        elems = block
-    return elems
+    fq_test = LinearizedPoly.monomial(ctx, 1, ctx.m) - LinearizedPoly.identity(ctx)
+    return fq_test.compose(ell).kernel()
 
 
 def criterion_quadratic(cand: PlanarCandidate) -> bool:
@@ -373,7 +345,7 @@ def criterion_quadratic(cand: PlanarCandidate) -> bool:
     if tr_a == 0:
         raise ValueError("criterion requires Tr(a) != 0; use a permutation check")
     ell = cand.ell.scale(ctx.inv(tr_a))
-    us = np.array(_fq_value_elements(ell), dtype=np.int64)
+    us = np.array(fq_value_subspace(ell).elements(), dtype=np.int64)
     lu = ell.eval_vec(us)
     w = ctx.sub_vec(ctx.mul_vec(lu, lu), ctx.norm_table[us])
     eta = ctx.subfield_eta_table[w]

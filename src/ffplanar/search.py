@@ -14,9 +14,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from .config import Config
+from .config import DEFAULT_AUDIT_EVERY, DEFAULT_SEED, Config
 from .families import (
     CubicCoeffs,
     MonomialFamilyParams,
@@ -64,8 +62,8 @@ class SearchJob:
     oracle: str = "bruteforce"
     mode: str = "exhaustive"
     sample_count: int = 0
-    seed: int = 0x5EED
-    audit_every: int = 97
+    seed: int = DEFAULT_SEED
+    audit_every: int = DEFAULT_AUDIT_EVERY
     oracle_all: bool = False
     k: int = 1
     a_values: tuple[str, ...] = ("1",)
@@ -102,8 +100,8 @@ class SearchJob:
             oracle=obj.get("oracle", "bruteforce"),
             mode=obj.get("mode", "exhaustive"),
             sample_count=int(obj.get("sample_count", 0)),
-            seed=int(obj.get("seed", 0x5EED)),
-            audit_every=int(obj.get("audit_every", 97)),
+            seed=int(obj.get("seed", DEFAULT_SEED)),
+            audit_every=int(obj.get("audit_every", DEFAULT_AUDIT_EVERY)),
             oracle_all=bool(obj.get("oracle_all", False)),
             k=int(obj.get("k", 1)),
             a_values=tuple(obj.get("a_values", ("1",))),

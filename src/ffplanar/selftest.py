@@ -30,11 +30,9 @@ from .families import (
     cubic_lemma_bruteforce,
     cubic_lemma_predicate,
     cubic_theorem_predicate,
-    difference_values_cover_subfield,
     nbc_recipe_trace_condition,
     nbc_recipe_zero_power,
     nonexistence_witness,
-    theorem_monomial_predicate,
     theorem_nbc_predicate,
 )
 from .field import FieldCtx, additive_chars, multiplicative_chars, new_ctx

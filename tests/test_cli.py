@@ -21,6 +21,9 @@ def test_verify_x4_on_f9_not_planar(capsys):
     assert summary["agreement"] is True and summary["planar"] is False
     witnesses = [rec["witness"] for rec in lines[:-1] if rec.get("witness")]
     assert witnesses, "a non-planar verdict must print a witness"
+    # Tr(a) != 0 on n = 2, so the criterion runs and reports its own time
+    (criterion,) = [rec for rec in lines if rec.get("method") == "criterion-n2"]
+    assert criterion["ms"] > 0
 
 
 def test_verify_square_is_planar(capsys):

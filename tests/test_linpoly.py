@@ -10,7 +10,9 @@ from ffplanar.linpoly import (
     annihilator_poly,
     compose_formal,
     eval_formal,
+    fp_nullspace,
     fp_rank,
+    fp_rref,
     full_field_annihilator,
     gaussian_binomial,
     image_poly_coeffs,
@@ -267,8 +269,35 @@ def test_eval_vec_matches_scalar():
         assert int(vals[x]) == ell(x)
 
 
+def assert_rref(red, pivots, ncols, p):
+    assert pivots == sorted(set(pivots)) and len(pivots) <= len(red)
+    for row in red:
+        assert len(row) == ncols and all(0 <= v < p for v in row)
+    for r, c in enumerate(pivots):
+        assert red[r][:c] == [0] * c and red[r][c] == 1
+        assert all(red[i][c] == 0 for i in range(len(red)) if i != r)
+    assert all(not any(row) for row in red[len(pivots):])
+
+
 def test_rank_helpers():
     mat = np.array([[1, 2, 0], [2, 1, 0], [0, 0, 0]], dtype=np.int64)
     assert fp_rank(mat, 3) == 1  # second row is 2 * first row mod 3
     mat = np.array([[1, 2, 0], [2, 1, 1], [0, 0, 0]], dtype=np.int64)
     assert fp_rank(mat, 3) == 2
+    for p in (3, 5, 7):
+        rng = np.random.default_rng(p)
+        shapes = [(4, 4), (6, 6), (3, 5), (5, 3), (1, 4), (4, 1), (0, 3), (0, 0)]
+        mats = [rng.integers(-2 * p, 2 * p, size=s) for s in shapes]
+        mats += [rng.integers(0, p, size=(3, 1)) * rng.integers(0, p, size=(1, 5)),
+                 np.zeros((3, 4), dtype=np.int64), [], [[0, 0]]]
+        for mat in mats:
+            # as an ndarray and as lists; a list without rows has no columns
+            for rows in (mat, np.asarray(mat).tolist()):
+                ncols = np.shape(rows)[-1]
+                red, pivots = fp_rref(rows, p)
+                assert_rref(red, pivots, ncols, p)
+                null = fp_nullspace(rows, p)
+                assert all(type(v) is list and len(v) == ncols for v in null)
+                for v in null:
+                    assert not np.any(np.asarray(mat) @ np.array(v) % p)
+                assert len(pivots) + len(null) == ncols

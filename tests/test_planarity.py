@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ffplanar
 from ffplanar.field import new_ctx
 from ffplanar.linpoly import LinearizedPoly
 from ffplanar.planarity import (
@@ -166,12 +173,38 @@ def test_methods_agree_on_random_f27():
         a = int(rng.integers(0, 27))
         ell = LinearizedPoly(F27, tuple(int(v) for v in rng.integers(0, 27, 3)))
         cand = PlanarCandidate(F27, a, ell)
-        verdicts = {
-            is_planar_bruteforce(cand).planar,
-            is_planar_rank(cand).planar,
-            is_planar_reduction(cand).planar,
-        }
+        brute, rank = is_planar_bruteforce(cand), is_planar_rank(cand)
+        verdicts = {brute.planar, rank.planar, is_planar_reduction(cand).planar}
         assert len(verdicts) == 1
+        # both name the lowest direction whose difference map does not permute
+        if not brute.planar:
+            assert rank.witness[0] == brute.witness[0]
+
+
+def test_invalid_witness_raises_under_python_O():
+    # corrupt the witness of two routes; the re-check must not be an assert
+    script = textwrap.dedent("""
+        import sys
+        from ffplanar import planarity
+        from ffplanar.field import new_ctx
+        from ffplanar.linpoly import LinearizedPoly
+
+        assert sys.flags.optimize
+        ctx = new_ctx(3, 1, 2)
+        cand = planarity.PlanarCandidate(ctx, 1, LinearizedPoly.zero(ctx))
+        planarity._first_collision = lambda ctx, f_tab, c: (c, 0, 0)
+        planarity.fp_nullspace = lambda mat, p: [[0] * len(mat[0])]
+        for route in (planarity.is_planar_bruteforce, planarity.is_planar_rank):
+            try:
+                route(cand)
+            except RuntimeError:
+                print(route.__name__)
+    """)
+    src = str(Path(ffplanar.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["is_planar_bruteforce", "is_planar_rank"]
 
 
 def test_reduction_skipped_u_never_vanish():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -128,6 +129,26 @@ def test_output_byte_identical_across_worker_counts():
     lines = outs[0].strip().split("\n")
     assert len(lines) == 162 + 1
     assert "summary" in json.loads(lines[-1])
+
+
+def test_rank_scan_output_pinned():
+    # sha256 of the output of the rank route before it built direction
+    # matrices from basis matrices; verdicts and witnesses must not move
+    pinned = [
+        (SearchJob(3, 1, 3, family="cubic", filters=("closed-cubic",), oracle="rank",
+                   oracle_all=True, mode="sample", sample_count=500),
+         "250e3781012ef230cf9eb4175053c595b5a7927ed6a96af86fbae2385b93289c"),
+        (SearchJob(3, 1, 4, family="monomial", oracle="rank", oracle_all=True,
+                   mode="sample", sample_count=300),
+         "bb7fd51cb35cb40596d598f71121fc19da8ee9b77836e999a58bd9f230015531"),
+        (SearchJob(5, 1, 2, family="monomial", filters=("criterion-n2",),
+                   oracle="rank", oracle_all=True),
+         "d8e8485ebf56febab9a2c5c16de4b50b42d6dc74f9f2456df2ae1b74068459a3"),
+    ]
+    for job, digest in pinned:
+        buf = io.StringIO()
+        run(job, out=buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 def test_sample_mode_deterministic():
