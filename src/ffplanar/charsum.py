@@ -227,22 +227,10 @@ def _poly_values(ctx: FieldCtx, coeffs) -> np.ndarray:
     return acc
 
 
-def _eta_full_table(ctx: FieldCtx) -> np.ndarray:
-    key = "eta_full"
-    if key not in ctx._cache:
-        vals = ctx.pow_vec(np.arange(ctx.order, dtype=np.int64),
-                           (ctx.order - 1) // 2)
-        out = np.zeros(ctx.order, dtype=np.int64)
-        out[vals == 1] = 1
-        out[vals == ctx.neg(1)] = -1
-        ctx._cache[key] = out
-    return ctx._cache[key]
-
-
 def weil_eta_sum(ctx: FieldCtx, coeffs) -> int:
     """Exact integer sum of the quadratic character of g(xi) over the field."""
     ctx._need_tables()
-    return int(_eta_full_table(ctx)[_poly_values(ctx, coeffs)].sum())
+    return int(ctx.eta_table[_poly_values(ctx, coeffs)].sum())
 
 
 def _trim(ctx, coeffs) -> list[int]:

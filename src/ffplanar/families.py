@@ -395,18 +395,3 @@ def nonexistence_witness(ctx: FieldCtx, a: int) -> int | None:
         raise RuntimeError("nonexistence witness failed verification")
     return u
 
-
-def difference_values_cover_subfield(ctx: FieldCtx, a: int, u: int) -> bool:
-    """Exhaustively check that v -> Tr(a u^q v^(1-q) + a u v^(q-1)) attains
-    every value of F_q over v in F_{q^n}^*."""
-    import numpy as np
-
-    vs = np.arange(1, ctx.order, dtype=np.int64)
-    up = ctx.pow_vec(vs, ctx.q - 1)
-    dn = ctx.inv_vec(up)
-    auq = ctx.mul(a, ctx.frobenius(u, ctx.m))
-    au = ctx.mul(a, u)
-    vals = ctx.trace_table[
-        ctx.add_vec(ctx.mul_vec(auq, dn), ctx.mul_vec(au, up))
-    ]
-    return set(int(v) for v in np.unique(vals)) == set(ctx.subfield_elements())

@@ -10,6 +10,13 @@ Fields small enough for the configured table cap run on exp/log tables
 modular polynomial arithmetic.  Both modes implement the same operations and
 agree elementwise.
 
+Scalar operations read the numpy tables the vector operations use, through
+memoryviews made on first use: mul, inv and pow read the exp/log tables in
+table mode, and add, neg and sub read the addition and negation tables when
+the field has at most ADD_TABLE_CAP elements.  Otherwise add and neg run
+digit by digit, and mul, inv and pow by polynomial arithmetic.  Above
+ADD_TABLE_CAP, vector addition works on one plane of a few digits at a time.
+
 The modulus for a given (p, m, n) is the lexicographically smallest monic
 primitive polynomial of degree m*n over F_p, coefficients compared
 low-degree-first, so the same parameters always produce the identical field.
@@ -245,6 +252,9 @@ class FieldCtx:
     # -- scalar arithmetic -------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        tab = self._add_view
+        if tab is not None:
+            return tab[a, b]
         p, out, w = self.p, 0, 1
         for _ in range(self.degree):
             out += (a % p + b % p) % p * w
@@ -254,6 +264,9 @@ class FieldCtx:
         return out
 
     def neg(self, a: int) -> int:
+        tab = self._neg_view
+        if tab is not None:
+            return tab[a]
         p, out, w = self.p, 0, 1
         for _ in range(self.degree):
             out += (-a % p) * w
@@ -262,14 +275,17 @@ class FieldCtx:
         return out
 
     def sub(self, a: int, b: int) -> int:
+        tab = self._add_view
+        if tab is not None:
+            return tab[a, self._neg_view[b]]
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         if self.table_mode:
-            la = int(self.log_table[a]) + int(self.log_table[b])
-            return int(self.exp_table[la % (self.order - 1)])
+            log = self._log_view
+            return self._exp_view[(log[a] + log[b]) % (self.order - 1)]
         prod = _poly_mulmod(list(self.digits(a)), list(self.digits(b)), self.modulus, self.p)
         return self.from_digits(prod + [0] * (self.degree - len(prod)))
 
@@ -277,7 +293,7 @@ class FieldCtx:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
         if self.table_mode:
-            return int(self.exp_table[-int(self.log_table[a]) % (self.order - 1)])
+            return self._exp_view[-self._log_view[a] % (self.order - 1)]
         return self.pow(a, self.order - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -289,7 +305,7 @@ class FieldCtx:
             return 0
         e %= self.order - 1
         if self.table_mode:
-            return int(self.exp_table[int(self.log_table[a]) * e % (self.order - 1)])
+            return self._exp_view[self._log_view[a] * e % (self.order - 1)]
         poly = _poly_powmod(list(self.digits(a)), e, self.modulus, self.p)
         return self.from_digits(poly + [0] * (self.degree - len(poly)))
 
@@ -362,22 +378,39 @@ class FieldCtx:
             raise ValueError(f"{self} exceeds the table cap; vector ops unavailable")
 
     @property
-    def digit_matrix(self) -> np.ndarray:
-        """(order, degree) uint8 matrix of base-p digits."""
-        if "digits" not in self._cache:
-            idx = np.arange(self.order, dtype=np.int64)
-            cols = []
-            for _ in range(self.degree):
-                cols.append((idx % self.p).astype(np.uint8))
-                idx //= self.p
-            self._cache["digits"] = np.stack(cols, axis=1)
-        return self._cache["digits"]
+    def _add_planes(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(planes, reduce, base) for _plane_add.
 
-    @property
-    def _p_powers(self) -> np.ndarray:
-        if "ppow" not in self._cache:
-            self._cache["ppow"] = self.p ** np.arange(self.degree, dtype=np.int64)
-        return self._cache["ppow"]
+        Plane k holds digits k*g .. k*g+g-1 of every element re-expanded in
+        base 2p-1, so adding two planes adds g digit pairs with no carry;
+        reduce maps such a sum to the digitwise sum mod p, read in base p, and
+        base = p^g.  g is the largest digit count (at least 1) whose sums
+        stay below 2^16, so that planes and their sums are uint16."""
+        if "planes" not in self._cache:
+            p, d, b = self.p, self.degree, 2 * self.p - 1
+            g = 1
+            while g < d and b ** (g + 1) <= 1 << 16:
+                g += 1
+            idx = np.arange(self.order, dtype=np.int64)
+            planes = np.empty((-(-d // g), self.order),
+                              dtype=np.uint16 if b**g <= 1 << 16 else np.int64)
+            for k, plane in enumerate(planes):
+                plane[:] = sum(idx // p**i % p * b ** (i - k * g)
+                               for i in range(k * g, min(d, k * g + g)))
+            sums = np.arange(b**g, dtype=np.int64)
+            reduce = sum(sums // b**i % b % p * p**i for i in range(g))
+            self._cache["planes"] = (planes, reduce, p**g)
+        return self._cache["planes"]
+
+    def _plane_add(self, a, b) -> np.ndarray:
+        """Digitwise a + b, one contiguous plane of digits at a time, so that
+        no (..., degree) temporary is built."""
+        planes, reduce, base = self._add_planes
+        out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
+        for plane in planes[::-1]:
+            out *= base
+            out += reduce.take(plane.take(a) + plane.take(b))
+        return out
 
     @property
     def add_matrix(self) -> np.ndarray | None:
@@ -386,27 +419,48 @@ class FieldCtx:
             if self.order > ADD_TABLE_CAP:
                 self._cache["addmat"] = None
             else:
-                d = self.digit_matrix.astype(np.int16)
-                s = (d[:, None, :] + d[None, :, :]) % self.p
-                self._cache["addmat"] = (s.astype(np.int64) @ self._p_powers).astype(
-                    np.uint32
-                )
+                idx = np.arange(self.order)
+                self._cache["addmat"] = self._plane_add(
+                    idx[:, None], idx[None, :]).astype(np.uint32)
         return self._cache["addmat"]
+
+    @property
+    def _neg_table(self) -> np.ndarray:
+        if "negvec" not in self._cache:
+            p, idx = self.p, np.arange(self.order, dtype=np.int64)
+            self._cache["negvec"] = sum(-(idx // p**i) % p * p**i
+                                        for i in range(self.degree))
+        return self._cache["negvec"]
+
+    # Scalar add/neg/sub read add_matrix and the negation table, and
+    # mul/inv/pow the exp/log tables, through memoryviews of the same
+    # buffers: indexing one yields a Python int without a numpy scalar.
+
+    @functools.cached_property
+    def _add_view(self) -> memoryview | None:
+        tab = self.add_matrix
+        return None if tab is None else memoryview(tab)
+
+    @functools.cached_property
+    def _neg_view(self) -> memoryview | None:
+        return None if self.add_matrix is None else memoryview(self._neg_table)
+
+    @functools.cached_property
+    def _exp_view(self) -> memoryview:
+        return memoryview(self.exp_table)
+
+    @functools.cached_property
+    def _log_view(self) -> memoryview:
+        return memoryview(self.log_table)
 
     def add_vec(self, a, b):
         tab = self.add_matrix
         if tab is not None:
             return tab[a, b].astype(np.int64)
-        d = (self.digit_matrix[a].astype(np.int16) + self.digit_matrix[b]) % self.p
-        return d.astype(np.int64) @ self._p_powers
+        return self._plane_add(a, b)
 
     def neg_vec(self, a):
-        tab = self._cache.get("negvec")
-        if tab is None:
-            d = (-self.digit_matrix.astype(np.int16)) % self.p
-            tab = d.astype(np.int64) @ self._p_powers
-            self._cache["negvec"] = tab
-        return tab[a]
+        return self._neg_table[a]
 
     def sub_vec(self, a, b):
         return self.add_vec(a, self.neg_vec(b))
@@ -478,10 +532,38 @@ class FieldCtx:
             self._cache["eta_sub"] = out
         return self._cache["eta_sub"]
 
+    @property
+    def eta_table(self) -> np.ndarray:
+        """Quadratic character of the whole field (+1, -1, 0) at every index."""
+        if "eta_full" not in self._cache:
+            vals = self.pow_vec(np.arange(self.order, dtype=np.int64),
+                                (self.order - 1) // 2)
+            out = np.zeros(self.order, dtype=np.int64)
+            out[vals == 1] = 1
+            out[vals == self.neg(1)] = -1
+            self._cache["eta_full"] = out
+        return self._cache["eta_full"]
+
+    @property
+    def subfield_abs_trace_table(self) -> np.ndarray:
+        """subfield_abs_trace of every element; valid only at subfield indices."""
+        if "subtrace" not in self._cache:
+            idx = np.arange(self.order, dtype=np.int64)
+            acc, cur = idx, idx
+            for _ in range(self.m - 1):
+                cur = self.frob_vec(cur, 1)
+                acc = self.add_vec(acc, cur)
+            self._cache["subtrace"] = acc
+        return self._cache["subtrace"]
+
     # -- misc ----------------------------------------------------------------
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, m={self.m}, n={self.n})"
+
+    def __getstate__(self):
+        # memoryviews do not pickle; they are made again on first use
+        return {k: v for k, v in vars(self).items() if not isinstance(v, memoryview)}
 
     def __eq__(self, other):
         return (
@@ -547,15 +629,8 @@ class AdditiveChar:
     def values(self, a) -> np.ndarray:
         """Vectorized evaluation over an array of subfield element indices."""
         ctx = self.ctx
-        key = "subtrace"
-        if key not in ctx._cache:
-            idx = np.arange(ctx.order, dtype=np.int64)
-            acc, cur = idx, idx
-            for _ in range(ctx.m - 1):
-                cur = ctx.frob_vec(cur, 1)
-                acc = ctx.add_vec(acc, cur)
-            ctx._cache[key] = acc
-        tr = ctx._cache[key][ctx.mul_vec(self.t, np.asarray(a, dtype=np.int64))]
+        t_a = ctx.mul_vec(self.t, np.asarray(a, dtype=np.int64))
+        tr = ctx.subfield_abs_trace_table[t_a]
         return np.exp(2j * np.pi * tr / ctx.p)
 
 

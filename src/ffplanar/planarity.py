@@ -1,16 +1,24 @@
 """Planarity tests for f(x) = Tr(a x^(q+1)) + ell(x^2), cross-validated.
 
-Three independent routes decide whether every difference x -> f(x+c) - f(x)
-permutes the field:
+Three independent routes decide whether every difference map
+D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
 
-* bruteforce - evaluates every difference map and checks bijectivity with a
-  hit count, for any function given as a value table;
+* bruteforce - evaluates the difference maps and checks bijectivity with a
+  hit count, for any function given as a value table; since
+  D_{-c}(x) = -D_c(x - c), D_c and D_{-c} permute together, so only the
+  directions c < -c are evaluated;
 * rank       - f is a Dembowski-Ostrom polynomial, so f(x+v) - f(x) - f(v) + f(0)
   is an F_p-bilinear form B(v, x); f is planar iff x -> B(v, x) has full rank
   for every v != 0, and the F_p matrix of that map is sum_i v_i M_i, built
-  from the d = m*n matrices M_i of the basis directions v = p^i;
+  from the d = m*n matrices M_i of the basis directions v = p^i; since
+  B(lam v, x) = lam B(v, x) for lam in F_p^*, only one v per class
+  {lam v} is tested, (p^d - 1)/(p - 1) directions in all;
 * reduction  - substitutes x = u/v and scans the equivalent two-variable
   nonvanishing condition, skipping u whose ell-value lies outside F_q.
+
+The skipped directions of the first two routes are never the least of their
+class, so both still report the lowest non-permuting direction, with the
+witness a scan of every direction would give.
 
 A quadratic-extension criterion (n = 2) decides planarity from the values
 ell(u)^2 - N(u) on the subspace where ell lands in F_q.
@@ -143,14 +151,16 @@ def _checked(report: VerificationReport, f, ctx: FieldCtx) -> VerificationReport
 # ---------------------------------------------------------------------------
 
 def _first_collision(ctx: FieldCtx, f_tab: np.ndarray, c: int):
-    """Lowest x2 such that some x1 < x2 collides in the c-difference map."""
-    seen = {}
-    for x in range(ctx.order):
-        d = int(ctx.sub(int(f_tab[ctx.add(x, c)]), int(f_tab[x])))
-        if d in seen:
-            return (c, seen[d], x)
-        seen[d] = x
-    return None
+    """Lowest x2 such that some x1 < x2 collides in the c-difference map, with
+    x1 the first x of that difference."""
+    xs = np.arange(ctx.order, dtype=np.int64)
+    row = ctx.sub_vec(f_tab[ctx.add_vec(xs, c)], f_tab)
+    _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[inverse] != xs)
+    if not len(repeats):
+        return None
+    x2 = int(repeats[0])
+    return (c, int(first[inverse[x2]]), x2)
 
 
 def _block_widths(n: int):
@@ -171,23 +181,32 @@ def _table_planarity(ctx: FieldCtx, f_tab: np.ndarray, method: str,
                      started: float) -> VerificationReport:
     n = ctx.order
     add = ctx.add_matrix
-    xs = np.arange(n, dtype=np.int64) if add is None else None
     neg_f = ctx.neg_vec(f_tab)
+    if add is not None:
+        # add[u, v] is read from the flat table at u * n + v
+        add_flat, f_rows = add.ravel(), f_tab * n
+    else:
+        xs = np.arange(n, dtype=np.int64)
     for lo, hi in _block_widths(n):
+        # c and -c permute together, so only the smaller of the two is scanned
+        cs = np.arange(lo, hi, dtype=np.int64)
+        cs = cs[cs < ctx.neg_vec(cs)]
+        width = len(cs)
+        if not width:
+            continue
+        # diffs[i, x] = f(x + cs[i]) - f(x)
         if add is not None:
-            # diffs[c, x] = f(x + c) - f(x); add[lo:hi] is a view, so the
-            # block needs only two table gathers
-            diffs = add[f_tab[add[lo:hi]], neg_f]
+            rows = f_rows.take(add[cs])
+            rows += neg_f
+            diffs = add_flat.take(rows)
         else:
-            cs = np.arange(lo, hi, dtype=np.int64)
-            diffs = ctx.add_vec(f_tab[ctx.add_vec(cs[:, None], xs[None, :])],
+            diffs = ctx.add_vec(f_tab.take(ctx.add_vec(cs[:, None], xs[None, :])),
                                 neg_f[None, :])
-        width = hi - lo
         flat = diffs + (np.arange(width) * n)[:, None]
         counts = np.bincount(flat.ravel(), minlength=width * n)
         bad = np.nonzero(counts.reshape(width, n).max(axis=1) > 1)[0]
         if len(bad):
-            c = lo + int(bad[0])
+            c = int(cs[bad[0]])
             witness = _first_collision(ctx, f_tab, c)
             ms = (time.perf_counter() - started) * 1e3
             return VerificationReport(False, method, witness, ms)
@@ -261,26 +280,30 @@ def is_planar_rank(cand: PlanarCandidate) -> VerificationReport:
 
     The matrix of direction v is sum_i v_i M_i (reduced mod p by the
     eliminator), where M_i is the matrix of the basis direction p^i, built
-    when the scan first reaches it."""
+    when the scan first reaches it.  The matrix of lam v is lam times that of
+    v, so only the least member of each class {lam v : lam in F_p^*} is
+    scanned: the v whose leading nonzero digit is 1."""
     started = time.perf_counter()
     ctx = cand.ctx
     two_ell = cand.ell.scale(2)
     zero = [[0] * ctx.degree] * ctx.degree
     basis = []
-    for v in range(1, ctx.order):
-        if v == ctx.p ** len(basis):
-            basis.append(_difference_matrix(cand, two_ell, v))
-        mat = zero
-        for vi, m_i in zip(ctx.digits(v), basis):
-            if vi:
-                mat = [[a + vi * b for a, b in zip(row, row_i)]
-                       for row, row_i in zip(mat, m_i)]
-        null = fp_nullspace(mat, ctx.p)
-        if null:
-            x0 = ctx.from_digits(null[0])
-            ms = (time.perf_counter() - started) * 1e3
-            return _checked(VerificationReport(False, "rank", (v, x0, 0), ms),
-                            cand, ctx)
+    for k in range(ctx.degree):
+        # the directions whose leading nonzero digit is 1, at position k
+        lead = ctx.p**k
+        basis.append(_difference_matrix(cand, two_ell, lead))
+        for v in range(lead, 2 * lead):
+            mat = zero
+            for vi, m_i in zip(ctx.digits(v), basis):
+                if vi:
+                    mat = [[a + vi * b for a, b in zip(row, row_i)]
+                           for row, row_i in zip(mat, m_i)]
+            null = fp_nullspace(mat, ctx.p)
+            if null:
+                x0 = ctx.from_digits(null[0])
+                ms = (time.perf_counter() - started) * 1e3
+                return _checked(VerificationReport(False, "rank", (v, x0, 0), ms),
+                                cand, ctx)
     ms = (time.perf_counter() - started) * 1e3
     return VerificationReport(True, "rank", None, ms)
 

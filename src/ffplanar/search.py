@@ -295,10 +295,12 @@ class RunResult:
 
 def run(job: SearchJob, config: Config | None = None, workers: int = 1,
         out=None, collect: bool = False) -> RunResult:
-    """Execute a search job; streams JSON lines to `out` and returns a summary.
+    """Execute a search job; writes JSON lines to `out` and returns a summary.
 
-    The output is independent of the worker count: chunks are merged in
-    candidate-index order before emission.
+    Every finding is held in memory until all chunks are done; only then are
+    the finding lines and the summary line written.  The output is
+    independent of the worker count: chunks are merged in candidate-index
+    order before emission.
     """
     config = config or Config()
     ctx = new_ctx(job.p, job.m, job.n, config.table_cap)

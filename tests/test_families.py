@@ -9,7 +9,6 @@ from ffplanar.families import (
     cubic_lemma_bruteforce,
     cubic_lemma_predicate,
     cubic_theorem_predicate,
-    difference_values_cover_subfield,
     example1_construct,
     example1_generalized,
     example1_ell,
@@ -391,10 +390,18 @@ def test_nonexistence_witness_guards():
 
 
 def test_witness_difference_values_cover_subfield():
+    # v -> Tr(a u^q v^(1-q) + a u v^(q-1)) attains every value of F_q over
+    # v in F_{q^n}^*
     ctx = new_ctx(3, 1, 5)
+    vs = np.arange(1, ctx.order, dtype=np.int64)
+    up = ctx.pow_vec(vs, ctx.q - 1)
+    dn = ctx.inv_vec(up)
     for a in (1, 5, 50):
         u = nonexistence_witness(ctx, a)
-        assert difference_values_cover_subfield(ctx, a, u)
+        auq = ctx.mul(a, ctx.frobenius(u, ctx.m))
+        au = ctx.mul(a, u)
+        vals = ctx.trace_table[ctx.add_vec(ctx.mul_vec(auq, dn), ctx.mul_vec(au, up))]
+        assert np.unique(vals).tolist() == ctx.subfield_elements()
 
 
 def test_witness_induces_reduction_counterexamples():

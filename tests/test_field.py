@@ -1,10 +1,14 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffplanar.config import DEFAULT_TABLE_CAP
 from ffplanar.field import (
     AdditiveChar,
+    FieldCtx,
     MultiplicativeChar,
     additive_chars,
     ctx_from_json,
@@ -223,6 +227,57 @@ def test_vector_ops_match_scalar_ops_f81():
         assert int(tr[i]) == F81.rel_trace(x)
         assert int(nm[i]) == F81.rel_norm(x)
         assert int(fr[i]) == F81.frobenius(x, 2)
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 2), (3, 1, 5), (3, 2, 3), (257, 1, 1)])
+def test_table_scalar_ops_match_digit_and_log_formulas(shape):
+    # exhaustive over all pairs: scalar ops read the addition, negation and
+    # exp/log tables; the tables match digitwise addition and discrete logs
+    ctx = new_ctx(*shape)
+    p, n = ctx.p, ctx.order
+    xs = np.arange(n)
+    digits = [xs // p**i % p for i in range(ctx.degree)]
+    ref_add = sum((d[:, None] + d[None, :]) % p * p**i for i, d in enumerate(digits))
+    ref_neg = sum(-d % p * p**i for i, d in enumerate(digits))
+    log, exp = ctx.log_table, ctx.exp_table
+    ref_mul = np.where((xs[:, None] == 0) | (xs[None, :] == 0), 0,
+                       exp[(log[:, None] + log[None, :]) % (n - 1)])
+    assert ctx.add_matrix.tolist() == ref_add.tolist()
+    assert ctx._plane_add(xs[:, None], xs[None, :]).tolist() == ref_add.tolist()
+    assert ctx.neg_vec(xs).tolist() == ref_neg.tolist()
+    assert [ctx.neg(a) for a in range(n)] == ref_neg.tolist()
+    for a in range(n):
+        assert [ctx.add(a, b) for b in range(n)] == ref_add[a].tolist()
+        assert [ctx.sub(a, b) for b in range(n)] == ref_add[a, ref_neg].tolist()
+        assert [ctx.mul(a, b) for b in range(n)] == ref_mul[a].tolist()
+    units = range(1, n)
+    assert [ctx.inv(a) for a in units] == exp[-log[1:] % (n - 1)].tolist()
+    assert [ctx.pow(a, 5) for a in units] == exp[log[1:] * 5 % (n - 1)].tolist()
+
+
+def test_plane_addition_above_add_table_cap():
+    # F_3^7 has no addition table: add_vec adds digit planes, scalar add
+    # runs its digit loop
+    ctx = new_ctx(3, 1, 7)
+    assert ctx.add_matrix is None
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, ctx.order, size=300)
+    b = rng.integers(0, ctx.order, size=300)
+    assert ctx.add_vec(a, b).tolist() == [ctx.add(x, y) for x, y in zip(a, b)]
+    assert ctx.sub_vec(a, b).tolist() == [ctx.sub(x, y) for x, y in zip(a, b)]
+    grid = ctx.add_vec(a[:20, None], b[None, :])
+    assert grid.tolist() == [[ctx.add(x, y) for y in b] for x in a[:20]]
+
+
+def test_scalar_tables_made_on_first_use():
+    ctx = FieldCtx(3, 1, 5, DEFAULT_TABLE_CAP)
+    assert ctx._cache == {}
+    assert not {"_add_view", "_neg_view", "_exp_view", "_log_view"} & set(vars(ctx))
+    assert ctx.sub(ctx.add(7, 9), 9) == 7
+    assert {"_add_view", "_neg_view"} <= set(vars(ctx))
+    # the views are left out of a pickle and made again
+    back = pickle.loads(pickle.dumps(ctx))
+    assert back.mul(back.add(7, 9), 5) == ctx.mul(ctx.add(7, 9), 5)
 
 
 def test_subfield_elements():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ffplanar
+from ffplanar import planarity
 from ffplanar.field import new_ctx
 from ffplanar.linpoly import LinearizedPoly
 from ffplanar.planarity import (
@@ -179,6 +180,74 @@ def test_methods_agree_on_random_f27():
         # both name the lowest direction whose difference map does not permute
         if not brute.planar:
             assert rank.witness[0] == brute.witness[0]
+
+
+def _lowest_collision(ctx, f):
+    """Reference for a scan of every direction: the lowest c whose difference
+    map does not permute, with its lowest colliding pair x1 < x2."""
+    vals = [f(x) for x in ctx.elements()]
+    for c in range(1, ctx.order):
+        seen = {}
+        for x in ctx.elements():
+            d = ctx.sub(vals[ctx.add(x, c)], vals[x])
+            if d in seen:
+                return (c, seen[d], x)
+            seen[d] = x
+    return None
+
+
+@pytest.mark.parametrize("shape", [(5, 1, 3), (7, 1, 2)])
+def test_witness_direction_is_lowest(shape):
+    # bruteforce skips c > -c and rank skips v whose leading digit is not 1
+    # (for p > 3 that is more than the +-v pairs); neither may move the
+    # lowest non-permuting direction, nor brute force its witness pair
+    ctx = new_ctx(*shape)
+    rng = np.random.default_rng(ctx.order)
+    do_exps = [ctx.p**i + ctx.p**j for i in range(ctx.degree) for j in range(i + 1)]
+    for _ in range(25):
+        a = int(rng.integers(0, ctx.order))
+        ell = LinearizedPoly(ctx, tuple(int(v) for v in
+                                        rng.integers(0, ctx.order, ctx.degree)))
+        cand = PlanarCandidate(ctx, a, ell)
+        want = _lowest_collision(ctx, cand)
+        assert is_planar_bruteforce(cand).witness == want
+        rank = is_planar_rank(cand)
+        assert rank.planar == (want is None)
+        if want is not None:
+            assert rank.witness[0] == want[0]
+        mono = [(int(rng.integers(1, ctx.order)),
+                 int(rng.choice(do_exps) if rng.random() < 0.7
+                     else rng.integers(0, ctx.order)))
+                for _ in range(int(rng.integers(1, 4)))]
+        want = _lowest_collision(ctx, lambda x: eval_general(ctx, mono, x))
+        assert is_planar_bruteforce_general(ctx, mono).witness == want
+
+
+def test_scans_visit_one_direction_per_class(monkeypatch):
+    # on planar x^2 every class is visited once: (order-1)/2 brute-force
+    # directions (rows of the hit-count matrix), (order-1)/(p-1) rank
+    # directions (nullspace computations)
+    rows, nullspaces = [], []
+    bincount, nullspace = np.bincount, planarity.fp_nullspace
+
+    def counting_bincount(x, minlength=0):
+        rows.append(minlength)
+        return bincount(x, minlength=minlength)
+
+    def counting_nullspace(mat, p):
+        nullspaces.append(mat)
+        return nullspace(mat, p)
+
+    monkeypatch.setattr(np, "bincount", counting_bincount)
+    monkeypatch.setattr(planarity, "fp_nullspace", counting_nullspace)
+    for ctx in (F625, new_ctx(3, 1, 7)):
+        rows.clear()
+        assert is_planar_bruteforce(square_candidate(ctx)).planar
+        assert sum(rows) == ctx.order * (ctx.order - 1) // 2
+    for ctx in (F625, new_ctx(5, 1, 3), new_ctx(7, 1, 2)):
+        nullspaces.clear()
+        assert is_planar_rank(square_candidate(ctx)).planar
+        assert len(nullspaces) == (ctx.order - 1) // (ctx.p - 1)
 
 
 def test_invalid_witness_raises_under_python_O():

@@ -151,6 +151,31 @@ def test_rank_scan_output_pinned():
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+def test_bruteforce_scan_output_pinned():
+    # sha256 of the output of the brute-force route when it scanned every
+    # direction and recovered witnesses by a Python loop; the F_3^7 job runs
+    # on digit arithmetic, the others on the addition table
+    pinned = [
+        (SearchJob(5, 2, 2, family="binomial",
+                   filters=("closed-binomial", "criterion-n2"), oracle="bruteforce",
+                   oracle_all=True, mode="sample", sample_count=200, k=1),
+         "249b4d61811a8656bbb508e5a2c1b9ddd667a65b46f2da571bcc0eb6dd0712c7"),
+        (SearchJob(3, 1, 4, family="monomial", oracle="bruteforce", oracle_all=True,
+                   mode="sample", sample_count=300),
+         "d1c142a3e468b23ac7777c88b00c0927ec6f3d1b459e06efef621b33f627fb09"),
+        (SearchJob(3, 1, 7, family="monomial", oracle="bruteforce", oracle_all=True,
+                   mode="sample", sample_count=12),
+         "7d11bdb1b61dbc9bd168f709a5fd57c38f64855ebab0605c05b0aa3410442d2a"),
+        (SearchJob(5, 1, 2, family="monomial", filters=("criterion-n2",),
+                   oracle="bruteforce", oracle_all=True),
+         "a21e80609f34aa56b4842c3836b0624cae347546ed70b9cd82a172283dbe53a4"),
+    ]
+    for job, digest in pinned:
+        buf = io.StringIO()
+        run(job, out=buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
 def test_sample_mode_deterministic():
     job = SearchJob(3, 1, 3, family="cubic", mode="sample", sample_count=50,
                     oracle="rank", oracle_all=True, seed=7)
