@@ -3,16 +3,19 @@
 Jobs visit a family's parameter space in a canonical order (lexicographic on
 the raw parameter index), apply cheap closed-form filters, and evaluate the
 expensive planarity oracle on every candidate, on a deterministic audit
-subsample, or whenever filters disagree.  Output is one JSON line per visited
-candidate plus a trailing summary line, byte-identical for a given job no
-matter how many workers produced it.
+subsample, or whenever filters disagree.  Indices are processed in chunks of
+`CHUNK`, and output streams per chunk as it completes: one JSON line per
+visited candidate plus a trailing summary line, byte-identical for a given job
+no matter how many workers produced it.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 from .config import DEFAULT_AUDIT_EVERY, DEFAULT_SEED, Config
 from .families import (
@@ -240,12 +243,29 @@ def _run_oracle(job: SearchJob, cand: PlanarCandidate, config: Config):
 # Execution.
 # ---------------------------------------------------------------------------
 
-def _chunk_findings(job: SearchJob, config: Config, lo: int, hi: int,
-                    indices=None) -> list[Finding]:
+CHUNK = 2048
+
+
+def _check_job(job: SearchJob, ctx: FieldCtx) -> None:
+    """Raise ValueError for a job some of whose indices cannot decode."""
+    if job.family in ("binomial", "nbc"):
+        if ctx.n != 2 or not 0 < job.k < ctx.m:
+            raise ValueError(f"{job.family} needs n = 2 and 0 < k < m")
+    elif job.family == "cubic":
+        if ctx.n != 3:
+            raise ValueError("cubic needs n = 3")
+        for text in job.a_values:
+            if ctx.parse_element(text) == 0:
+                raise ValueError(f"cubic a_values entry {text!r} is zero")
+    elif job.family == "example1":
+        if ctx.n != 2 or ctx.m % 2:
+            raise ValueError("example1 needs n = 2 and even m")
+
+
+def _chunk_findings(job: SearchJob, config: Config, indices) -> list[Finding]:
     ctx = new_ctx(job.p, job.m, job.n, config.table_cap)
     out = []
-    span = range(lo, hi) if indices is None else indices
-    for raw in span:
+    for raw in indices:
         decoded = decode_candidate(job, ctx, raw)
         if decoded is None:
             continue
@@ -276,87 +296,69 @@ def _chunk_findings(job: SearchJob, config: Config, lo: int, hi: int,
     return out
 
 
-def _pool_chunk(args) -> list[tuple]:
-    job_json, config_args, lo, hi, indices = args
-    job = SearchJob.from_json(job_json)
-    config = Config(**config_args)
-    finds = _chunk_findings(job, config, lo, hi, indices)
-    return [
-        (f.index, f.params, f.filters, f.oracle, f.witness, f.flagged)
-        for f in finds
-    ]
+def findings(job: SearchJob, config: Config | None = None,
+             workers: int = 1) -> Iterator[Finding]:
+    """Yield the job's findings in output order, computed `CHUNK` indices at a
+    time: exhaustive jobs in index order, sample jobs in stream order.
+
+    With several workers the chunks go through a process pool and come back
+    in order, so the sequence does not depend on the worker count.  A job
+    whose indices cannot all decode raises ValueError before any chunk runs.
+    """
+    config = config or Config()
+    ctx = new_ctx(job.p, job.m, job.n, config.table_cap)
+    _check_job(job, ctx)
+    space = candidate_space(job, ctx)
+    sample = job.mode == "sample"
+    if sample and not space:
+        raise ValueError("sample mode needs a nonempty candidate space")
+    total = job.sample_count if sample else space
+    spans = (range(lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK))
+    if sample:
+        spans = ([seeded_stream(job.seed, i) % space for i in span] for span in spans)
+    args = (repeat(job), repeat(config), spans)
+    if workers <= 1:
+        for chunk in map(_chunk_findings, *args):
+            yield from chunk
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        for chunk in pool.map(_chunk_findings, *args):
+            yield from chunk
+    finally:
+        # a consumer that stops early leaves queued chunks unstarted
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass
 class RunResult:
     summary: dict
-    findings: list[Finding] = field(default_factory=list)
 
 
 def run(job: SearchJob, config: Config | None = None, workers: int = 1,
-        out=None, collect: bool = False) -> RunResult:
+        out=None) -> RunResult:
     """Execute a search job; writes JSON lines to `out` and returns a summary.
 
-    Every finding is held in memory until all chunks are done; only then are
-    the finding lines and the summary line written.  The output is
-    independent of the worker count: chunks are merged in candidate-index
-    order before emission.
+    Finding lines are written as their chunk arrives, so memory holds only the
+    chunks in flight; the summary line comes last.  The output is independent
+    of the worker count (see `findings`).
     """
-    config = config or Config()
-    ctx = new_ctx(job.p, job.m, job.n, config.table_cap)
-    space = candidate_space(job, ctx)
-    if job.mode == "sample":
-        indices = [seeded_stream(job.seed, i) % space for i in range(job.sample_count)]
-        plan = [(job, config, 0, 0, indices)]
-        if workers > 1:
-            step = (len(indices) + workers - 1) // workers
-            plan = [
-                (job, config, 0, 0, indices[i : i + step])
-                for i in range(0, len(indices), step)
-            ]
-    else:
-        step = (space + workers - 1) // workers
-        step = max(1, step)
-        plan = [
-            (job, config, lo, min(lo + step, space), None)
-            for lo in range(0, space, step)
-        ]
-
-    if workers <= 1:
-        chunk_lists = [
-            _chunk_findings(j, c, lo, hi, idx) for j, c, lo, hi, idx in plan
-        ]
-    else:
-        args = [
-            (j.to_json(), asdict(c), lo, hi, idx) for j, c, lo, hi, idx in plan
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw_lists = list(pool.map(_pool_chunk, args))
-        chunk_lists = [
-            [Finding(*tup) for tup in chunk] for chunk in raw_lists
-        ]
-
-    findings: list[Finding] = []
-    for chunk in chunk_lists:
-        findings.extend(chunk)
-    if job.mode == "exhaustive":
-        findings.sort(key=lambda f: f.index)
-
-    counts = {
-        "candidates": len(findings),
-        "oracled": sum(1 for f in findings if f.oracle is not None),
-        "planar_oracle": sum(1 for f in findings if f.oracle),
-        "disagreements": sum(1 for f in findings if f.flagged),
-    }
+    counts = {"candidates": 0, "oracled": 0, "planar_oracle": 0,
+              "disagreements": 0}
     for name in job.filters:
-        counts[f"filter_true[{name}]"] = sum(
-            1 for f in findings if f.filters[name]
-        )
-    if out is not None:
-        for f in findings:
+        counts[f"filter_true[{name}]"] = 0
+    for f in findings(job, config, workers):
+        counts["candidates"] += 1
+        counts["oracled"] += f.oracle is not None
+        counts["planar_oracle"] += f.oracle is True
+        counts["disagreements"] += f.flagged
+        for name in job.filters:
+            counts[f"filter_true[{name}]"] += f.filters[name]
+        if out is not None:
             out.write(f.to_json_line() + "\n")
+    if out is not None:
         out.write(json.dumps({"summary": counts}, sort_keys=True) + "\n")
-    return RunResult(counts, findings if collect else [])
+    return RunResult(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -370,46 +372,32 @@ class DedupGroup:
     members: tuple[int, ...]
 
 
-def _orbit_key(cand: PlanarCandidate) -> tuple:
+def _orbit(cand: PlanarCandidate) -> set[tuple]:
+    """Keys (a, ell coefficients) of every candidate in the orbit."""
     ctx = cand.ctx
-    best = None
     subfield_units = [c for c in ctx.subfield_elements() if c]
+    orbit = set()
     for lam in range(1, ctx.order):
         moved = cand.substituted(lam)
         for c in subfield_units:
             final = moved.scaled(c)
-            key = (final.a, final.ell.coeffs)
-            if best is None or key < best:
-                best = key
-    return best
+            orbit.add((final.a, final.ell.coeffs))
+    return orbit
 
 
 def dedup_by_scaling(candidates) -> list[DedupGroup]:
     """Group candidates equivalent under x -> lam x and scaling by F_q^*;
     each group keeps its lexicographically least member as representative."""
-    groups: dict[tuple, list[int]] = {}
-    reps: dict[tuple, PlanarCandidate] = {}
+    groups: dict[tuple, tuple[FieldCtx, list[int]]] = {}
     for i, cand in enumerate(candidates):
-        key = _orbit_key(cand)
-        groups.setdefault(key, []).append(i)
-        ctx = cand.ctx
-        reps[key] = PlanarCandidate(
-            ctx, key[0], LinearizedPoly(ctx, key[1])
-        )
+        groups.setdefault(min(_orbit(cand)), (cand.ctx, []))[1].append(i)
     return [
-        DedupGroup(reps[k], len(v), tuple(v))
-        for k, v in sorted(groups.items())
+        DedupGroup(PlanarCandidate(ctx, a, LinearizedPoly(ctx, coeffs)),
+                   len(members), tuple(members))
+        for (a, coeffs), (ctx, members) in sorted(groups.items())
     ]
 
 
 def orbit_size(cand: PlanarCandidate) -> int:
     """Number of distinct candidates in the substitution/scaling orbit."""
-    ctx = cand.ctx
-    seen = set()
-    subfield_units = [c for c in ctx.subfield_elements() if c]
-    for lam in range(1, ctx.order):
-        moved = cand.substituted(lam)
-        for c in subfield_units:
-            final = moved.scaled(c)
-            seen.add((final.a, final.ell.coeffs))
-    return len(seen)
+    return len(_orbit(cand))

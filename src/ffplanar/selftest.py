@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +46,13 @@ from .linpoly import (
 )
 from .planarity import (
     PlanarCandidate,
-    _table_planarity,
     criterion_quadratic,
     is_planar_bruteforce,
     is_planar_bruteforce_general,
     is_planar_rank,
     is_planar_reduction,
 )
-from .search import SearchJob, run as search_run
+from .search import SearchJob, findings, run as search_run
 
 
 @dataclass(frozen=True)
@@ -70,66 +68,6 @@ class CheckResult:
 # Shared q = 25 family sweep (checks 3, 4, and 8).
 # ---------------------------------------------------------------------------
 
-def _binomial_rows(p: int, m: int, k: int, b_lo: int, b_hi: int,
-                   with_oracle: bool) -> tuple:
-    """Predicate, criterion, and oracle verdicts for all (b, c) with b in
-    [b_lo, b_hi); invalid pairs (equal norms) are masked out."""
-    ctx = new_ctx(p, m, 2)
-    n = ctx.order
-    pk = p**k
-    norms = ctx.norm_table
-    cs = np.arange(n, dtype=np.int64)
-    cpk = ctx.pow_vec(cs, pk)
-    ypk = ctx.pow_vec(ctx.square_table, pk)
-    add = ctx.add_matrix
-    xq1 = ctx.pow_vec(np.arange(n, dtype=np.int64), ctx.q + 1)
-    n1 = n - 1
-    log, exp = ctx.log_table, ctx.exp_table
-
-    width = b_hi - b_lo
-    valid = np.zeros((width, n), dtype=bool)
-    pred = np.zeros((width, n), dtype=bool)
-    crit = np.zeros((width, n), dtype=bool)
-    oracle = np.zeros((width, n), dtype=bool)
-    for row, b in enumerate(range(b_lo, b_hi)):
-        ok = norms != norms[b]
-        valid[row] = ok
-        # closed predicate, vectorized over c
-        if pk % 4 == 1 and m == 2 * k:
-            lhs = ctx.pow_vec(norms[ctx.sub_vec(np.int64(b), ctx.frob_vec(cs, m))],
-                              (pk + 1) // 2)
-            rhs = ctx.neg_vec(ctx.pow_vec(ctx.sub_vec(norms[b], norms[cs]), pk + 1))
-            pred[row] = ok & (lhs == rhs)
-        # batched value tables:
-        # F[c, x] = x^(q+1) + b^(p^k) (x^2)^(p^(m+k)) + c^(p^k) (x^2)^(p^k)
-        t1 = ctx.mul_vec(ctx.pow(b, pk), ctx.frob_vec(ctx.square_table, m + k))
-        mixed = exp[(log[cpk][:, None] + log[ypk][None, :]) % n1]
-        mixed = np.where((cpk == 0)[:, None] | (ypk == 0)[None, :], 0, mixed)
-        inner = add[mixed, t1]
-        tables = add[inner, xq1]
-        checked_one = False
-        for c in range(n):
-            if not ok[c]:
-                continue
-            params = MonomialFamilyParams(ctx, k, b, c)
-            cand = params.candidate()
-            if not checked_one:
-                # guard the batched construction against the reference path
-                if not np.array_equal(tables[c], cand.f_table()):
-                    raise AssertionError("batched value tables are inconsistent")
-                checked_one = True
-            crit[row, c] = criterion_quadratic(cand)
-            if with_oracle:
-                rep = _table_planarity(ctx, tables[c].astype(np.int64),
-                                       "bruteforce", time.perf_counter())
-                oracle[row, c] = rep.planar
-    return valid, pred, crit, oracle
-
-
-def _binomial_rows_task(args):
-    return _binomial_rows(*args)
-
-
 class _Shared:
     """Lazily computed artifacts shared between checks."""
 
@@ -139,23 +77,25 @@ class _Shared:
         self._cache = {}
 
     def binomial_sweep(self, p: int, m: int, k: int) -> dict:
+        """Closed predicate, n = 2 criterion and brute-force verdicts for every
+        (b, c) of the binomial family on F_{p^2m}, as [b, c] arrays; `valid`
+        masks the pairs with N(b) != N(c), the only ones the family has."""
         key = ("binomial", p, m, k)
         if key not in self._cache:
             ctx = new_ctx(p, m, 2)
             n = ctx.order
             started = time.perf_counter()
-            if self.workers > 1:
-                step = max(1, (n + self.workers * 4 - 1) // (self.workers * 4))
-                spans = [(p, m, k, lo, min(lo + step, n), True)
-                         for lo in range(0, n, step)]
-                with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                    parts = list(pool.map(_binomial_rows_task, spans))
-                valid = np.concatenate([pt[0] for pt in parts])
-                pred = np.concatenate([pt[1] for pt in parts])
-                crit = np.concatenate([pt[2] for pt in parts])
-                oracle = np.concatenate([pt[3] for pt in parts])
-            else:
-                valid, pred, crit, oracle = _binomial_rows(p, m, k, 0, n, True)
+            job = SearchJob(p, m, 2, "binomial",
+                            filters=("closed-binomial", "criterion-n2"),
+                            oracle_all=True, k=k)
+            valid, pred, crit, oracle = (np.zeros((n, n), dtype=bool)
+                                         for _ in range(4))
+            for f in findings(job, self.config, self.workers):
+                b, c = divmod(f.index, n)
+                valid[b, c] = True
+                pred[b, c] = f.filters["closed-binomial"]
+                crit[b, c] = f.filters["criterion-n2"]
+                oracle[b, c] = f.oracle
             self._cache[key] = {
                 "ctx": ctx,
                 "valid": valid,
@@ -329,8 +269,9 @@ def _check_family_equivalence_q25(shared: _Shared) -> tuple[bool, str]:
     same = bool(np.array_equal(sweep["pred"][valid], sweep["oracle"][valid]))
     nonempty = bool(sweep["pred"][valid].any())
     # q = 9, k = 1: p^k = 3 mod 4, so both sets must be empty
-    v9, p9, _, o9 = _binomial_rows(3, 2, 1, 0, 81, True)
-    empty9 = not p9[v9].any() and not o9[v9].any()
+    q9 = shared.binomial_sweep(3, 2, 1)
+    v9 = q9["valid"]
+    empty9 = not q9["pred"][v9].any() and not q9["oracle"][v9].any()
     detail = (
         f"q=25 planar family size {int(sweep['pred'][valid].sum())}; "
         f"q=9 family empty: {empty9}"

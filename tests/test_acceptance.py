@@ -10,7 +10,10 @@ import os
 
 import pytest
 
-from ffplanar.selftest import CHECKS, run_selftest
+from ffplanar.config import Config
+from ffplanar.families import MonomialFamilyParams, theorem_monomial_predicate
+from ffplanar.planarity import criterion_quadratic, is_planar_bruteforce
+from ffplanar.selftest import CHECKS, _Shared, run_selftest
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +35,21 @@ def test_acceptance_criterion(acceptance_results, name):
     assert result.passed, (
         f"criterion {result.number} ({result.name}) failed: {result.detail}"
     )
+
+
+def test_binomial_sweep_matches_direct_calls():
+    # the shared sweep goes through the scan pipeline; compare a few q = 9
+    # b-rows with direct calls of the predicate, criterion and brute force
+    sweep = _Shared(Config(), 1).binomial_sweep(3, 2, 1)
+    ctx = sweep["ctx"]
+    for b in (0, 1, 7, 40, 80):
+        for c in range(ctx.order):
+            valid = ctx.rel_norm(b) != ctx.rel_norm(c)
+            assert sweep["valid"][b, c] == valid
+            if not valid:
+                continue
+            params = MonomialFamilyParams(ctx, 1, b, c)
+            cand = params.candidate()
+            assert sweep["pred"][b, c] == theorem_monomial_predicate(params)
+            assert sweep["crit"][b, c] == criterion_quadratic(cand)
+            assert sweep["oracle"][b, c] == is_planar_bruteforce(cand).planar

@@ -124,6 +124,17 @@ def test_scan_job_file_and_out(tmp_path, capsys):
         json.loads(line)
 
 
+def test_scan_rejects_undecodable_job_before_output(tmp_path, capsys):
+    # a = 0 is not a valid cubic coefficient; the a = 1 half must not be written
+    out_path = tmp_path / "findings.jsonl"
+    code, _, err = run_cli(capsys, "scan", "--p", "3", "--m", "1", "--n", "3",
+                           "--family", "cubic", "--a-values", "1;0",
+                           "--out", str(out_path))
+    assert code == 65
+    assert "zero" in err
+    assert out_path.read_text() == ""
+
+
 def test_scan_csv_format(capsys):
     code, out, _ = run_cli(capsys, "--format", "csv", "charsum", "--q", "3",
                            "--k", "5", "--c", "1", "--all-targets")

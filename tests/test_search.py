@@ -5,17 +5,20 @@ import time
 
 import pytest
 
+from ffplanar import search
 from ffplanar.config import Config
 from ffplanar.field import new_ctx
 from ffplanar.linpoly import LinearizedPoly
 from ffplanar.planarity import PlanarCandidate, is_planar_bruteforce
 from ffplanar.search import (
+    CHUNK,
     DedupGroup,
     Finding,
     SearchJob,
     candidate_space,
     decode_candidate,
     dedup_by_scaling,
+    findings,
     orbit_size,
     run,
     seeded_stream,
@@ -51,7 +54,7 @@ def test_splitmix_is_deterministic_and_spread():
 
 def test_monomial_sweep_matches_direct_bruteforce():
     job = SearchJob(3, 1, 2, family="monomial", oracle_all=True)
-    result = run(job, collect=True)
+    result = run(job)
     assert result.summary["candidates"] == 9 * 9 * 2
     assert result.summary["disagreements"] == 0
     expected_planar = 0
@@ -66,16 +69,17 @@ def test_monomial_sweep_matches_direct_bruteforce():
 def test_monomial_sweep_with_criterion_filter_sound():
     job = SearchJob(3, 1, 2, family="monomial", filters=("criterion-n2",),
                     oracle_all=True)
-    result = run(job, collect=True)
-    assert result.summary["disagreements"] == 0
-    for f in result.findings:
+    found = list(findings(job))
+    assert len(found) == 9 * 9 * 2
+    for f in found:
+        assert not f.flagged
         assert f.filters["criterion-n2"] == f.oracle
 
 
 def test_binomial_grid_zero_disagreements_q9():
     job = SearchJob(3, 2, 2, family="binomial", filters=("closed-binomial",),
                     oracle_all=True, k=1)
-    result = run(job, collect=True)
+    result = run(job)
     assert result.summary["candidates"] == 5760
     assert result.summary["disagreements"] == 0
     assert result.summary["planar_oracle"] == 0
@@ -85,14 +89,14 @@ def test_binomial_grid_zero_disagreements_q9():
 def test_nbc_sample_zero_disagreements_q9():
     job = SearchJob(3, 2, 2, family="nbc", filters=("closed-nbc",),
                     oracle_all=True, mode="sample", sample_count=2000)
-    result = run(job, collect=True)
+    result = run(job)
     assert result.summary["candidates"] > 50
     assert result.summary["disagreements"] == 0
 
 
 def test_empty_grid_summary():
     job = SearchJob(3, 1, 3, family="cubic", a_values=())
-    result = run(job, collect=True)
+    result = run(job)
     assert result.summary["candidates"] == 0
     assert result.summary["disagreements"] == 0
 
@@ -100,18 +104,18 @@ def test_empty_grid_summary():
 def test_audit_subsample_forces_oracle():
     job = SearchJob(3, 1, 2, family="monomial", filters=("criterion-n2",),
                     audit_every=7)
-    result = run(job, collect=True)
-    audited = [f for f in result.findings if f.oracle is not None]
+    found = list(findings(job))
+    audited = [f for f in found if f.oracle is not None]
     assert audited
     for f in audited:
         assert f.index % 7 == 0
         assert f.filters["criterion-n2"] == f.oracle
-    assert result.summary["disagreements"] == 0
+    assert not any(f.flagged for f in found)
 
 
 def test_example1_family_runs():
     job = SearchJob(5, 2, 2, family="example1", oracle="rank", oracle_all=True)
-    result = run(job, collect=True)
+    result = run(job)
     assert result.summary == dict(
         candidates=1, oracled=1, planar_oracle=1, disagreements=0
     )
@@ -129,6 +133,63 @@ def test_output_byte_identical_across_worker_counts():
     lines = outs[0].strip().split("\n")
     assert len(lines) == 162 + 1
     assert "summary" in json.loads(lines[-1])
+
+
+def test_output_byte_identical_across_worker_counts_over_chunks():
+    # 26 244 indices, so the exhaustive scan spans 13 chunks and the sample 3
+    exhaustive = SearchJob(3, 1, 4, family="monomial")
+    space = candidate_space(exhaustive, new_ctx(3, 1, 4))
+    assert space > 2 * CHUNK
+    sample = SearchJob(3, 1, 4, family="monomial", mode="sample",
+                       sample_count=2 * CHUNK + 100)
+    stream = [seeded_stream(sample.seed, i) % space for i in range(sample.sample_count)]
+    for job, order in ((exhaustive, list(range(space))), (sample, stream)):
+        outs = []
+        for workers in (1, 2, 3):
+            buf = io.StringIO()
+            run(job, workers=workers, out=buf)
+            outs.append(buf.getvalue())
+        # a set, not ==, so that a failure does not diff megabytes of text
+        assert len(set(outs)) == 1
+        lines = outs[0].splitlines()
+        assert [json.loads(line)["index"] for line in lines[:-1]] == order
+
+
+def test_findings_is_lazy(monkeypatch):
+    decoded = []
+    real = search.decode_candidate
+
+    def counting(job, ctx, index):
+        decoded.append(index)
+        return real(job, ctx, index)
+
+    monkeypatch.setattr(search, "decode_candidate", counting)
+    job = SearchJob(3, 1, 4, family="monomial")
+    assert candidate_space(job, new_ctx(3, 1, 4)) > 3 * CHUNK
+    first = next(findings(job))
+    assert first.index == 0
+    assert 0 < len(decoded) <= CHUNK
+
+
+@pytest.mark.parametrize("job", [
+    SearchJob(3, 1, 3, family="cubic", a_values=("1", "0")),
+    SearchJob(3, 1, 2, family="cubic"),
+    SearchJob(3, 1, 3, family="cubic", a_values=("1", "3")),
+    SearchJob(3, 1, 2, family="binomial"),
+    SearchJob(3, 2, 2, family="binomial", k=2),
+    SearchJob(3, 2, 3, family="nbc"),
+    SearchJob(3, 1, 2, family="example1"),
+    SearchJob(3, 2, 3, family="example1"),
+    SearchJob(3, 1, 3, family="cubic", a_values=(), mode="sample", sample_count=5),
+], ids=["cubic-a-zero", "cubic-n2", "cubic-a-bad-digit", "binomial-m1",
+        "binomial-k-eq-m", "nbc-n3", "example1-odd-m", "example1-n3",
+        "sample-empty-space"])
+def test_jobs_that_cannot_decode_are_rejected(job, monkeypatch):
+    monkeypatch.setattr(search, "decode_candidate", None)  # never reached
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        run(job, out=buf)
+    assert buf.getvalue() == ""
 
 
 def test_rank_scan_output_pinned():
@@ -179,13 +240,11 @@ def test_bruteforce_scan_output_pinned():
 def test_sample_mode_deterministic():
     job = SearchJob(3, 1, 3, family="cubic", mode="sample", sample_count=50,
                     oracle="rank", oracle_all=True, seed=7)
-    r1 = run(job, collect=True)
-    r2 = run(job, collect=True)
-    assert [f.index for f in r1.findings] == [f.index for f in r2.findings]
+    r1 = [f.index for f in findings(job)]
+    assert r1 == [f.index for f in findings(job)]
     job2 = SearchJob(3, 1, 3, family="cubic", mode="sample", sample_count=50,
                      oracle="rank", oracle_all=True, seed=8)
-    r3 = run(job2, collect=True)
-    assert [f.index for f in r1.findings] != [f.index for f in r3.findings]
+    assert r1 != [f.index for f in findings(job2)]
 
 
 def test_decode_candidate_skips_invalid():
