@@ -4,18 +4,18 @@ Jobs visit a family's parameter space in a canonical order (lexicographic on
 the raw parameter index), apply cheap closed-form filters, and evaluate the
 expensive planarity oracle on every candidate, on a deterministic audit
 subsample, or whenever filters disagree.  Indices are processed in chunks of
-`CHUNK`, and output streams per chunk as it completes: one JSON line per
-visited candidate plus a trailing summary line, byte-identical for a given job
-no matter how many workers produced it.
+at most `CHUNK`, and output streams per chunk as it completes: one JSON line
+per visited candidate plus a trailing summary line, byte-identical for a given
+job no matter how many workers produced it.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 from .config import DEFAULT_AUDIT_EVERY, DEFAULT_SEED, Config
 from .families import (
@@ -246,22 +246,6 @@ def _run_oracle(job: SearchJob, cand: PlanarCandidate, config: Config):
 CHUNK = 2048
 
 
-def _check_job(job: SearchJob, ctx: FieldCtx) -> None:
-    """Raise ValueError for a job some of whose indices cannot decode."""
-    if job.family in ("binomial", "nbc"):
-        if ctx.n != 2 or not 0 < job.k < ctx.m:
-            raise ValueError(f"{job.family} needs n = 2 and 0 < k < m")
-    elif job.family == "cubic":
-        if ctx.n != 3:
-            raise ValueError("cubic needs n = 3")
-        for text in job.a_values:
-            if ctx.parse_element(text) == 0:
-                raise ValueError(f"cubic a_values entry {text!r} is zero")
-    elif job.family == "example1":
-        if ctx.n != 2 or ctx.m % 2:
-            raise ValueError("example1 needs n = 2 and even m")
-
-
 def _chunk_findings(job: SearchJob, config: Config, indices) -> list[Finding]:
     ctx = new_ctx(job.p, job.m, job.n, config.table_cap)
     out = []
@@ -298,33 +282,45 @@ def _chunk_findings(job: SearchJob, config: Config, indices) -> list[Finding]:
 
 def findings(job: SearchJob, config: Config | None = None,
              workers: int = 1) -> Iterator[Finding]:
-    """Yield the job's findings in output order, computed `CHUNK` indices at a
-    time: exhaustive jobs in index order, sample jobs in stream order.
+    """Yield the job's findings in output order, computed a chunk of indices
+    at a time: exhaustive jobs in index order, sample jobs in stream order.
 
-    With several workers the chunks go through a process pool and come back
-    in order, so the sequence does not depend on the worker count.  A job
-    whose indices cannot all decode raises ValueError before any chunk runs.
+    A chunk holds at most `CHUNK` indices, and fewer when that gives each
+    worker at least four chunks.  With several workers the chunks go through
+    a process pool, at most 2 * workers of them submitted ahead of the one
+    being yielded, and come back in order, so the sequence does not depend
+    on the worker count.  Family, tower and k mismatches raise ValueError
+    from the first candidate built; a cubic `a_values` entry that is zero or
+    not an element, or a sample over an empty space, raises before any chunk.
     """
     config = config or Config()
     ctx = new_ctx(job.p, job.m, job.n, config.table_cap)
-    _check_job(job, ctx)
+    if job.family == "cubic":
+        for text in job.a_values:
+            if ctx.parse_element(text) == 0:
+                raise ValueError(f"cubic a_values entry {text!r} is zero")
     space = candidate_space(job, ctx)
     sample = job.mode == "sample"
     if sample and not space:
         raise ValueError("sample mode needs a nonempty candidate space")
     total = job.sample_count if sample else space
-    spans = (range(lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK))
+    size = max(1, min(CHUNK, -(-total // (4 * workers))))
+    spans = (range(lo, min(lo + size, total)) for lo in range(0, total, size))
     if sample:
         spans = ([seeded_stream(job.seed, i) % space for i in span] for span in spans)
-    args = (repeat(job), repeat(config), spans)
     if workers <= 1:
-        for chunk in map(_chunk_findings, *args):
-            yield from chunk
+        for span in spans:
+            yield from _chunk_findings(job, config, span)
         return
     pool = ProcessPoolExecutor(max_workers=workers)
+    pending = deque()
     try:
-        for chunk in pool.map(_chunk_findings, *args):
-            yield from chunk
+        for span in spans:
+            pending.append(pool.submit(_chunk_findings, job, config, span))
+            if len(pending) > 2 * workers:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
     finally:
         # a consumer that stops early leaves queued chunks unstarted
         pool.shutdown(cancel_futures=True)
@@ -339,9 +335,9 @@ def run(job: SearchJob, config: Config | None = None, workers: int = 1,
         out=None) -> RunResult:
     """Execute a search job; writes JSON lines to `out` and returns a summary.
 
-    Finding lines are written as their chunk arrives, so memory holds only the
-    chunks in flight; the summary line comes last.  The output is independent
-    of the worker count (see `findings`).
+    Finding lines are written as their chunk arrives, so memory holds at most
+    the chunks `findings` keeps in flight; the summary line comes last.  The
+    output is independent of the worker count (see `findings`).
     """
     counts = {"candidates": 0, "oracled": 0, "planar_oracle": 0,
               "disagreements": 0}

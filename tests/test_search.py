@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import os
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -136,7 +138,7 @@ def test_output_byte_identical_across_worker_counts():
 
 
 def test_output_byte_identical_across_worker_counts_over_chunks():
-    # 26 244 indices, so the exhaustive scan spans 13 chunks and the sample 3
+    # 26 244 indices, so every run of either job spans several chunks
     exhaustive = SearchJob(3, 1, 4, family="monomial")
     space = candidate_space(exhaustive, new_ctx(3, 1, 4))
     assert space > 2 * CHUNK
@@ -171,20 +173,56 @@ def test_findings_is_lazy(monkeypatch):
     assert 0 < len(decoded) <= CHUNK
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: runs each chunk when it is
+    submitted and records the chunk's length."""
+    submitted: list[int] = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, job, config, indices):
+        self.submitted.append(len(indices))
+        future = Future()
+        future.set_result(fn(job, config, indices))
+        return future
+
+    def shutdown(self, cancel_futures):
+        pass
+
+
+def test_pool_splits_small_jobs_and_bounds_its_window(monkeypatch):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "submitted", [])
+    small = SearchJob(3, 1, 2, family="monomial")  # 162 indices, below CHUNK
+    assert len(list(findings(small, workers=2))) == 162
+    assert _InlinePool.submitted == [21] * 7 + [15]
+    _InlinePool.submitted.clear()
+    big = SearchJob(3, 1, 4, family="monomial")  # 13 chunks of at most CHUNK
+    next(findings(big, workers=2))
+    assert _InlinePool.submitted == [CHUNK] * 5  # 2 * workers ahead of the first
+
+
+def _pid_chunk(job, config, indices):
+    time.sleep(0.2)
+    return [os.getpid()]
+
+
+def test_small_job_reaches_every_worker(monkeypatch):
+    monkeypatch.setattr(search, "_chunk_findings", _pid_chunk)
+    pids = list(findings(SearchJob(3, 1, 2, family="monomial"), workers=2))
+    assert len(pids) == 8
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+
+
 @pytest.mark.parametrize("job", [
     SearchJob(3, 1, 3, family="cubic", a_values=("1", "0")),
-    SearchJob(3, 1, 2, family="cubic"),
     SearchJob(3, 1, 3, family="cubic", a_values=("1", "3")),
-    SearchJob(3, 1, 2, family="binomial"),
-    SearchJob(3, 2, 2, family="binomial", k=2),
-    SearchJob(3, 2, 3, family="nbc"),
-    SearchJob(3, 1, 2, family="example1"),
-    SearchJob(3, 2, 3, family="example1"),
     SearchJob(3, 1, 3, family="cubic", a_values=(), mode="sample", sample_count=5),
-], ids=["cubic-a-zero", "cubic-n2", "cubic-a-bad-digit", "binomial-m1",
-        "binomial-k-eq-m", "nbc-n3", "example1-odd-m", "example1-n3",
-        "sample-empty-space"])
+], ids=["cubic-a-zero", "cubic-a-bad-digit", "sample-empty-space"])
 def test_jobs_that_cannot_decode_are_rejected(job, monkeypatch):
+    # constructors raise on the first candidate of any other bad job, but
+    # these jobs fail later (after the a = 1 candidates) or in no constructor
     monkeypatch.setattr(search, "decode_candidate", None)  # never reached
     buf = io.StringIO()
     with pytest.raises(ValueError):
