@@ -202,6 +202,19 @@ def cmd_verify(args, config: Config) -> int:
     return 0 if planar else 1
 
 
+class _LazyOut:
+    """Opens `path` at the first write, so that a job rejected before its
+    first line leaves any file at that path as it was."""
+    fh = None
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def write(self, text: str) -> int:
+        self.fh = self.fh or open(self.path, "w")
+        return self.fh.write(text)
+
+
 def cmd_scan(args, config: Config) -> int:
     if args.job:
         try:
@@ -224,12 +237,12 @@ def cmd_scan(args, config: Config) -> int:
             audit_every=config.audit_every, oracle_all=args.oracle_all,
             k=args.k, a_values=tuple(args.a_values.split(";")),
         )
-    sink = open(args.out, "w") if args.out else sys.stdout
+    sink = _LazyOut(args.out) if args.out else sys.stdout
     try:
         result = search_run(job, config=config, workers=config.workers, out=sink)
     finally:
-        if args.out:
-            sink.close()
+        if args.out and sink.fh:
+            sink.fh.close()
     return 0 if result.summary["disagreements"] == 0 else 3
 
 

@@ -377,7 +377,7 @@ class FieldCtx:
         if not self.table_mode:
             raise ValueError(f"{self} exceeds the table cap; vector ops unavailable")
 
-    @property
+    @functools.cached_property
     def _add_planes(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(planes, reduce, base) for _plane_add.
 
@@ -386,21 +386,19 @@ class FieldCtx:
         reduce maps such a sum to the digitwise sum mod p, read in base p, and
         base = p^g.  g is the largest digit count (at least 1) whose sums
         stay below 2^16, so that planes and their sums are uint16."""
-        if "planes" not in self._cache:
-            p, d, b = self.p, self.degree, 2 * self.p - 1
-            g = 1
-            while g < d and b ** (g + 1) <= 1 << 16:
-                g += 1
-            idx = np.arange(self.order, dtype=np.int64)
-            planes = np.empty((-(-d // g), self.order),
-                              dtype=np.uint16 if b**g <= 1 << 16 else np.int64)
-            for k, plane in enumerate(planes):
-                plane[:] = sum(idx // p**i % p * b ** (i - k * g)
-                               for i in range(k * g, min(d, k * g + g)))
-            sums = np.arange(b**g, dtype=np.int64)
-            reduce = sum(sums // b**i % b % p * p**i for i in range(g))
-            self._cache["planes"] = (planes, reduce, p**g)
-        return self._cache["planes"]
+        p, d, b = self.p, self.degree, 2 * self.p - 1
+        g = 1
+        while g < d and b ** (g + 1) <= 1 << 16:
+            g += 1
+        idx = np.arange(self.order, dtype=np.int64)
+        planes = np.empty((-(-d // g), self.order),
+                          dtype=np.uint16 if b**g <= 1 << 16 else np.int64)
+        for k, plane in enumerate(planes):
+            plane[:] = sum(idx // p**i % p * b ** (i - k * g)
+                           for i in range(k * g, min(d, k * g + g)))
+        sums = np.arange(b**g, dtype=np.int64)
+        reduce = sum(sums // b**i % b % p * p**i for i in range(g))
+        return planes, reduce, p**g
 
     def _plane_add(self, a, b) -> np.ndarray:
         """Digitwise a + b, one contiguous plane of digits at a time, so that
@@ -412,25 +410,18 @@ class FieldCtx:
             out += reduce.take(plane.take(a) + plane.take(b))
         return out
 
-    @property
+    @functools.cached_property
     def add_matrix(self) -> np.ndarray | None:
         """Full (order, order) addition table for small fields, else None."""
-        if "addmat" not in self._cache:
-            if self.order > ADD_TABLE_CAP:
-                self._cache["addmat"] = None
-            else:
-                idx = np.arange(self.order)
-                self._cache["addmat"] = self._plane_add(
-                    idx[:, None], idx[None, :]).astype(np.uint32)
-        return self._cache["addmat"]
+        if self.order > ADD_TABLE_CAP:
+            return None
+        idx = np.arange(self.order)
+        return self._plane_add(idx[:, None], idx[None, :]).astype(np.uint32)
 
-    @property
+    @functools.cached_property
     def _neg_table(self) -> np.ndarray:
-        if "negvec" not in self._cache:
-            p, idx = self.p, np.arange(self.order, dtype=np.int64)
-            self._cache["negvec"] = sum(-(idx // p**i) % p * p**i
-                                        for i in range(self.degree))
-        return self._cache["negvec"]
+        p, idx = self.p, np.arange(self.order, dtype=np.int64)
+        return sum(-(idx // p**i) % p * p**i for i in range(self.degree))
 
     # Scalar add/neg/sub read add_matrix and the negation table, and
     # mul/inv/pow the exp/log tables, through memoryviews of the same
@@ -489,72 +480,59 @@ class FieldCtx:
     def frob_vec(self, a, e: int):
         return self.pow_vec(a, self.p ** (e % self.degree))
 
-    @property
+    @functools.cached_property
     def trace_table(self) -> np.ndarray:
         """rel_trace of every element, as an index array."""
-        if "trace" not in self._cache:
-            idx = np.arange(self.order, dtype=np.int64)
-            acc, cur = idx, idx
-            for _ in range(self.n - 1):
-                cur = self.frob_vec(cur, self.m)
-                acc = self.add_vec(acc, cur)
-            self._cache["trace"] = acc
-        return self._cache["trace"]
+        idx = np.arange(self.order, dtype=np.int64)
+        acc, cur = idx, idx
+        for _ in range(self.n - 1):
+            cur = self.frob_vec(cur, self.m)
+            acc = self.add_vec(acc, cur)
+        return acc
 
-    @property
+    @functools.cached_property
     def norm_table(self) -> np.ndarray:
         """rel_norm of every element, as an index array."""
-        if "norm" not in self._cache:
-            idx = np.arange(self.order, dtype=np.int64)
-            acc, cur = idx, idx
-            for _ in range(self.n - 1):
-                cur = self.frob_vec(cur, self.m)
-                acc = self.mul_vec(acc, cur)
-            self._cache["norm"] = acc
-        return self._cache["norm"]
+        idx = np.arange(self.order, dtype=np.int64)
+        acc, cur = idx, idx
+        for _ in range(self.n - 1):
+            cur = self.frob_vec(cur, self.m)
+            acc = self.mul_vec(acc, cur)
+        return acc
 
-    @property
+    @functools.cached_property
     def square_table(self) -> np.ndarray:
-        if "square" not in self._cache:
-            self._cache["square"] = self.mul_vec(
-                np.arange(self.order), np.arange(self.order)
-            )
-        return self._cache["square"]
+        self._need_tables()
+        return self.mul_vec(np.arange(self.order), np.arange(self.order))
 
-    @property
+    @functools.cached_property
     def subfield_eta_table(self) -> np.ndarray:
         """Quadratic character of F_q; valid only at subfield element indices."""
-        if "eta_sub" not in self._cache:
-            out = np.zeros(self.order, dtype=np.int8)
-            for a in self.subfield_elements():
-                if a:
-                    out[a] = self.quadratic_character(a, level=1)
-            self._cache["eta_sub"] = out
-        return self._cache["eta_sub"]
+        out = np.zeros(self.order, dtype=np.int8)
+        for a in self.subfield_elements():
+            if a:
+                out[a] = self.quadratic_character(a, level=1)
+        return out
 
-    @property
+    @functools.cached_property
     def eta_table(self) -> np.ndarray:
         """Quadratic character of the whole field (+1, -1, 0) at every index."""
-        if "eta_full" not in self._cache:
-            vals = self.pow_vec(np.arange(self.order, dtype=np.int64),
-                                (self.order - 1) // 2)
-            out = np.zeros(self.order, dtype=np.int64)
-            out[vals == 1] = 1
-            out[vals == self.neg(1)] = -1
-            self._cache["eta_full"] = out
-        return self._cache["eta_full"]
+        vals = self.pow_vec(np.arange(self.order, dtype=np.int64),
+                            (self.order - 1) // 2)
+        out = np.zeros(self.order, dtype=np.int64)
+        out[vals == 1] = 1
+        out[vals == self.neg(1)] = -1
+        return out
 
-    @property
+    @functools.cached_property
     def subfield_abs_trace_table(self) -> np.ndarray:
         """subfield_abs_trace of every element; valid only at subfield indices."""
-        if "subtrace" not in self._cache:
-            idx = np.arange(self.order, dtype=np.int64)
-            acc, cur = idx, idx
-            for _ in range(self.m - 1):
-                cur = self.frob_vec(cur, 1)
-                acc = self.add_vec(acc, cur)
-            self._cache["subtrace"] = acc
-        return self._cache["subtrace"]
+        idx = np.arange(self.order, dtype=np.int64)
+        acc, cur = idx, idx
+        for _ in range(self.m - 1):
+            cur = self.frob_vec(cur, 1)
+            acc = self.add_vec(acc, cur)
+        return acc
 
     # -- misc ----------------------------------------------------------------
 

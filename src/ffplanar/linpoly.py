@@ -8,6 +8,7 @@ identities between polynomials of degree p^(m*n) can be checked exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -113,10 +114,6 @@ class Subspace:
                 cur = block
             self._elems = tuple(cur)
         return self._elems
-
-    def intersection_dim(self, other: "Subspace") -> int:
-        rows = [self.ctx.digits(e) for e in self.basis + other.basis]
-        return self.dim + other.dim - fp_rank(rows, self.ctx.p)
 
     def to_json(self) -> dict:
         return {"basis": [self.ctx.format_element(b) for b in self.basis]}
@@ -229,16 +226,27 @@ class LinearizedPoly:
                 acc = ctx.add(acc, ctx.mul(c, ctx.frobenius(x, t)))
         return acc
 
-    def eval_vec(self, xs: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """Read-only table of ell at every element index, cached on the
+        polynomial; ValueError above the table cap.  ell is F_p-linear, so
+        ell(hi p^h + lo) = ell(hi p^h) + ell(lo): a table over each half of
+        the digit positions, by digit arithmetic on the digit rows of the d
+        images ell(p^k), and one add_vec over the field that sums them."""
         ctx = self.ctx
-        acc = np.zeros(len(xs), dtype=np.int64)
-        for t, c in enumerate(self.coeffs):
-            if c:
-                acc = ctx.add_vec(acc, ctx.mul_vec(c, ctx.frob_vec(xs, t)))
-        return acc
+        ctx._need_tables()
+        p, d, h = ctx.p, ctx.degree, ctx.degree // 2
+        weights = p ** np.arange(d)
+        images = np.array([self(p**k) for k in range(d)])[:, None] // weights % p
+        hi, lo = ((np.arange(p ** len(rows))[:, None] // weights[:len(rows)] % p)
+                  @ rows % p @ weights for rows in (images[h:], images[:h]))
+        vals = ctx.add_vec(hi[:, None], lo).ravel()
+        vals.flags.writeable = False
+        return vals
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    def eval_vec(self, xs: np.ndarray) -> np.ndarray:
+        """ell at each index in xs, read from `values`."""
+        return self.values[xs]
 
     def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
         """Symbolic composition self(other(x)), reduced mod x^(p^(m*n)) - x."""

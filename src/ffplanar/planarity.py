@@ -22,6 +22,10 @@ witness a scan of every direction would give.
 
 A quadratic-extension criterion (n = 2) decides planarity from the values
 ell(u)^2 - N(u) on the subspace where ell lands in F_q.
+
+Brute force (through f_table), the reduction and the criterion all read ell
+from its value table `LinearizedPoly.values`, built once per polynomial, so
+a filter and an oracle run on one candidate share it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .config import DEFAULT_BRUTE_CAP
 from .field import FieldCtx
-from .linpoly import LinearizedPoly, Subspace, fp_nullspace
+from .linpoly import LinearizedPoly, fp_nullspace
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,12 @@ class PlanarCandidate:
 
     def f_table(self) -> np.ndarray:
         ctx = self.ctx
+        # first, so that above the table cap it raises before any order-sized
+        # array is made
+        ell_sq = self.ell.eval_vec(ctx.square_table)
         xs = np.arange(ctx.order, dtype=np.int64)
         t = ctx.trace_table[ctx.mul_vec(self.a, ctx.pow_vec(xs, ctx.q + 1))]
-        return ctx.add_vec(t, self.ell.eval_vec(ctx.square_table))
+        return ctx.add_vec(t, ell_sq)
 
     def substituted(self, lam: int) -> "PlanarCandidate":
         """Candidate for x -> f(lam * x); planarity is preserved for lam != 0."""
@@ -322,15 +329,14 @@ def is_planar_reduction(cand: PlanarCandidate,
     ctx = cand.ctx
     if ctx.order > brute_cap:
         raise ValueError(f"field order {ctx.order} exceeds brute-force cap {brute_cap}")
-    n = ctx.order
-    vs = np.arange(1, n, dtype=np.int64)
+    vs = np.arange(1, ctx.order, dtype=np.int64)
     v_pow_up = ctx.pow_vec(vs, ctx.q - 1)       # v^(q-1)
     v_pow_dn = ctx.inv_vec(v_pow_up)            # v^(1-q)
     tr = ctx.trace_table
-    for u in range(1, n):
-        lu = cand.ell(u)
-        if ctx.pow(lu, ctx.q) != lu:
-            continue
+    ell = cand.ell.values
+    # ascending u != 0 with ell(u) in F_q; ell(0) = 0 always is, and comes first
+    for u in np.flatnonzero(ctx.pow_vec(ell, ctx.q) == ell)[1:].tolist():
+        lu = int(ell[u])
         target = ctx.neg(ctx.mul(2, lu))
         auq = ctx.mul(cand.a, ctx.frobenius(u, ctx.m))
         au = ctx.mul(cand.a, u)
@@ -350,13 +356,6 @@ def is_planar_reduction(cand: PlanarCandidate,
 # Closed criterion on quadratic extensions.
 # ---------------------------------------------------------------------------
 
-def fq_value_subspace(ell: LinearizedPoly) -> Subspace:
-    """The subspace {u : ell(u) in F_q}, as the kernel of (x^q - x) o ell."""
-    ctx = ell.ctx
-    fq_test = LinearizedPoly.monomial(ctx, 1, ctx.m) - LinearizedPoly.identity(ctx)
-    return fq_test.compose(ell).kernel()
-
-
 def criterion_quadratic(cand: PlanarCandidate) -> bool:
     """Planarity criterion for n = 2: after normalizing f to x^(q+1) + ell(x^2),
     every nonzero u with ell(u) in F_q must make ell(u)^2 - N(u) a nonzero
@@ -367,9 +366,9 @@ def criterion_quadratic(cand: PlanarCandidate) -> bool:
     tr_a = ctx.rel_trace(cand.a)
     if tr_a == 0:
         raise ValueError("criterion requires Tr(a) != 0; use a permutation check")
-    ell = cand.ell.scale(ctx.inv(tr_a))
-    us = np.array(fq_value_subspace(ell).elements(), dtype=np.int64)
-    lu = ell.eval_vec(us)
+    ell = cand.ell.values
+    us = np.flatnonzero(ctx.pow_vec(ell, ctx.q) == ell)[1:]  # [0] is u = 0
+    # ell / Tr(a) lies in F_q exactly where ell does
+    lu = ctx.mul_vec(ctx.inv(tr_a), ell[us])
     w = ctx.sub_vec(ctx.mul_vec(lu, lu), ctx.norm_table[us])
-    eta = ctx.subfield_eta_table[w]
-    return bool(np.all(eta[us != 0] == 1))
+    return bool(np.all(ctx.subfield_eta_table[w] == 1))

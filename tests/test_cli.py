@@ -125,14 +125,18 @@ def test_scan_job_file_and_out(tmp_path, capsys):
 
 
 def test_scan_rejects_undecodable_job_before_output(tmp_path, capsys):
-    # a = 0 is not a valid cubic coefficient; the a = 1 half must not be written
-    out_path = tmp_path / "findings.jsonl"
-    code, _, err = run_cli(capsys, "scan", "--p", "3", "--m", "1", "--n", "3",
-                           "--family", "cubic", "--a-values", "1;0",
-                           "--out", str(out_path))
-    assert code == 65
-    assert "zero" in err
-    assert out_path.read_text() == ""
+    # a = 0 is not a valid cubic coefficient; the a = 1 half must not be
+    # written, and --out is neither created nor truncated
+    kept, fresh = tmp_path / "kept.jsonl", tmp_path / "fresh.jsonl"
+    kept.write_bytes(b"earlier findings\n")
+    for out_path in (kept, fresh):
+        code, _, err = run_cli(capsys, "scan", "--p", "3", "--m", "1", "--n", "3",
+                               "--family", "cubic", "--a-values", "1;0",
+                               "--out", str(out_path))
+        assert code == 65
+        assert "zero" in err
+    assert kept.read_bytes() == b"earlier findings\n"
+    assert not fresh.exists()
 
 
 def test_scan_csv_format(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ffplanar.linpoly import (
     image_poly_coeffs,
     image_poly_for_subspace,
 )
+from ffplanar.planarity import PlanarCandidate, criterion_quadratic
 
 F9 = new_ctx(3, 1, 2)
 F27 = new_ctx(3, 1, 3)
@@ -260,13 +263,38 @@ def test_linpoly_json_round_trip():
     assert LinearizedPoly.from_json(F27, {"coeffs": {}}) == LinearizedPoly.zero(F27)
 
 
-def test_eval_vec_matches_scalar():
+@pytest.mark.parametrize(
+    "pmn", [(3, 1, 2), (3, 2, 2), (5, 2, 2), (3, 1, 7), (7, 1, 3), (257, 1, 1)],
+    ids=["F_9", "F_81", "F_625", "F_3^7", "F_7^3", "F_257"])
+def test_eval_vec_matches_scalar(pmn):
+    # F_625 adds by table, F_3^7 by digit planes above ADD_TABLE_CAP, and
+    # F_257 has p >= 256
+    ctx = new_ctx(*pmn)
     rng = np.random.default_rng(11)
-    ell = random_poly(F81_T, rng)
-    xs = np.arange(81)
-    vals = ell.eval_vec(xs)
-    for x in range(81):
-        assert int(vals[x]) == ell(x)
+    xs = np.arange(ctx.order)
+    for ell in (random_poly(ctx, rng), LinearizedPoly.zero(ctx)):
+        vals = ell.values
+        assert vals.shape == (ctx.order,) and not vals.flags.writeable
+        assert ell.values is vals  # cached on the polynomial
+        assert [int(v) for v in vals] == [ell(x) for x in range(ctx.order)]
+        assert np.array_equal(ell.eval_vec(xs[::-1]), vals[::-1])
+
+
+def test_value_table_above_table_cap_raises_before_allocating():
+    ctx = new_ctx(11, 2, 2, table_cap=11**2)
+    assert not ctx.table_mode
+    cand = PlanarCandidate(ctx, 1, LinearizedPoly(ctx, (1, 2, 0, 0)))
+    for build in (lambda: cand.ell.values, cand.f_table,
+                  lambda: criterion_quadratic(cand)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="table cap"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one byte per element is less than any order-sized array takes
+        assert peak < ctx.order
 
 
 def assert_rref(red, pivots, ncols, p):

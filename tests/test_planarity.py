@@ -10,14 +10,13 @@ import pytest
 import ffplanar
 from ffplanar import planarity
 from ffplanar.field import new_ctx
-from ffplanar.linpoly import LinearizedPoly
+from ffplanar.linpoly import LinearizedPoly, Subspace
 from ffplanar.planarity import (
     PlanarCandidate,
     VerificationReport,
     check_witness,
     criterion_quadratic,
     eval_general,
-    fq_value_subspace,
     is_planar_bruteforce,
     is_planar_bruteforce_general,
     is_planar_rank,
@@ -341,10 +340,54 @@ def test_criterion_agrees_with_bruteforce_on_monomials_f9():
             assert criterion_quadratic(cand) == is_planar_bruteforce(cand).planar
 
 
+def fq_value_subspace(ell: LinearizedPoly) -> Subspace:
+    """The subspace {u : ell(u) in F_q}, as the kernel of (x^q - x) o ell."""
+    ctx = ell.ctx
+    fq_test = LinearizedPoly.monomial(ctx, 1, ctx.m) - LinearizedPoly.identity(ctx)
+    return fq_test.compose(ell).kernel()
+
+
+def reference_criterion(cand):
+    """criterion_quadratic on the kernel subspace, by scalar evaluation."""
+    ctx = cand.ctx
+    ell = cand.ell.scale(ctx.inv(ctx.rel_trace(cand.a)))
+    for u in fq_value_subspace(ell).elements():
+        lu = ell(u)
+        w = ctx.sub(ctx.mul(lu, lu), ctx.rel_norm(u))
+        if u and ctx.quadratic_character(w, level=1) != 1:
+            return False
+    return True
+
+
 def test_fq_value_subspace():
     ell = LinearizedPoly.monomial(F9, 2, 0)  # u -> 2u, values in F_q iff u in F_q
     sub = fq_value_subspace(ell)
     assert sorted(sub.elements()) == F9.subfield_elements()
+
+
+@pytest.mark.parametrize("pmn", [(3, 2, 2), (5, 2, 2), (7, 1, 2), (3, 3, 2)],
+                         ids=["F_3^4", "F_5^4", "F_7^2", "F_3^6"])
+def test_criterion_matches_kernel_reference(pmn):
+    # dense ell rarely lands in F_q off a small subspace; single terms give
+    # larger value subspaces and planar candidates
+    ctx = new_ctx(*pmn)
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for i in range(60):
+        a = 0
+        while ctx.rel_trace(a) == 0:
+            a = int(rng.integers(1, ctx.order))
+        if i % 2:
+            ell = LinearizedPoly(ctx, tuple(int(c) for c in
+                                            rng.integers(0, ctx.order, ctx.degree)))
+        else:
+            ell = LinearizedPoly.monomial(ctx, int(rng.integers(0, ctx.order)),
+                                          int(rng.integers(0, ctx.degree)))
+        cand = PlanarCandidate(ctx, a, ell)
+        verdict = criterion_quadratic(cand)
+        assert verdict == reference_criterion(cand)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_substitution_and_scaling_preserve_verdicts():

@@ -275,6 +275,24 @@ def test_bruteforce_scan_output_pinned():
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+def test_reduction_scan_output_pinned():
+    # sha256 of the output of the reduction route when it evaluated ell(u) by
+    # scalar arithmetic for every u, before it read ell's value table
+    pinned = [
+        (SearchJob(3, 1, 4, family="monomial", oracle="reduction", oracle_all=True,
+                   mode="sample", sample_count=300),
+         "de5f99575b52133658679b92315c12c15c0c362e44f761b9ac50cce93d871a6d"),
+        (SearchJob(5, 2, 2, family="binomial", filters=("criterion-n2",),
+                   oracle="reduction", oracle_all=True, mode="sample",
+                   sample_count=200),
+         "675b54ff1f1fa24b2cf215f50fff27d9b2789eafd339bfae487097784e06ecc4"),
+    ]
+    for job, digest in pinned:
+        buf = io.StringIO()
+        run(job, out=buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
 def test_sample_mode_deterministic():
     job = SearchJob(3, 1, 3, family="cubic", mode="sample", sample_count=50,
                     oracle="rank", oracle_all=True, seed=7)
