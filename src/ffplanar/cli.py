@@ -16,7 +16,7 @@ import time
 
 from .config import FORMATS, Config, load_config
 from .families import example1_ell
-from .field import new_ctx
+from .field import new_ctx, prime_factors
 from .linpoly import (
     LinearizedPoly,
     Subspace,
@@ -112,16 +112,14 @@ def _build_parser() -> _Parser:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            while q % p == 0:
-                q //= p
-                m += 1
-            if q != 1:
-                raise ValueError("q must be a prime power")
-            return p, m
-    raise ValueError("q must be >= 2")
+    factors = prime_factors(q)  # [] for q < 2
+    if len(factors) != 1:
+        raise ValueError("q must be a prime power")
+    p, m = factors[0], 0
+    while q > 1:
+        q //= p
+        m += 1
+    return p, m
 
 
 def _candidate_from_args(args, config: Config) -> PlanarCandidate:

@@ -107,9 +107,11 @@ class NbcFamilyParams:
 
 
 def _power_equation_solutions(ctx: FieldCtx, e: int, rhs: int) -> list[int]:
-    """All omega in the field with omega^e = rhs, solved by discrete log."""
+    """All omega in the field with omega^e = rhs, solved by discrete log;
+    the first is exp[s0] for the least solution s0 of e*s = log(rhs)."""
     if rhs == 0:
         return []
+    ctx._need_tables()
     n1 = ctx.order - 1
     target = int(ctx.log_table[rhs])
     g = math.gcd(e, n1)
@@ -366,28 +368,18 @@ def nonexistence_witness(ctx: FieldCtx, a: int) -> int | None:
         raise ValueError("witness construction applies to towers of degree >= 5")
     if a == 0:
         raise ValueError("a must be nonzero")
-    ctx._need_tables()
     q = ctx.q
-    n1 = ctx.order - 1
-    u = None
     # route 1: a = alpha^((q+1)/2) gives u = alpha^(-1)
-    e = (q + 1) // 2
-    target = int(ctx.log_table[a])
-    g = math.gcd(e, n1)
-    if target % g == 0:
-        s0 = target // g * pow(e // g, -1, n1 // g) % (n1 // g)
-        alpha = int(ctx.exp_table[s0])
-        u = ctx.inv(alpha)
+    alphas = _power_equation_solutions(ctx, (q + 1) // 2, a)
+    if alphas:
+        u = ctx.inv(alphas[0])
     elif ctx.n % 2 == 1:
         # route 2: n odd, gcd(q^2-1, q^n-1) = q-1, solve u^(q^2-1) = a^(-2(q-1))
         y = ctx.pow(ctx.inv(ctx.mul(a, a)), q - 1)
-        ty = int(ctx.log_table[y])
-        e2 = q * q - 1
-        g2 = math.gcd(e2, n1)
-        if ty % g2:
+        us = _power_equation_solutions(ctx, q * q - 1, y)
+        if not us:
             raise RuntimeError("odd-degree witness equation unsolvable")
-        s0 = ty // g2 * pow(e2 // g2, -1, n1 // g2) % (n1 // g2)
-        u = int(ctx.exp_table[s0])
+        u = us[0]
     else:
         return None
     val = ctx.mul(ctx.mul(a, a), ctx.pow(u, q + 1))

@@ -17,6 +17,11 @@ the field has at most ADD_TABLE_CAP elements.  Otherwise add and neg run
 digit by digit, and mul, inv and pow by polynomial arithmetic.  Above
 ADD_TABLE_CAP, vector addition works on one plane of a few digits at a time.
 
+The relative trace and norm, the absolute trace of F_q and their tables are
+one fold over an element's conjugates, run with the scalar or the vector ops.
+Subfield elements are 0 and the powers of one generator power, in both modes,
+so listing F_{q^level} costs q^level multiplications, not a field walk.
+
 The modulus for a given (p, m, n) is the lexicographically smallest monic
 primitive polynomial of degree m*n over F_p, coefficients compared
 low-degree-first, so the same parameters always produce the identical field.
@@ -35,21 +40,6 @@ from .config import DEFAULT_TABLE_CAP
 # add/sub lookup matrices are only built for small fields; larger fields use
 # digitwise vector arithmetic instead
 ADD_TABLE_CAP = 1024
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def prime_factors(n: int) -> list[int]:
@@ -244,7 +234,7 @@ class FieldCtx:
         return self.from_digits(ds)
 
     def format_element(self, a: int) -> str:
-        return ",".join(str(c) for c in self.digits(a))
+        return ",".join(map(str, self.digits(a)))
 
     def to_json(self) -> dict:
         return {"p": self.p, "m": self.m, "n": self.n, "modulus": list(self.modulus)}
@@ -313,21 +303,22 @@ class FieldCtx:
         """a^(p^e), with e reduced mod m*n."""
         return self.pow(a, self.p ** (e % self.degree))
 
+    def _conjugate_fold(self, a, e: int, count: int, frob, combine):
+        """a combined with its next count - 1 conjugates a^(p^e), a^(p^2e),
+        ...; frob and combine are the scalar or the vector ops, to match a."""
+        acc = cur = a
+        for _ in range(count - 1):
+            cur = frob(cur, e)
+            acc = combine(acc, cur)
+        return acc
+
     def rel_trace(self, a: int) -> int:
         """Trace from F_{q^n} down to F_q."""
-        acc, cur = a, a
-        for _ in range(self.n - 1):
-            cur = self.frobenius(cur, self.m)
-            acc = self.add(acc, cur)
-        return acc
+        return self._conjugate_fold(a, self.m, self.n, self.frobenius, self.add)
 
     def rel_norm(self, a: int) -> int:
         """Norm from F_{q^n} down to F_q."""
-        acc, cur = a, a
-        for _ in range(self.n - 1):
-            cur = self.frobenius(cur, self.m)
-            acc = self.mul(acc, cur)
-        return acc
+        return self._conjugate_fold(a, self.m, self.n, self.frobenius, self.mul)
 
     def in_subfield(self, a: int, level: int = 1) -> bool:
         """Membership in F_{q^level}, tested as a^(q^level) = a."""
@@ -347,27 +338,23 @@ class FieldCtx:
 
     def subfield_abs_trace(self, a: int) -> int:
         """Trace from F_q to F_p of a subfield element, as an int in [0, p)."""
-        acc, cur = a, a
-        for _ in range(self.m - 1):
-            cur = self.frobenius(cur, 1)
-            acc = self.add(acc, cur)
-        return acc
+        return self._conjugate_fold(a, 1, self.m, self.frobenius, self.add)
 
     def elements(self) -> range:
         return range(self.order)
 
     def subfield_elements(self, level: int = 1) -> list[int]:
-        """Sorted elements of F_{q^level} inside this field."""
+        """Sorted elements of F_{q^level} inside this field: 0 and the powers
+        of generator^((order - 1) / (q^level - 1)), which generates its units."""
         key = ("subfield", level)
         if key not in self._cache:
             sub_order = self.q**level
             if (self.order - 1) % (sub_order - 1) != 0:
                 raise ValueError(f"F_q^{level} is not a subfield of {self}")
-            if self.table_mode:
-                step = (self.order - 1) // (sub_order - 1)
-                elems = {0} | {int(self.exp_table[t * step]) for t in range(sub_order - 1)}
-            else:
-                elems = {a for a in self.elements() if self.in_subfield(a, level)}
+            root = self.pow(self.generator, (self.order - 1) // (sub_order - 1))
+            elems = [0, 1]
+            for _ in range(sub_order - 2):
+                elems.append(self.mul(elems[-1], root))
             self._cache[key] = sorted(elems)
         return self._cache[key]
 
@@ -483,22 +470,14 @@ class FieldCtx:
     @functools.cached_property
     def trace_table(self) -> np.ndarray:
         """rel_trace of every element, as an index array."""
-        idx = np.arange(self.order, dtype=np.int64)
-        acc, cur = idx, idx
-        for _ in range(self.n - 1):
-            cur = self.frob_vec(cur, self.m)
-            acc = self.add_vec(acc, cur)
-        return acc
+        return self._conjugate_fold(np.arange(self.order, dtype=np.int64),
+                                    self.m, self.n, self.frob_vec, self.add_vec)
 
     @functools.cached_property
     def norm_table(self) -> np.ndarray:
         """rel_norm of every element, as an index array."""
-        idx = np.arange(self.order, dtype=np.int64)
-        acc, cur = idx, idx
-        for _ in range(self.n - 1):
-            cur = self.frob_vec(cur, self.m)
-            acc = self.mul_vec(acc, cur)
-        return acc
+        return self._conjugate_fold(np.arange(self.order, dtype=np.int64),
+                                    self.m, self.n, self.frob_vec, self.mul_vec)
 
     @functools.cached_property
     def square_table(self) -> np.ndarray:
@@ -527,12 +506,8 @@ class FieldCtx:
     @functools.cached_property
     def subfield_abs_trace_table(self) -> np.ndarray:
         """subfield_abs_trace of every element; valid only at subfield indices."""
-        idx = np.arange(self.order, dtype=np.int64)
-        acc, cur = idx, idx
-        for _ in range(self.m - 1):
-            cur = self.frob_vec(cur, 1)
-            acc = self.add_vec(acc, cur)
-        return acc
+        return self._conjugate_fold(np.arange(self.order, dtype=np.int64),
+                                    1, self.m, self.frob_vec, self.add_vec)
 
     # -- misc ----------------------------------------------------------------
 
@@ -562,7 +537,7 @@ def new_ctx(p: int, m: int, n: int, table_cap: int | None = None) -> FieldCtx:
     """Deterministic context for F_{p^(m*n)} with subfield F_{p^m}."""
     if p % 2 == 0:
         raise ValueError("characteristic must be odd")
-    if not is_prime(p):
+    if prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     if m < 1 or n < 1:
         raise ValueError("subfield exponent and tower degree must be >= 1")

@@ -219,12 +219,12 @@ class LinearizedPoly:
     # -- evaluation and algebra --------------------------------------------
 
     def __call__(self, x: int) -> int:
-        ctx = self.ctx
-        acc = 0
-        for t, c in enumerate(self.coeffs):
-            if c:
-                acc = ctx.add(acc, ctx.mul(c, ctx.frobenius(x, t)))
-        return acc
+        return eval_formal(self.ctx, self.coeffs, x)
+
+    @functools.cached_property
+    def images(self) -> tuple[int, ...]:
+        """The basis images ell(p^k), k < m*n, which fix the map."""
+        return tuple(self(self.ctx.p**k) for k in range(self.ctx.degree))
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -237,7 +237,7 @@ class LinearizedPoly:
         ctx._need_tables()
         p, d, h = ctx.p, ctx.degree, ctx.degree // 2
         weights = p ** np.arange(d)
-        images = np.array([self(p**k) for k in range(d)])[:, None] // weights % p
+        images = np.array(self.images)[:, None] // weights % p
         hi, lo = ((np.arange(p ** len(rows))[:, None] // weights[:len(rows)] % p)
                   @ rows % p @ weights for rows in (images[h:], images[:h]))
         vals = ctx.add_vec(hi[:, None], lo).ravel()
@@ -253,17 +253,8 @@ class LinearizedPoly:
         ctx = self.ctx
         if other.ctx != ctx:
             raise ValueError("composition requires a shared field context")
-        d = ctx.degree
-        out = [0] * d
-        for t, ct in enumerate(self.coeffs):
-            if not ct:
-                continue
-            for s, cs in enumerate(other.coeffs):
-                if not cs:
-                    continue
-                k = (t + s) % d
-                out[k] = ctx.add(out[k], ctx.mul(ct, ctx.frobenius(cs, t)))
-        return LinearizedPoly(ctx, tuple(out))
+        return LinearizedPoly.from_formal(
+            ctx, compose_formal(ctx, self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "LinearizedPoly":
         return LinearizedPoly(
@@ -289,9 +280,7 @@ class LinearizedPoly:
 
     def as_matrix(self) -> np.ndarray:
         """Matrix over F_p acting on digit vectors, columns indexed by alpha^j."""
-        ctx = self.ctx
-        d = ctx.degree
-        cols = [ctx.digits(self(ctx.p**j)) for j in range(d)]
+        cols = [self.ctx.digits(v) for v in self.images]
         return np.array(cols, dtype=np.int64).T
 
     def kernel(self) -> Subspace:
@@ -301,10 +290,7 @@ class LinearizedPoly:
         )
 
     def image(self) -> Subspace:
-        ctx = self.ctx
-        return Subspace.from_vectors(
-            ctx, [self(ctx.p**j) for j in range(ctx.degree)]
-        )
+        return Subspace.from_vectors(self.ctx, self.images)
 
     def is_permutation(self) -> bool:
         return fp_rank(self.as_matrix(), self.ctx.p) == self.ctx.degree
@@ -315,10 +301,11 @@ class LinearizedPoly:
 # ---------------------------------------------------------------------------
 
 def eval_formal(ctx: FieldCtx, raw, x: int) -> int:
+    """sum_t raw[t] * x^(p^t) at a field element x."""
     acc = 0
     for t, c in enumerate(raw):
         if c:
-            acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, ctx.p**t)))
+            acc = ctx.add(acc, ctx.mul(c, ctx.frobenius(x, t)))
     return acc
 
 
@@ -331,7 +318,7 @@ def compose_formal(ctx: FieldCtx, f_raw, g_raw) -> tuple[int, ...]:
         for s, cs in enumerate(g_raw):
             if not cs:
                 continue
-            out[t + s] = ctx.add(out[t + s], ctx.mul(ct, ctx.pow(cs, ctx.p**t)))
+            out[t + s] = ctx.add(out[t + s], ctx.mul(ct, ctx.frobenius(cs, t)))
     return tuple(out)
 
 

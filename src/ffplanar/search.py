@@ -39,7 +39,9 @@ from .planarity import (
 
 FAMILIES = ("monomial", "binomial", "nbc", "cubic", "example1")
 ORACLES = ("bruteforce", "rank", "reduction")
-FILTERS = ("criterion-n2", "closed-binomial", "closed-nbc", "closed-cubic")
+# each closed predicate takes its own family's parameters
+FILTERS = {"criterion-n2": None, "closed-binomial": "binomial",
+           "closed-nbc": "nbc", "closed-cubic": "cubic"}
 
 
 def splitmix64(x: int) -> int:
@@ -79,6 +81,10 @@ class SearchJob:
         for f in self.filters:
             if f not in FILTERS:
                 raise ValueError(f"unknown filter {f!r}")
+            if FILTERS[f] not in (None, self.family):
+                raise ValueError(f"filter {f!r} needs the {FILTERS[f]} family")
+        if "criterion-n2" in self.filters and self.n != 2:
+            raise ValueError("filter 'criterion-n2' needs a quadratic tower, n = 2")
         if self.mode not in ("exhaustive", "sample"):
             raise ValueError("mode must be exhaustive or sample")
         if self.mode == "sample" and self.sample_count <= 0:
@@ -267,13 +273,7 @@ def _chunk_findings(job: SearchJob, config: Config, indices) -> list[Finding]:
         if need_oracle:
             report = _run_oracle(job, cand, config)
             oracle = report.planar
-            if report.witness is not None:
-                c, x1, x2 = report.witness
-                witness = {
-                    "c": ctx.format_element(c),
-                    "x1": ctx.format_element(int(x1)),
-                    "x2": ctx.format_element(int(x2)),
-                }
+            witness = report.to_json(ctx)["witness"]
             if any(v != oracle for v in fvals.values()):
                 flagged = True
         out.append(Finding(raw, params_json, fvals, oracle, witness, flagged))

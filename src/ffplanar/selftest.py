@@ -22,13 +22,11 @@ from .charsum import (
 )
 from .config import Config
 from .families import (
-    CubicCoeffs,
     MonomialFamilyParams,
     NbcFamilyParams,
     cubic_det,
     cubic_lemma_bruteforce,
     cubic_lemma_predicate,
-    cubic_theorem_predicate,
     nbc_recipe_trace_condition,
     nbc_recipe_zero_power,
     nonexistence_witness,
@@ -296,17 +294,13 @@ def _check_norm_equal_family(shared: _Shared) -> tuple[bool, str]:
 def _check_cubic_characterization(shared: _Shared) -> tuple[bool, str]:
     started = time.perf_counter()
     ctx = new_ctx(3, 1, 3)
+    job = SearchJob(3, 1, 3, "cubic", filters=("closed-cubic",), oracle_all=True,
+                    a_values=("1", ctx.format_element(ctx.generator)))
     disagreements = 0
     total = 0
-    for a in (1, ctx.generator):
-        for flat in range(27**3):
-            row = (flat % 27, flat // 27 % 27, flat // 729)
-            cc = CubicCoeffs(ctx, a, (row,))
-            pred = cubic_theorem_predicate(cc)
-            oracle = is_planar_bruteforce(cc.candidate(),
-                                          shared.config.brute_cap).planar
-            disagreements += pred != oracle
-            total += 1
+    for f in findings(job, shared.config, shared.workers):
+        disagreements += f.flagged
+        total += 1
     elapsed = time.perf_counter() - started
     ok = disagreements == 0 and elapsed <= 60.0
     return ok, f"{total} candidates in {elapsed:.1f}s, {disagreements} disagreements"

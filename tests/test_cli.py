@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from ffplanar.cli import main
+from ffplanar.cli import _factor_prime_power, main
 from ffplanar.config import Config, load_config
 
 
@@ -139,6 +140,21 @@ def test_scan_rejects_undecodable_job_before_output(tmp_path, capsys):
     assert not fresh.exists()
 
 
+def test_scan_rejects_filter_outside_its_family(tmp_path, capsys):
+    # a closed predicate on another family, or the n = 2 criterion on a
+    # cubic tower, is a malformed job: exit 65, nothing written
+    out_path = tmp_path / "out.jsonl"
+    for family, n, filt in (("monomial", "2", "closed-cubic"),
+                            ("monomial", "2", "closed-binomial"),
+                            ("cubic", "3", "criterion-n2")):
+        code, out, err = run_cli(capsys, "scan", "--p", "3", "--m", "1",
+                                 "--n", n, "--family", family, "--filter", filt,
+                                 "--sample", "5", "--out", str(out_path))
+        assert code == 65
+        assert filt in err and out == ""
+        assert not out_path.exists()
+
+
 def test_scan_csv_format(capsys):
     code, out, _ = run_cli(capsys, "--format", "csv", "charsum", "--q", "3",
                            "--k", "5", "--c", "1", "--all-targets")
@@ -169,8 +185,20 @@ def test_charsum_single_target_with_orthogonality(capsys):
 
 
 def test_charsum_rejects_non_prime_power(capsys):
-    code, _, err = run_cli(capsys, "charsum", "--q", "6", "--k", "2")
-    assert code == 64
+    for q in ("6", "1", "0"):
+        code, _, err = run_cli(capsys, "charsum", "--q", q, "--k", "2")
+        assert code == 64
+
+
+def test_factor_prime_power_is_fast():
+    started = time.perf_counter()
+    assert _factor_prime_power(100000007) == (100000007, 1)
+    assert _factor_prime_power(3**13) == (3, 13)
+    assert _factor_prime_power(2) == (2, 1)
+    assert time.perf_counter() - started < 1.0
+    for q in (6, 100000007 * 3, 3**5 * 5, 1, 0, -9):
+        with pytest.raises(ValueError):
+            _factor_prime_power(q)
 
 
 def test_subspace_roundtrip_cli(capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -380,6 +383,19 @@ def test_nonexistence_witness_power_route():
     # the proof's u = alpha^(-1) is itself a witness
     val2 = ctx.mul(ctx.mul(a, a), ctx.pow(ctx.inv(alpha), ctx.q + 1))
     assert ctx.in_subfield(val2)
+
+
+def test_nonexistence_witness_pinned():
+    # every nonzero a on four towers: both routes and the even-degree None
+    # (364 of them); the digest pins the exact u each route returns
+    towers = [(3, 1, 5), (3, 1, 6), (3, 1, 7), (5, 1, 5)]
+    out = {}
+    for t in towers:
+        ctx = new_ctx(*t)
+        out[str(t)] = [nonexistence_witness(ctx, a) for a in range(1, ctx.order)]
+    assert sum(ws.count(None) for ws in out.values()) == 364
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "a626d0e11af0cbb23324e10adc9b8a294407d3fa592fb72edecaa897dbc18e19"
 
 
 def test_nonexistence_witness_guards():

@@ -227,6 +227,14 @@ def test_vector_ops_match_scalar_ops_f81():
         assert int(tr[i]) == F81.rel_trace(x)
         assert int(nm[i]) == F81.rel_norm(x)
         assert int(fr[i]) == F81.frobenius(x, 2)
+    # the conjugate-fold tables against the scalar folds at every element;
+    # F_3^8 adds digit planes above ADD_TABLE_CAP
+    for ctx in (F81, new_ctx(3, 2, 3), new_ctx(3, 2, 4)):
+        xs = range(ctx.order)
+        assert ctx.trace_table.tolist() == [ctx.rel_trace(x) for x in xs]
+        assert ctx.norm_table.tolist() == [ctx.rel_norm(x) for x in xs]
+        assert ctx.subfield_abs_trace_table.tolist() == \
+            [ctx.subfield_abs_trace(x) for x in xs]
 
 
 @pytest.mark.parametrize("shape", [(3, 1, 2), (3, 1, 5), (3, 2, 3), (257, 1, 1)])
@@ -285,6 +293,18 @@ def test_subfield_elements():
     assert len(sub) == 9
     assert all(F81.pow(x, 9) == x for x in sub)
     assert sub == sorted(sub)
+    # both modes list F_{q^level} from generator powers; each matches the
+    # definition a^(q^level) = a at every level dividing n
+    for shape in ((3, 2, 2), (3, 1, 6), (5, 1, 3)):
+        table, poly = new_ctx(*shape), new_ctx(*shape, table_cap=1)
+        assert table.table_mode and not poly.table_mode
+        for level in range(1, shape[2] + 1):
+            if shape[2] % level:
+                continue
+            defined = [a for a in table.elements() if table.in_subfield(a, level)]
+            assert len(defined) == table.q**level
+            assert table.subfield_elements(level) == defined
+            assert poly.subfield_elements(level) == defined
 
 
 def test_additive_character_orthogonality():

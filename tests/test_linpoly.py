@@ -92,6 +92,15 @@ def test_compose_matches_nested_eval():
         comp = l1.compose(l2)
         for x in range(0, 81, 7):
             assert comp(x) == l1(l2(x))
+    # polynomial mode (no tables) composes the same way, at every element
+    poly_ctx = new_ctx(3, 1, 4, table_cap=1)
+    assert not poly_ctx.table_mode
+    for _ in range(5):
+        l1 = random_poly(poly_ctx, rng)
+        l2 = random_poly(poly_ctx, rng)
+        comp = l1.compose(l2)
+        assert [comp(x) for x in poly_ctx.elements()] == \
+            [l1(l2(x)) for x in poly_ctx.elements()]
     # ctx mismatch is an error
     with pytest.raises(ValueError):
         random_poly(F81_4, rng).compose(random_poly(F27, rng))
@@ -278,6 +287,11 @@ def test_eval_vec_matches_scalar(pmn):
         assert ell.values is vals  # cached on the polynomial
         assert [int(v) for v in vals] == [ell(x) for x in range(ctx.order)]
         assert np.array_equal(ell.eval_vec(xs[::-1]), vals[::-1])
+        # values, the matrix and the image all read the cached basis images
+        images = tuple(ell(ctx.p**k) for k in range(ctx.degree))
+        assert ell.images == images
+        assert [ctx.from_digits(col) for col in ell.as_matrix().T] == list(images)
+        assert ell.image() == Subspace.from_vectors(ctx, images)
 
 
 def test_value_table_above_table_cap_raises_before_allocating():

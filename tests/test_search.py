@@ -39,6 +39,26 @@ def test_job_validation():
         SearchJob(3, 1, 2, family="monomial", filters=("nope",))
     with pytest.raises(ValueError):
         SearchJob(3, 1, 2, family="monomial", mode="sample")
+    # each closed predicate needs its own family, and the n = 2 criterion a
+    # quadratic tower: rejected when the job is built, before any candidate
+    for family, filt in (("monomial", "closed-cubic"),
+                         ("monomial", "closed-binomial"),
+                         ("binomial", "closed-nbc"), ("nbc", "closed-binomial"),
+                         ("cubic", "closed-binomial"), ("example1", "closed-nbc")):
+        with pytest.raises(ValueError, match="family"):
+            SearchJob(3, 2, 2, family=family, filters=(filt,))
+    with pytest.raises(ValueError, match="n = 2"):
+        SearchJob(3, 1, 3, family="cubic", filters=("criterion-n2",))
+    with pytest.raises(ValueError, match="n = 2"):
+        SearchJob(3, 1, 4, family="monomial", filters=("criterion-n2",))
+    with pytest.raises(ValueError, match="family"):
+        SearchJob.from_json({"p": 3, "m": 1, "n": 2, "family": "monomial",
+                             "filters": ["closed-binomial"]})
+    for family, filt in (("binomial", "closed-binomial"), ("nbc", "closed-nbc"),
+                         ("cubic", "closed-cubic"), ("binomial", "criterion-n2"),
+                         ("example1", "criterion-n2")):
+        SearchJob(3, 2, 3 if family == "cubic" else 2, family=family,
+                  filters=(filt,))
 
 
 def test_job_json_round_trip():
