@@ -16,7 +16,7 @@ import time
 
 from .config import FORMATS, Config, load_config
 from .families import example1_ell
-from .field import new_ctx, prime_factors
+from .field import MAX_ORDER, new_ctx, prime_factors
 from .linpoly import (
     LinearizedPoly,
     Subspace,
@@ -112,6 +112,8 @@ def _build_parser() -> _Parser:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
+    if q > MAX_ORDER:
+        raise ValueError("q overflows the element index range")
     factors = prime_factors(q)  # [] for q < 2
     if len(factors) != 1:
         raise ValueError("q must be a prime power")

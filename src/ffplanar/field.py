@@ -23,14 +23,26 @@ Subfield elements are 0 and the powers of one generator power, in both modes,
 so listing F_{q^level} costs q^level multiplications, not a field walk.
 
 The modulus for a given (p, m, n) is the lexicographically smallest monic
-primitive polynomial of degree m*n over F_p, coefficients compared
+primitive polynomial of degree d = m*n over F_p, coefficients compared
 low-degree-first, so the same parameters always produce the identical field.
+A primitive polynomial has constant term (-1)^d g, g a primitive root mod p
+(Lidl-Niederreiter, Finite Fields, Thm 3.18).  So the search takes c_0
+outermost and skips each block of p^(d-1) candidates whose c_0 fails that
+test without visiting it; in the other blocks it tests the order of x on
+each candidate, c_1-major.  p^d - 1 is factored by trial division, then
+Miller-Rabin and Pollard-Brent rho.
+
+The exp/log tables are built TABLE_BLOCK powers of alpha at a time: the digit
+vectors of a block times C^TABLE_BLOCK mod p, C the companion matrix of the
+modulus, are the next block, and one dot with the powers of p turns a block
+into element indices.  No (order, degree) array is ever held.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -40,21 +52,96 @@ from .config import DEFAULT_TABLE_CAP
 # add/sub lookup matrices are only built for small fields; larger fields use
 # digitwise vector arithmetic instead
 ADD_TABLE_CAP = 1024
+# powers of alpha per block of the exp/log table build; a power of two
+TABLE_BLOCK = 1 << 12
+# largest field order: element indices and table entries are int64
+MAX_ORDER = 1 << 62
+
+
+# prime_factors: trial division below TRIAL_BOUND, then Miller-Rabin with the
+# first 13 primes as bases, exact for every n below 3.3*10^24
+# (Sorenson-Webster 2017), then Pollard-Brent rho on a composite cofactor
+TRIAL_BOUND = 100
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Strong probable-prime test of n >= 2 to MR_BASES; exact below
+    3.3*10^24."""
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n, by Pollard-Brent rho on
+    y -> y^2 + c for c = 1, 2, ... (Brent 1980)."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batched product overshot: redo the last batch step by step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def prime_factors(n: int) -> list[int]:
-    """Sorted distinct prime factors of n >= 1, by trial division."""
-    out = []
-    f = 2
-    while f * f <= n:
+    """Sorted distinct prime factors of n (none for n < 2).
+
+    Exact for n below 3.3*10^24, which covers every field order the library
+    accepts; above it a factor reported prime is a strong probable prime to
+    the 13 bases MR_BASES."""
+    if n < 2:
+        return []
+    out = set()
+    for f in itertools.chain((2,), range(3, TRIAL_BOUND, 2)):
+        if f * f > n:
+            break
         if n % f == 0:
-            out.append(f)
+            out.add(f)
             while n % f == 0:
                 n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        k = rest.pop()
+        # k is prime or has no factor below TRIAL_BOUND
+        if k < TRIAL_BOUND**2 or _is_prime(k):
+            out.add(k)
+        else:
+            f = _rho_factor(k)
+            rest += [f, k // f]
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +207,22 @@ def find_primitive_modulus(p: int, degree: int) -> tuple[int, ...]:
     """Lexicographically smallest monic primitive polynomial of given degree.
 
     Coefficient tuples (c_0, ..., c_{d-1}) are compared low-degree-first;
-    the returned tuple includes the leading 1.
+    the returned tuple includes the leading 1.  A primitive polynomial has
+    constant term (-1)^degree g with g a primitive root mod p (Lidl-
+    Niederreiter, Finite Fields, Thm 3.18), so the c_0 blocks failing that
+    are skipped whole, and only the others are walked, c_1-major.
     """
     order = p**degree - 1
     factors = prime_factors(order)
-    for idx in range(p**degree):
-        # decode idx with c_0 as the most significant position
-        coeffs = [(idx // p ** (degree - 1 - i)) % p for i in range(degree)]
-        if coeffs[0] == 0:
+    root_tests = [(p - 1) // r for r in prime_factors(p - 1)]
+    sign = (-1) ** degree
+    for c0 in range(1, p):
+        if any(pow(sign * c0, e, p) == 1 for e in root_tests):
             continue
-        modulus = coeffs + [1]
-        if _x_order_is(modulus, p, order, factors):
-            return tuple(modulus)
+        for rest in itertools.product(range(p), repeat=degree - 1):
+            modulus = [c0, *rest, 1]
+            if _x_order_is(modulus, p, order, factors):
+                return tuple(modulus)
     raise ValueError(f"no primitive polynomial of degree {degree} over F_{p}")
 
 
@@ -161,31 +252,31 @@ class FieldCtx:
     # -- construction ------------------------------------------------------
 
     def _build_tables(self):
+        """exp[i] = alpha^i and log[alpha^i] = i, a block of TABLE_BLOCK
+        powers at a time.  A block is a (rows, degree) array of digit
+        vectors; the next block is this one times C^rows mod p, C being the
+        companion matrix of the modulus (row v times C is alpha v).  Products
+        stay below degree * p^2, inside int64 for any table that fits in
+        memory."""
         p, d, N = self.p, self.degree, self.order
         exp = np.zeros(N - 1, dtype=np.int64)
         log = np.full(N, -1, dtype=np.int64)
-        digits = [0] * d
-        digits[0] = 1
-        mod = self.modulus
-        pows = [p**i for i in range(d)]
-        if d == 1:
-            g = (-mod[0]) % p
-            cur = 1
-            for i in range(N - 1):
-                exp[i] = cur
-                log[cur] = i
-                cur = cur * g % p
-        else:
-            for i in range(N - 1):
-                idx = sum(c * w for c, w in zip(digits, pows))
-                exp[i] = idx
-                log[idx] = i
-                # multiply by alpha: shift digits, reduce by the monic modulus
-                top = digits[-1]
-                digits = [0] + digits[:-1]
-                if top:
-                    for j in range(d):
-                        digits[j] = (digits[j] - top * mod[j]) % p
+        companion = np.zeros((d, d), dtype=np.int64)
+        companion[np.arange(d - 1), np.arange(1, d)] = 1
+        companion[d - 1] = [-c % p for c in self.modulus[:d]]
+        weights = p ** np.arange(d, dtype=np.int64)
+        # first block by doubling: rows k..2k-1 are rows 0..k-1 times C^k
+        block = np.eye(1, d, dtype=np.int64)
+        step = companion
+        while len(block) < min(TABLE_BLOCK, N - 1):
+            block = np.vstack([block, block @ step % p])
+            step = step @ step % p
+        # now step = C^len(block)
+        for start in range(0, N - 1, len(block)):
+            idx = block[:N - 1 - start] @ weights
+            exp[start:start + len(idx)] = idx
+            log[idx] = np.arange(start, start + len(idx))
+            block = block @ step % p
         if np.count_nonzero(log >= 0) != N - 1:
             raise ValueError("generator does not have full multiplicative order")
         self.exp_table = exp
@@ -541,7 +632,7 @@ def new_ctx(p: int, m: int, n: int, table_cap: int | None = None) -> FieldCtx:
         raise ValueError(f"{p} is not prime")
     if m < 1 or n < 1:
         raise ValueError("subfield exponent and tower degree must be >= 1")
-    if p ** (m * n) > 1 << 62:
+    if p ** (m * n) > MAX_ORDER:
         raise ValueError("field size overflows the element index range")
     cap = DEFAULT_TABLE_CAP if table_cap is None else table_cap
     return _ctx_cached(p, m, n, cap)

@@ -11,6 +11,7 @@ job no matter how many workers produced it.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from collections.abc import Iterator
@@ -157,6 +158,13 @@ def candidate_space(job: SearchJob, ctx: FieldCtx) -> int:
     raise AssertionError
 
 
+@functools.lru_cache(maxsize=16)
+def _cubic_a_elements(ctx: FieldCtx, a_values: tuple[str, ...]) -> tuple[int, ...]:
+    """A cubic job's `a_values` as elements, parsed once per job and
+    process rather than once per decoded index."""
+    return tuple(ctx.parse_element(text) for text in a_values)
+
+
 def decode_candidate(job: SearchJob, ctx: FieldCtx, index: int):
     """(params_json, PlanarCandidate, family_params) or None for skipped
     raw indices (for example a binomial pair with equal norms)."""
@@ -198,7 +206,7 @@ def decode_candidate(job: SearchJob, ctx: FieldCtx, index: int):
         )
     if job.family == "cubic":
         per_a = ctx.order ** (3 * ctx.m)
-        a = ctx.parse_element(job.a_values[index // per_a])
+        a = _cubic_a_elements(ctx, job.a_values)[index // per_a]
         rest = index % per_a
         flat = []
         for _ in range(3 * ctx.m):
@@ -296,8 +304,8 @@ def findings(job: SearchJob, config: Config | None = None,
     config = config or Config()
     ctx = new_ctx(job.p, job.m, job.n, config.table_cap)
     if job.family == "cubic":
-        for text in job.a_values:
-            if ctx.parse_element(text) == 0:
+        for text, a in zip(job.a_values, _cubic_a_elements(ctx, job.a_values)):
+            if a == 0:
                 raise ValueError(f"cubic a_values entry {text!r} is zero")
     space = candidate_space(job, ctx)
     sample = job.mode == "sample"

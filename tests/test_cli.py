@@ -196,9 +196,12 @@ def test_factor_prime_power_is_fast():
     assert _factor_prime_power(3**13) == (3, 13)
     assert _factor_prime_power(2) == (2, 1)
     assert time.perf_counter() - started < 1.0
-    for q in (6, 100000007 * 3, 3**5 * 5, 1, 0, -9):
+    # the last q is a semiprime whose smaller factor rho would need about
+    # 2^30 steps to find; it is above the index range, so it is not factored
+    for q in (6, 100000007 * 3, 3**5 * 5, 1, 0, -9, (2**61 - 1) * (2**89 - 1)):
         with pytest.raises(ValueError):
             _factor_prime_power(q)
+    assert time.perf_counter() - started < 2.0
 
 
 def test_subspace_roundtrip_cli(capsys):
