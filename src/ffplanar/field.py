@@ -29,7 +29,8 @@ A primitive polynomial has constant term (-1)^d g, g a primitive root mod p
 (Lidl-Niederreiter, Finite Fields, Thm 3.18).  So the search takes c_0
 outermost and skips each block of p^(d-1) candidates whose c_0 fails that
 test without visiting it; in the other blocks it tests the order of x on
-each candidate, c_1-major.  p^d - 1 is factored by trial division, then
+each candidate, c_1-major, except those with root 1 or -1 (for p = 3, every
+candidate with a root in F_p).  p^d - 1 is factored by trial division, then
 Miller-Rabin and Pollard-Brent rho.
 
 The exp/log tables are built TABLE_BLOCK powers of alpha at a time: the digit
@@ -210,7 +211,8 @@ def find_primitive_modulus(p: int, degree: int) -> tuple[int, ...]:
     the returned tuple includes the leading 1.  A primitive polynomial has
     constant term (-1)^degree g with g a primitive root mod p (Lidl-
     Niederreiter, Finite Fields, Thm 3.18), so the c_0 blocks failing that
-    are skipped whole, and only the others are walked, c_1-major.
+    are skipped whole, and only the others are walked, c_1-major; a candidate
+    of degree >= 2 with root 1 or -1 is skipped before its order test.
     """
     order = p**degree - 1
     factors = prime_factors(order)
@@ -221,6 +223,10 @@ def find_primitive_modulus(p: int, degree: int) -> tuple[int, ...]:
             continue
         for rest in itertools.product(range(p), repeat=degree - 1):
             modulus = [c0, *rest, 1]
+            # a root 1 or -1 is a linear factor: reducible unless degree 1
+            if degree > 1 and (sum(modulus) % p == 0
+                               or (sum(modulus[::2]) - sum(modulus[1::2])) % p == 0):
+                continue
             if _x_order_is(modulus, p, order, factors):
                 return tuple(modulus)
     raise ValueError(f"no primitive polynomial of degree {degree} over F_{p}")

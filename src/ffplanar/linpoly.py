@@ -26,21 +26,24 @@ def fp_rref(rows, p: int):
     returns (reduced rows as lists, pivot column list)."""
     mat = [[int(v) % p for v in row] for row in rows]
     pivots = []
-    r = 0
+    r, n = 0, len(mat)
     for c in range(len(mat[0]) if mat else 0):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
+        for piv in range(r, n):
+            if mat[piv][c]:
+                break
+        else:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        top = mat[r] = [v * inv % p for v in mat[r]]
-        for i, row in enumerate(mat):
-            f = row[c]
+        top = mat[piv]
+        mat[piv] = mat[r]
+        inv = pow(top[c], -1, p)
+        mat[r] = top = [v * inv % p for v in top]
+        for i in range(n):
+            f = mat[i][c]
             if f and i != r:
-                mat[i] = [(a - f * b) % p for a, b in zip(row, top)]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], top)]
         pivots.append(c)
         r += 1
-        if r == len(mat):
+        if r == n:
             break
     return mat, pivots
 
@@ -64,6 +67,30 @@ def fp_nullspace(mat, p: int) -> list[list[int]]:
             v[c] = -red[r_i][f] % p
         basis.append(v)
     return basis
+
+
+def fp_singular(mats, p: int) -> np.ndarray:
+    """Bool mask over an (N, d, d) stack: which matrices are singular mod p.
+
+    Swap-free, fraction-free elimination of the whole stack at once: column c
+    pivots on the first row with a nonzero entry there; every row becomes
+    piv * row - row[c] * pivot_row mod p, which zeroes the pivot row itself,
+    so it is never chosen again.  A column without a pivot lies in the span of
+    the earlier ones.  Entries are reduced after every column, so both
+    products stay below p^2 <= 2^62 and their difference fits in int64 for
+    p < 2^31."""
+    mats = np.asarray(mats, dtype=np.int64) % p
+    rows = np.arange(len(mats))
+    singular = np.zeros(len(mats), dtype=bool)
+    while mats.shape[-1]:
+        col = mats[:, :, 0]
+        pivot = (col != 0).argmax(axis=1)
+        piv = col[rows, pivot]
+        singular |= piv == 0
+        # the eliminated column is all zero, so only the others are kept
+        mats = (mats[:, :, 1:] * piv[:, None, None]
+                - col[:, :, None] * mats[rows, pivot, None, 1:]) % p
+    return singular
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

@@ -8,11 +8,11 @@ D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
   D_{-c}(x) = -D_c(x - c), D_c and D_{-c} permute together, so only the
   directions c < -c are evaluated;
 * rank       - f is a Dembowski-Ostrom polynomial, so f(x+v) - f(x) - f(v) + f(0)
-  is an F_p-bilinear form B(v, x); f is planar iff x -> B(v, x) has full rank
-  for every v != 0, and the F_p matrix of that map is sum_i v_i M_i, built
-  from the d = m*n matrices M_i of the basis directions v = p^i; since
-  B(lam v, x) = lam B(v, x) for lam in F_p^*, only one v per class
-  {lam v} is tested, (p^d - 1)/(p - 1) directions in all;
+  is a symmetric F_p-bilinear form B(v, x); f is planar iff x -> B(v, x) has
+  full rank for every v != 0.  Its matrix is sum_i v_i M_i, column j of M_i
+  the digits of B(p^i, p^j), read from f itself (and from M_j for j < i);
+  since B(lam v, x) = lam B(v, x) for lam in F_p^*, only one v per class
+  {lam v} is tested, (p^d - 1)/(p - 1) directions in all, a block at a time;
 * reduction  - substitutes x = u/v and scans the equivalent two-variable
   nonvanishing condition, skipping u whose ell-value lies outside F_q.
 
@@ -37,7 +37,12 @@ import numpy as np
 
 from .config import DEFAULT_BRUTE_CAP
 from .field import FieldCtx
-from .linpoly import LinearizedPoly, fp_nullspace
+from .linpoly import LinearizedPoly, fp_nullspace, fp_singular
+
+# rank: directions per batched elimination; narrower blocks go one matrix at a
+# time, which beats a numpy call when a non-planar input exits in a few
+RANK_BLOCK = 1024
+NARROW_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -266,51 +271,46 @@ def is_planar_bruteforce_general(ctx: FieldCtx, monomials,
 # Rank test on the linear part of the difference maps.
 # ---------------------------------------------------------------------------
 
-def _difference_matrix(cand: PlanarCandidate, two_ell: LinearizedPoly,
-                       v: int) -> list[list[int]]:
-    """F_p matrix rows of x -> Tr(a v x^q + a v^q x) + 2 ell(v x)."""
-    ctx = cand.ctx
-    av = ctx.mul(cand.a, v)
-    avq = ctx.mul(cand.a, ctx.frobenius(v, ctx.m))
-    cols = []
-    for j in range(ctx.degree):
-        x = ctx.p**j
-        t = ctx.rel_trace(
-            ctx.add(ctx.mul(av, ctx.frobenius(x, ctx.m)), ctx.mul(avq, x))
-        )
-        cols.append(ctx.digits(ctx.add(t, two_ell(ctx.mul(v, x)))))
-    return [list(row) for row in zip(*cols)]
-
-
 def is_planar_rank(cand: PlanarCandidate) -> VerificationReport:
-    """Planar iff the linear part of every difference map has full rank.
-
-    The matrix of direction v is sum_i v_i M_i (reduced mod p by the
-    eliminator), where M_i is the matrix of the basis direction p^i, built
-    when the scan first reaches it.  The matrix of lam v is lam times that of
-    v, so only the least member of each class {lam v : lam in F_p^*} is
-    scanned: the v whose leading nonzero digit is 1."""
+    """Planar iff the linear part of every difference map has full rank; the
+    witness is (v, x0, 0), x0 the first nullspace vector of the first singular M_v."""
     started = time.perf_counter()
     ctx = cand.ctx
-    two_ell = cand.ell.scale(2)
-    zero = [[0] * ctx.degree] * ctx.degree
-    basis = []
-    for k in range(ctx.degree):
-        # the directions whose leading nonzero digit is 1, at position k
-        lead = ctx.p**k
-        basis.append(_difference_matrix(cand, two_ell, lead))
-        for v in range(lead, 2 * lead):
-            mat = zero
-            for vi, m_i in zip(ctx.digits(v), basis):
-                if vi:
-                    mat = [[a + vi * b for a, b in zip(row, row_i)]
-                           for row, row_i in zip(mat, m_i)]
-            null = fp_nullspace(mat, ctx.p)
-            if null:
-                x0 = ctx.from_digits(null[0])
-                ms = (time.perf_counter() - started) * 1e3
-                return _checked(VerificationReport(False, "rank", (v, x0, 0), ms),
-                                cand, ctx)
+    p, d = ctx.p, ctx.degree
+    seen = {}  # f at every point read so far; the witness check reads f(0) again
+    f = lambda x: seen[x] if x in seen else seen.setdefault(x, cand(x))
+    B = lambda x, y: ctx.digits(ctx.sub(ctx.add(f(x + y), f(0)), ctx.add(f(x), f(y))))
+    # cols[k][j]: B(p^k, p^j), column j of M_k and row j of M_k^T; M_k is built
+    # when the scan reaches p^k, by d - k new evaluations of f
+    cols = []
+
+    def combination(v):  # rows of sum_i v_i M_i, unreduced; v_k = 1 leads
+        acc = cols[-1]
+        for vi, c_i in zip(ctx.digits(v), cols[:-1]):
+            if vi:
+                acc = [[a + vi * b for a, b in zip(x, y)] for x, y in zip(acc, c_i)]
+        return list(zip(*acc))
+
+    for k in range(d):
+        lead = p**k
+        cols.append([c[k] for c in cols] + [B(lead, p**j) for j in range(k, d)])
+        for lo in range(lead, 2 * lead, RANK_BLOCK):
+            hi = min(lo + RANK_BLOCK, 2 * lead)
+            if hi - lo < NARROW_BLOCK:
+                tried = ((v, combination(v)) for v in range(lo, hi))
+            else:
+                # the block's M_v^T, and one elimination of them all
+                digits = np.arange(lo, hi)[:, None] // p ** np.arange(k + 1) % p
+                mats = (digits @ np.reshape(cols, (k + 1, -1)) % p).reshape(-1, d, d)
+                tried = [(lo + int(i), mats[i].T.tolist())
+                         for i in np.flatnonzero(fp_singular(mats, p))[:1]]
+            for v, mat in tried:
+                null = fp_nullspace(mat, p)
+                if null:
+                    witness = (v, ctx.from_digits(null[0]), 0)
+                    ms = (time.perf_counter() - started) * 1e3
+                    return _checked(VerificationReport(False, "rank", witness, ms),
+                                    f, ctx)
     ms = (time.perf_counter() - started) * 1e3
     return VerificationReport(True, "rank", None, ms)
 

@@ -15,6 +15,7 @@ from ffplanar.linpoly import (
     fp_nullspace,
     fp_rank,
     fp_rref,
+    fp_singular,
     full_field_annihilator,
     gaussian_binomial,
     image_poly_coeffs,
@@ -343,3 +344,26 @@ def test_rank_helpers():
                 for v in null:
                     assert not np.any(np.asarray(mat) @ np.array(v) % p)
                 assert len(pivots) + len(null) == ncols
+
+
+def test_fp_singular_matches_nullspace():
+    rng = np.random.default_rng(31)
+    for p in (3, 5, 7, 11, 13, 101):
+        for d in range(1, 9):
+            mats = rng.integers(0, p, size=(40, d, d))
+            # low-rank members: a repeated row, a proportional row, a zero row
+            mats[1::4, -1] = mats[1::4, 0]
+            mats[2::4, -1] = mats[2::4, 0] * int(rng.integers(2, p)) + p
+            mats[3::4, d // 2] = 0
+            stacks = [mats, mats[:1], np.zeros((1, d, d), dtype=np.int64),
+                      np.eye(d, dtype=np.int64)[None], mats - 3 * p]
+            for stack in stacks:
+                want = [bool(fp_nullspace(m, p)) for m in stack]
+                assert fp_singular(stack, p).tolist() == want
+    # products of entries near 2^31 reach 2^62: exact in int64, no p-sized table
+    p = 2**31 - 1
+    mats = rng.integers(0, p, size=(64, 2, 2))
+    mats[::2, 1] = mats[::2, 0] * int(rng.integers(2, p)) % p
+    want = [bool(fp_nullspace(m, p)) for m in mats]
+    assert want == [i % 2 == 0 for i in range(64)]
+    assert fp_singular(mats, p).tolist() == want

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 
 import ffplanar
 from ffplanar import planarity
+from ffplanar.families import CubicCoeffs, cubic_theorem_predicate, example1_construct
 from ffplanar.field import new_ctx
-from ffplanar.linpoly import LinearizedPoly, Subspace
+from ffplanar.linpoly import LinearizedPoly, Subspace, fp_nullspace
 from ffplanar.planarity import (
     PlanarCandidate,
     VerificationReport,
@@ -225,28 +227,127 @@ def test_witness_direction_is_lowest(shape):
 def test_scans_visit_one_direction_per_class(monkeypatch):
     # on planar x^2 every class is visited once: (order-1)/2 brute-force
     # directions (rows of the hit-count matrix), (order-1)/(p-1) rank
-    # directions (nullspace computations)
-    rows, nullspaces = [], []
-    bincount, nullspace = np.bincount, planarity.fp_nullspace
+    # directions (matrices tested one by one in narrow blocks, or in a stack
+    # by the batched eliminator)
+    rows, directions = [], []
+    bincount = np.bincount
+    nullspace, singular = planarity.fp_nullspace, planarity.fp_singular
 
     def counting_bincount(x, minlength=0):
         rows.append(minlength)
         return bincount(x, minlength=minlength)
 
     def counting_nullspace(mat, p):
-        nullspaces.append(mat)
+        directions.append(1)
         return nullspace(mat, p)
+
+    def counting_singular(mats, p):
+        directions.append(len(mats))
+        return singular(mats, p)
 
     monkeypatch.setattr(np, "bincount", counting_bincount)
     monkeypatch.setattr(planarity, "fp_nullspace", counting_nullspace)
+    monkeypatch.setattr(planarity, "fp_singular", counting_singular)
     for ctx in (F625, new_ctx(3, 1, 7)):
         rows.clear()
         assert is_planar_bruteforce(square_candidate(ctx)).planar
         assert sum(rows) == ctx.order * (ctx.order - 1) // 2
     for ctx in (F625, new_ctx(5, 1, 3), new_ctx(7, 1, 2)):
-        nullspaces.clear()
+        directions.clear()
         assert is_planar_rank(square_candidate(ctx)).planar
-        assert len(nullspaces) == (ctx.order - 1) // (ctx.p - 1)
+        assert sum(directions) == (ctx.order - 1) // (ctx.p - 1)
+
+
+def _difference_matrix(cand, two_ell, v):
+    """F_p matrix rows of x -> Tr(a v x^q + a v^q x) + 2 ell(v x)."""
+    ctx = cand.ctx
+    av = ctx.mul(cand.a, v)
+    avq = ctx.mul(cand.a, ctx.frobenius(v, ctx.m))
+    cols = []
+    for j in range(ctx.degree):
+        x = ctx.p**j
+        t = ctx.rel_trace(
+            ctx.add(ctx.mul(av, ctx.frobenius(x, ctx.m)), ctx.mul(avq, x))
+        )
+        cols.append(ctx.digits(ctx.add(t, two_ell(ctx.mul(v, x)))))
+    return [list(row) for row in zip(*cols)]
+
+
+def reference_rank(cand):
+    """The rank route one direction at a time, as (planar, witness): the basis
+    matrices derived by hand for this shape of f, a list-matrix sum and one
+    fp_nullspace per direction whose leading nonzero digit is 1."""
+    ctx = cand.ctx
+    two_ell = cand.ell.scale(2)
+    zero = [[0] * ctx.degree] * ctx.degree
+    basis = []
+    for k in range(ctx.degree):
+        lead = ctx.p**k
+        basis.append(_difference_matrix(cand, two_ell, lead))
+        for v in range(lead, 2 * lead):
+            mat = zero
+            for vi, m_i in zip(ctx.digits(v), basis):
+                if vi:
+                    mat = [[a + vi * b for a, b in zip(row, row_i)]
+                           for row, row_i in zip(mat, m_i)]
+            null = fp_nullspace(mat, ctx.p)
+            if null:
+                return False, (v, ctx.from_digits(null[0]), 0)
+    return True, None
+
+
+def _random_candidates(ctx, count):
+    # dense ell mostly exits in the first, narrow blocks; single terms are
+    # more often planar or exit in a batched block
+    rng = np.random.default_rng(ctx.order)
+    for i in range(count):
+        a = int(rng.integers(0, ctx.order))
+        if i % 2:
+            ell = LinearizedPoly(ctx, tuple(int(v) for v in
+                                            rng.integers(0, ctx.order, ctx.degree)))
+        else:
+            ell = LinearizedPoly.monomial(ctx, int(rng.integers(1, ctx.order)),
+                                          int(rng.integers(0, ctx.degree)))
+        yield PlanarCandidate(ctx, a, ell)
+
+
+@pytest.mark.parametrize("pmn", [(3, 1, 5), (5, 1, 3), (3, 2, 2), (7, 1, 3),
+                                 (5, 2, 2), (3, 4, 2)],
+                         ids=["F_3^5", "F_5^3", "F_9^2", "F_7^3", "F_25^2", "F_81^2"])
+def test_rank_matches_reference(pmn):
+    # 50 candidates per tower, 300 in all: same verdict, same witness
+    ctx = new_ctx(*pmn)
+    for cand in _random_candidates(ctx, 50):
+        rep = is_planar_rank(cand)
+        assert (rep.planar, rep.witness) == reference_rank(cand)
+
+
+@pytest.mark.parametrize("pmn", [(3, 2, 2), (3, 1, 5)], ids=["F_81", "F_3^5"])
+def test_rank_matches_reference_in_polynomial_mode(pmn):
+    ctx = new_ctx(*pmn, table_cap=1)
+    for cand in _random_candidates(ctx, 20):
+        rep = is_planar_rank(cand)
+        assert (rep.planar, rep.witness) == reference_rank(cand)
+
+
+def test_rank_matches_reference_on_planar_fixtures():
+    F343 = new_ctx(7, 1, 3)
+    # b_0 solved from the closed predicate's i = 0 condition for random a, b_1, b_2
+    cubic = CubicCoeffs(F343, 81, ((207, 62, 274),))
+    assert cubic_theorem_predicate(cubic)
+    fixtures = [square_candidate(new_ctx(*pmn)) for pmn in
+                [(3, 1, 5), (5, 1, 3), (3, 4, 2), (5, 2, 2)]]
+    fixtures += [example1_construct(F625), cubic.candidate()]
+    for cand in fixtures:
+        rep = is_planar_rank(cand)
+        assert rep.planar and reference_rank(cand) == (True, None)
+
+
+def test_rank_scales_to_f_3_10():
+    ctx = new_ctx(3, 1, 10)
+    started = time.perf_counter()
+    assert is_planar_rank(square_candidate(ctx)).planar
+    assert time.perf_counter() - started <= 5.0
 
 
 def test_invalid_witness_raises_under_python_O():
