@@ -3,13 +3,17 @@ character-sum counts, demonstrate subspace round-trips, and self-test.
 
 Exit codes: 0 success (verify: planar), 1 verify: not planar or selftest
 failure, 2 verify: method disagreement, 3 scan: disagreement records,
-64 usage errors, 65 malformed input data, 66 missing input file.
+64 usage errors, 65 malformed input data, 66 missing or unreadable input file.
+
+`main(argv)` may be called many times in one process; every call reuses the
+one parser built at the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -47,7 +51,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built at first use.  parse_args leaves
+    it unchanged and `append` actions copy their default list, so every
+    main() call starts from fresh defaults."""
     parser = _Parser(prog="ffplanar",
                      description="planar-function toolkit on finite field towers")
     parser.add_argument("--config", help="JSON config file")
@@ -124,17 +132,30 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
+def _read_json(path: str, what: str, build):
+    """build(obj) for the JSON document at path.  Exits 66 when the file
+    cannot be read and 65 when it is not a well-formed `what`, with one line
+    on stderr and nothing on stdout."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        print(f"cannot read {what} file: {exc}", file=sys.stderr)
+        raise SystemExit(EX_NOINPUT)
+    except json.JSONDecodeError as exc:
+        print(f"malformed {what} JSON: {exc}", file=sys.stderr)
+        raise SystemExit(EX_DATAERR)
+    try:
+        return build(obj)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        print(f"malformed {what}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        raise SystemExit(EX_DATAERR)
+
+
 def _candidate_from_args(args, config: Config) -> PlanarCandidate:
     if args.candidate:
-        try:
-            with open(args.candidate) as fh:
-                obj = json.load(fh)
-        except FileNotFoundError:
-            raise SystemExit(EX_NOINPUT)
-        except json.JSONDecodeError as exc:
-            print(f"malformed candidate JSON: {exc}", file=sys.stderr)
-            raise SystemExit(EX_DATAERR)
-        return PlanarCandidate.from_json(obj, config.table_cap)
+        return _read_json(args.candidate, "candidate",
+                          lambda obj: PlanarCandidate.from_json(obj, config.table_cap))
     if args.p is None or args.m is None or args.n is None:
         print("verify needs --candidate or all of --p --m --n", file=sys.stderr)
         raise SystemExit(EX_USAGE)
@@ -217,14 +238,7 @@ class _LazyOut:
 
 def cmd_scan(args, config: Config) -> int:
     if args.job:
-        try:
-            with open(args.job) as fh:
-                job = SearchJob.from_json(json.load(fh))
-        except FileNotFoundError:
-            return EX_NOINPUT
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            print(f"malformed job spec: {exc}", file=sys.stderr)
-            return EX_DATAERR
+        job = _read_json(args.job, "job spec", SearchJob.from_json)
     else:
         if args.p is None or args.m is None or args.n is None or args.family is None:
             print("scan needs --job or all of --p --m --n --family", file=sys.stderr)
@@ -310,14 +324,13 @@ def cmd_selftest(args, config: Config) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, workers=args.workers, fmt=args.format,
                              seed=args.seed)
-    except FileNotFoundError:
+    except OSError:
         return EX_NOINPUT
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EX_DATAERR
     handlers = {

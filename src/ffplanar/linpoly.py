@@ -93,6 +93,18 @@ def fp_singular(mats, p: int) -> np.ndarray:
     return singular
 
 
+def span_table(ctx: FieldCtx, elems) -> np.ndarray:
+    """sum_i c_i elems[i] at position sum_i c_i p^i, for every c in F_p^k
+    with k = len(elems) <= m*n: a table over each half of elems, by digit
+    arithmetic on their digit rows, and one add_vec that sums the two."""
+    p, h = ctx.p, len(elems) // 2
+    weights = p ** np.arange(ctx.degree)
+    rows = np.array(elems, dtype=np.int64)[:, None] // weights % p
+    hi, lo = ((np.arange(p ** len(part))[:, None] // weights[:len(part)] % p)
+              @ part % p @ weights for part in (rows[h:], rows[:h]))
+    return ctx.add_vec(hi[:, None], lo).ravel()
+
+
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional F_p space."""
     if k < 0 or k > n:
@@ -257,17 +269,10 @@ class LinearizedPoly:
     def values(self) -> np.ndarray:
         """Read-only table of ell at every element index, cached on the
         polynomial; ValueError above the table cap.  ell is F_p-linear, so
-        ell(hi p^h + lo) = ell(hi p^h) + ell(lo): a table over each half of
-        the digit positions, by digit arithmetic on the digit rows of the d
-        images ell(p^k), and one add_vec over the field that sums them."""
-        ctx = self.ctx
-        ctx._need_tables()
-        p, d, h = ctx.p, ctx.degree, ctx.degree // 2
-        weights = p ** np.arange(d)
-        images = np.array(self.images)[:, None] // weights % p
-        hi, lo = ((np.arange(p ** len(rows))[:, None] // weights[:len(rows)] % p)
-                  @ rows % p @ weights for rows in (images[h:], images[:h]))
-        vals = ctx.add_vec(hi[:, None], lo).ravel()
+        ell(sum_k c_k p^k) = sum_k c_k ell(p^k): the span table of the d
+        images ell(p^k)."""
+        self.ctx._need_tables()
+        vals = span_table(self.ctx, self.images)
         vals.flags.writeable = False
         return vals
 

@@ -25,7 +25,9 @@ ell(u)^2 - N(u) on the subspace where ell lands in F_q.
 
 Brute force (through f_table), the reduction and the criterion all read ell
 from its value table `LinearizedPoly.values`, built once per polynomial, so
-a filter and an oracle run on one candidate share it.
+a filter and an oracle run on one candidate share it.  Above
+CRITERION_TABLE_MAX elements the criterion reads the d images ell(p^k)
+instead, which costs it the size of its subspace, not of the field.
 """
 
 from __future__ import annotations
@@ -37,12 +39,15 @@ import numpy as np
 
 from .config import DEFAULT_BRUTE_CAP
 from .field import FieldCtx
-from .linpoly import LinearizedPoly, fp_nullspace, fp_singular
+from .linpoly import LinearizedPoly, fp_nullspace, fp_singular, span_table
 
 # rank: directions per batched elimination; narrower blocks go one matrix at a
 # time, which beats a numpy call when a non-planar input exits in a few
 RANK_BLOCK = 1024
 NARROW_BLOCK = 16
+# n = 2 criterion: largest order that reads ell's value table; above it the
+# F_q-valued u come from a kernel of the d images
+CRITERION_TABLE_MAX = 20_000
 
 
 @dataclass(frozen=True)
@@ -366,9 +371,31 @@ def criterion_quadratic(cand: PlanarCandidate) -> bool:
     tr_a = ctx.rel_trace(cand.a)
     if tr_a == 0:
         raise ValueError("criterion requires Tr(a) != 0; use a permutation check")
-    ell = cand.ell.values
-    us = np.flatnonzero(ctx.pow_vec(ell, ctx.q) == ell)[1:]  # [0] is u = 0
+    us, lu = _fq_values(cand.ell)
     # ell / Tr(a) lies in F_q exactly where ell does
-    lu = ctx.mul_vec(ctx.inv(tr_a), ell[us])
+    lu = ctx.mul_vec(ctx.inv(tr_a), lu)
     w = ctx.sub_vec(ctx.mul_vec(lu, lu), ctx.norm_table[us])
     return bool(np.all(ctx.subfield_eta_table[w] == 1))
+
+
+def _fq_values(ell: LinearizedPoly) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the nonzero u with ell(u) in F_q and of their ell(u).
+
+    Up to CRITERION_TABLE_MAX elements they are read off ell's value table.
+    Above it, u runs over the kernel of u -> ell(u)^q - ell(u), found from
+    the d images ell(p^k) by fp_nullspace; the span tables of its basis and
+    of the basis images list u and ell(u), so the cost follows the kernel's
+    size instead of the field's."""
+    ctx = ell.ctx
+    if ctx.order <= CRITERION_TABLE_MAX:
+        vals = ell.values
+        us = np.flatnonzero(ctx.pow_vec(vals, ctx.q) == vals)[1:]  # [0] is u = 0
+        return us, vals[us]
+    p = ctx.p
+    weights = p ** np.arange(ctx.degree)
+    images = np.array(ell.images)[:, None] // weights % p
+    moved = [ctx.digits(ctx.sub(ctx.frobenius(v, ctx.m), v)) for v in ell.images]
+    basis = np.array(fp_nullspace(np.array(moved).T, p), dtype=np.int64)
+    # position 0 of a span table is u = 0
+    return (span_table(ctx, basis @ weights)[1:],
+            span_table(ctx, basis @ images % p @ weights)[1:])

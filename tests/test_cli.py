@@ -1,8 +1,10 @@
+import csv
 import json
 import time
 
 import pytest
 
+from ffplanar import cli
 from ffplanar.cli import _factor_prime_power, main
 from ffplanar.config import Config, load_config
 
@@ -96,6 +98,87 @@ def test_verify_candidate_file(tmp_path, capsys):
     assert code == 65
     code, _, _ = run_cli(capsys, "verify", "--candidate", str(tmp_path / "no.json"))
     assert code == 66
+
+
+def _without_ms(text: str, fmt: str) -> list[dict]:
+    rows = (list(csv.DictReader(text.splitlines())) if fmt == "csv"
+            else [json.loads(line) for line in text.splitlines()])
+    for row in rows:
+        row.pop("ms", None)  # timings differ between calls
+    return rows
+
+
+def test_main_reuses_one_parser_with_fresh_defaults(capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    verify = ["verify", "--p", "3", "--m", "1", "--n", "2"]
+    calls = [
+        verify + ["--ell-coeff", "0=1", "--ell-coeff", "0=1"],  # 2 x^2: planar
+        verify,  # f = 0: not planar, unless the coefficients above leak
+        verify + ["--ell-preset", "bogus"],
+        ["--format", "csv"] + verify,
+        verify + ["--ell-coeff", "0=1", "--ell-coeff", "0=1"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fmt = "csv" if "csv" in argv else "jsonl"
+        return code, _without_ms(out.out, fmt), out.err
+
+    shared = [run(argv) for argv in calls]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run(argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 64, 1, 0]
+    assert shared[4] == shared[0]
+
+
+@pytest.fixture
+def candidate_obj():
+    from ffplanar.field import new_ctx
+    from ffplanar.linpoly import LinearizedPoly
+    from ffplanar.planarity import PlanarCandidate
+
+    ctx = new_ctx(3, 1, 2)
+    return PlanarCandidate(ctx, 1, LinearizedPoly.identity(ctx)).to_json()
+
+
+@pytest.mark.parametrize("shape", ["list", "no-a", "no-ell", "no-ctx", "int-a"])
+def test_verify_rejects_malformed_candidate(shape, candidate_obj, tmp_path, capsys):
+    if shape == "list":
+        obj = [candidate_obj]
+    elif shape == "int-a":
+        obj = dict(candidate_obj, a=5)
+    else:
+        obj = dict(candidate_obj)
+        del obj[shape[3:]]
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "verify", "--candidate", str(path))
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("malformed candidate:")
+
+
+def test_scan_rejects_job_list(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps([{"p": 3, "m": 1, "n": 2, "family": "monomial"}]))
+    code, out, err = run_cli(capsys, "scan", "--job", str(path))
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("malformed job spec:")
+
+
+@pytest.mark.parametrize("command,flag", [("verify", "--candidate"),
+                                          ("scan", "--job")])
+def test_directory_as_input_file_exits_66(command, flag, tmp_path, capsys):
+    code, out, err = run_cli(capsys, command, flag, str(tmp_path))
+    assert code == 66
+    assert out == ""
+    assert err.count("\n") == 1
 
 
 def test_scan_inline_job(capsys):
@@ -245,6 +328,16 @@ def test_config_env_override(tmp_path, monkeypatch):
     cfg = load_config(str(path))
     assert cfg.brute_cap == 1024 and cfg.fmt == "csv"
     assert Config().brute_cap == 1 << 16
+
+
+def test_malformed_or_unreadable_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{"fmt": "csv"}]))
+    verify = ["verify", "--p", "3", "--m", "1", "--n", "2"]
+    code, out, err = run_cli(capsys, "--config", str(path), *verify)
+    assert code == 65 and out == "" and "bad configuration" in err
+    code, out, _ = run_cli(capsys, "--config", str(tmp_path), *verify)
+    assert code == 66 and out == ""
 
 
 def test_config_validation():

@@ -466,11 +466,13 @@ def test_fq_value_subspace():
     assert sorted(sub.elements()) == F9.subfield_elements()
 
 
-@pytest.mark.parametrize("pmn", [(3, 2, 2), (5, 2, 2), (7, 1, 2), (3, 3, 2)],
-                         ids=["F_3^4", "F_5^4", "F_7^2", "F_3^6"])
-def test_criterion_matches_kernel_reference(pmn):
+@pytest.mark.parametrize("pmn", [(3, 2, 2), (5, 2, 2), (7, 1, 2), (3, 3, 2),
+                                 (13, 2, 2), (7, 3, 2)],
+                         ids=["F_3^4", "F_5^4", "F_7^2", "F_3^6", "F_13^4", "F_7^6"])
+def test_criterion_matches_kernel_reference(pmn, monkeypatch):
     # dense ell rarely lands in F_q off a small subspace; single terms give
-    # larger value subspaces and planar candidates
+    # larger value subspaces and planar candidates.  Both ways of finding the
+    # F_q-valued u run on every tower: the value table and the kernel.
     ctx = new_ctx(*pmn)
     rng = np.random.default_rng(5)
     verdicts = set()
@@ -485,8 +487,10 @@ def test_criterion_matches_kernel_reference(pmn):
             ell = LinearizedPoly.monomial(ctx, int(rng.integers(0, ctx.order)),
                                           int(rng.integers(0, ctx.degree)))
         cand = PlanarCandidate(ctx, a, ell)
-        verdict = criterion_quadratic(cand)
-        assert verdict == reference_criterion(cand)
+        verdict = reference_criterion(cand)
+        for table_max in (0, ctx.order):  # kernel, then value table
+            monkeypatch.setattr(planarity, "CRITERION_TABLE_MAX", table_max)
+            assert criterion_quadratic(cand) == verdict
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
