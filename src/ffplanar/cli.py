@@ -132,10 +132,52 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-def _read_json(path: str, what: str, build):
+# The JSON shapes of a candidate and a job spec.  A shape is a type, a
+# one-item list [item] for a list of such items, or a dict from keys to
+# shapes, where a key ending in "?" is optional and the key `str` stands for
+# every key.  A document that fits its shape gets past decoding's type
+# conversions; what is left for decoding to reject are bad values (ValueError)
+CANDIDATE_SHAPE = {
+    "ctx": {"p": int, "m": int, "n": int, "modulus?": [int]},
+    "a": str,
+    "ell": {"coeffs": {str: str}},
+}
+JOB_SHAPE = {
+    "p": int, "m": int, "n": int, "family": str, "filters?": [str],
+    "oracle?": str, "mode?": str, "sample_count?": int, "seed?": int,
+    "audit_every?": int, "k?": int, "a_values?": [str],
+}
+
+
+def _misfit(obj, shape, where: str = "document") -> str | None:
+    """Where the decoded JSON obj departs from shape, or None if it fits."""
+    if isinstance(shape, type):
+        return None if isinstance(obj, shape) else f"{where}: expected {shape.__name__}"
+    if isinstance(shape, list):
+        if not isinstance(obj, list):
+            return f"{where}: expected a list"
+        return next((err for i, item in enumerate(obj)
+                     if (err := _misfit(item, shape[0], f"{where}[{i}]"))), None)
+    if not isinstance(obj, dict):
+        return f"{where}: expected an object"
+    if str in shape:
+        return next((err for key, item in obj.items()
+                     if (err := _misfit(item, shape[str], f"{where}.{key}"))), None)
+    for key, sub in shape.items():
+        name = key.rstrip("?")
+        if name not in obj:
+            if key == name:
+                return f"{where}: missing {name!r}"
+        elif err := _misfit(obj[name], sub, f"{where}.{name}"):
+            return err
+    return None
+
+
+def _read_json(path: str, what: str, shape, build):
     """build(obj) for the JSON document at path.  Exits 66 when the file
-    cannot be read and 65 when it is not a well-formed `what`, with one line
-    on stderr and nothing on stdout."""
+    cannot be read and 65 when it is not a well-formed `what`: when it does
+    not fit shape, or build rejects a value in it with ValueError.  Either
+    exit writes one line on stderr and nothing on stdout."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -145,16 +187,19 @@ def _read_json(path: str, what: str, build):
     except json.JSONDecodeError as exc:
         print(f"malformed {what} JSON: {exc}", file=sys.stderr)
         raise SystemExit(EX_DATAERR)
-    try:
-        return build(obj)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        print(f"malformed {what}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        raise SystemExit(EX_DATAERR)
+    err = _misfit(obj, shape)
+    if err is None:
+        try:
+            return build(obj)
+        except ValueError as exc:
+            err = str(exc)
+    print(f"malformed {what}: {err}", file=sys.stderr)
+    raise SystemExit(EX_DATAERR)
 
 
 def _candidate_from_args(args, config: Config) -> PlanarCandidate:
     if args.candidate:
-        return _read_json(args.candidate, "candidate",
+        return _read_json(args.candidate, "candidate", CANDIDATE_SHAPE,
                           lambda obj: PlanarCandidate.from_json(obj, config.table_cap))
     if args.p is None or args.m is None or args.n is None:
         print("verify needs --candidate or all of --p --m --n", file=sys.stderr)
@@ -238,7 +283,7 @@ class _LazyOut:
 
 def cmd_scan(args, config: Config) -> int:
     if args.job:
-        job = _read_json(args.job, "job spec", SearchJob.from_json)
+        job = _read_json(args.job, "job spec", JOB_SHAPE, SearchJob.from_json)
     else:
         if args.p is None or args.m is None or args.n is None or args.family is None:
             print("scan needs --job or all of --p --m --n --family", file=sys.stderr)
@@ -330,7 +375,7 @@ def main(argv=None) -> int:
                              seed=args.seed)
     except OSError:
         return EX_NOINPUT
-    except (json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, TypeError, ValueError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EX_DATAERR
     handlers = {

@@ -39,6 +39,8 @@ def load_config(path: str | None = None, **overrides) -> Config:
     if path:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a config file holds one JSON object")
         cfg = replace(cfg, **{k: v for k, v in data.items() if v is not None})
     env_cap = os.environ.get("FFPLANAR_TABLE_CAP")
     if env_cap is not None:

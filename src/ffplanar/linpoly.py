@@ -93,13 +93,19 @@ def fp_singular(mats, p: int) -> np.ndarray:
     return singular
 
 
-def span_table(ctx: FieldCtx, elems) -> np.ndarray:
-    """sum_i c_i elems[i] at position sum_i c_i p^i, for every c in F_p^k
-    with k = len(elems) <= m*n: a table over each half of elems, by digit
-    arithmetic on their digit rows, and one add_vec that sums the two."""
-    p, h = ctx.p, len(elems) // 2
+def digit_rows(ctx: FieldCtx, elems) -> np.ndarray:
+    """(len(elems), m*n) array: the base-p digits of each element index."""
+    weights = ctx.p ** np.arange(ctx.degree)
+    return np.asarray(elems, dtype=np.int64)[:, None] // weights % ctx.p
+
+
+def span_table(ctx: FieldCtx, rows) -> np.ndarray:
+    """sum_i c_i v_i at position sum_i c_i p^i, for every c in F_p^k, where
+    v_i is the element with digit row rows[i] and k = len(rows) <= m*n: a
+    table over each half of the rows by digit arithmetic, and one add_vec
+    that sums the two."""
+    p, h = ctx.p, len(rows) // 2
     weights = p ** np.arange(ctx.degree)
-    rows = np.array(elems, dtype=np.int64)[:, None] // weights % p
     hi, lo = ((np.arange(p ** len(part))[:, None] // weights[:len(part)] % p)
               @ part % p @ weights for part in (rows[h:], rows[:h]))
     return ctx.add_vec(hi[:, None], lo).ravel()
@@ -243,6 +249,8 @@ class LinearizedPoly:
     def from_json(cls, ctx: FieldCtx, obj: dict) -> "LinearizedPoly":
         c = [0] * ctx.degree
         for t, digits in obj["coeffs"].items():
+            if not 0 <= int(t) < ctx.degree:
+                raise ValueError(f"coefficient index {t} outside 0..{ctx.degree - 1}")
             c[int(t)] = ctx.parse_element(digits)
         return cls(ctx, tuple(c))
 
@@ -271,8 +279,9 @@ class LinearizedPoly:
         polynomial; ValueError above the table cap.  ell is F_p-linear, so
         ell(sum_k c_k p^k) = sum_k c_k ell(p^k): the span table of the d
         images ell(p^k)."""
-        self.ctx._need_tables()
-        vals = span_table(self.ctx, self.images)
+        ctx = self.ctx
+        ctx._need_tables()
+        vals = span_table(ctx, digit_rows(ctx, self.images))
         vals.flags.writeable = False
         return vals
 

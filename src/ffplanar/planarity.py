@@ -39,14 +39,16 @@ import numpy as np
 
 from .config import DEFAULT_BRUTE_CAP
 from .field import FieldCtx
-from .linpoly import LinearizedPoly, fp_nullspace, fp_singular, span_table
+from .linpoly import LinearizedPoly, digit_rows, fp_nullspace, fp_singular, span_table
 
 # rank: directions per batched elimination; narrower blocks go one matrix at a
 # time, which beats a numpy call when a non-planar input exits in a few
 RANK_BLOCK = 1024
 NARROW_BLOCK = 16
 # n = 2 criterion: largest order that reads ell's value table; above it the
-# F_q-valued u come from a kernel of the d images
+# F_q-valued u come from a kernel of the d images.  Reading a table already
+# built is faster on F_3^8, level with the kernel on F_11^4 (14 641 elements)
+# and slower from F_13^4 (28 561) up
 CRITERION_TABLE_MAX = 20_000
 
 
@@ -368,6 +370,7 @@ def criterion_quadratic(cand: PlanarCandidate) -> bool:
     ctx = cand.ctx
     if ctx.n != 2:
         raise ValueError("the quadratic criterion requires a degree-2 tower")
+    ctx._need_tables()  # before any order-sized array is built
     tr_a = ctx.rel_trace(cand.a)
     if tr_a == 0:
         raise ValueError("criterion requires Tr(a) != 0; use a permutation check")
@@ -392,10 +395,8 @@ def _fq_values(ell: LinearizedPoly) -> tuple[np.ndarray, np.ndarray]:
         us = np.flatnonzero(ctx.pow_vec(vals, ctx.q) == vals)[1:]  # [0] is u = 0
         return us, vals[us]
     p = ctx.p
-    weights = p ** np.arange(ctx.degree)
-    images = np.array(ell.images)[:, None] // weights % p
-    moved = [ctx.digits(ctx.sub(ctx.frobenius(v, ctx.m), v)) for v in ell.images]
-    basis = np.array(fp_nullspace(np.array(moved).T, p), dtype=np.int64)
+    moved = digit_rows(ctx, [ctx.sub(ctx.frobenius(v, ctx.m), v) for v in ell.images])
+    basis = np.array(fp_nullspace(moved.T, p), dtype=np.int64)
+    images = digit_rows(ctx, ell.images)
     # position 0 of a span table is u = 0
-    return (span_table(ctx, basis @ weights)[1:],
-            span_table(ctx, basis @ images % p @ weights)[1:])
+    return span_table(ctx, basis)[1:], span_table(ctx, basis @ images % p)[1:]

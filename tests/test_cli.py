@@ -146,12 +146,19 @@ def candidate_obj():
     return PlanarCandidate(ctx, 1, LinearizedPoly.identity(ctx)).to_json()
 
 
-@pytest.mark.parametrize("shape", ["list", "no-a", "no-ell", "no-ctx", "int-a"])
+@pytest.mark.parametrize("shape", ["list", "no-a", "no-ell", "no-ctx", "int-a",
+                                   "int-coeff", "coeff-index", "null-p"])
 def test_verify_rejects_malformed_candidate(shape, candidate_obj, tmp_path, capsys):
     if shape == "list":
         obj = [candidate_obj]
     elif shape == "int-a":
         obj = dict(candidate_obj, a=5)
+    elif shape == "int-coeff":
+        obj = dict(candidate_obj, ell={"coeffs": {"0": 1}})
+    elif shape == "coeff-index":  # F_9 has coefficients 0 and 1 only
+        obj = dict(candidate_obj, ell={"coeffs": {"2": "1"}})
+    elif shape == "null-p":
+        obj = dict(candidate_obj, ctx=dict(candidate_obj["ctx"], p=None))
     else:
         obj = dict(candidate_obj)
         del obj[shape[3:]]
@@ -163,9 +170,15 @@ def test_verify_rejects_malformed_candidate(shape, candidate_obj, tmp_path, caps
     assert err.count("\n") == 1 and err.startswith("malformed candidate:")
 
 
-def test_scan_rejects_job_list(tmp_path, capsys):
+@pytest.mark.parametrize("job", [[{"p": 3, "m": 1, "n": 2, "family": "monomial"}],
+                                 {"p": 3, "m": 1, "n": 2},
+                                 {"p": None, "m": 1, "n": 2, "family": "monomial"},
+                                 {"p": 3, "m": 1, "n": 2, "family": "monomial",
+                                  "filters": [["criterion-n2"]]}],
+                         ids=["list", "no-family", "null-p", "nested-filter"])
+def test_scan_rejects_malformed_job(job, tmp_path, capsys):
     path = tmp_path / "job.json"
-    path.write_text(json.dumps([{"p": 3, "m": 1, "n": 2, "family": "monomial"}]))
+    path.write_text(json.dumps(job))
     code, out, err = run_cli(capsys, "scan", "--job", str(path))
     assert code == 65
     assert out == ""

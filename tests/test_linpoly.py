@@ -296,20 +296,22 @@ def test_eval_vec_matches_scalar(pmn):
 
 
 def test_value_table_above_table_cap_raises_before_allocating():
-    ctx = new_ctx(11, 2, 2, table_cap=11**2)
-    assert not ctx.table_mode
-    cand = PlanarCandidate(ctx, 1, LinearizedPoly(ctx, (1, 2, 0, 0)))
-    for build in (lambda: cand.ell.values, cand.f_table,
-                  lambda: criterion_quadratic(cand)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="table cap"):
-                build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one byte per element is less than any order-sized array takes
-        assert peak < ctx.order
+    # F_13^4 lies above the order where the criterion leaves the value table
+    for p in (11, 13):
+        ctx = new_ctx(p, 2, 2, table_cap=p**2)
+        assert not ctx.table_mode
+        cand = PlanarCandidate(ctx, 1, LinearizedPoly(ctx, (1, 2, 0, 0)))
+        for build in (lambda: cand.ell.values, cand.f_table,
+                      lambda: criterion_quadratic(cand)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="table cap"):
+                    build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one byte per element is less than any order-sized array takes
+            assert peak < ctx.order
 
 
 def assert_rref(red, pivots, ncols, p):
