@@ -5,6 +5,12 @@ Exit codes: 0 success (verify: planar), 1 verify: not planar or selftest
 failure, 2 verify: method disagreement, 3 scan: disagreement records,
 64 usage errors, 65 malformed input data, 66 missing or unreadable input file.
 
+A candidate, job spec or config file is decoded by the `from_json` of its
+type, which checks it against the shape declared beside that type (the job
+and config keys are the dataclass fields): an unknown key, a missing key or
+a mistyped value (a bool is no int) exits 65; a null config value keeps the
+default.
+
 `main(argv)` may be called many times in one process; every call reuses the
 one parser built at the first call.
 """
@@ -18,7 +24,7 @@ import json
 import sys
 import time
 
-from .config import FORMATS, Config, load_config
+from .config import FORMATS, Config
 from .families import example1_ell
 from .field import MAX_ORDER, new_ctx, prime_factors
 from .linpoly import (
@@ -114,8 +120,6 @@ def _build_parser() -> _Parser:
     p_selftest = sub.add_parser("selftest", help="run the acceptance checks")
     p_selftest.add_argument("--filter", default=None,
                             help="substring filter on check names")
-    p_selftest.add_argument("--corrupt-tables", action="store_true",
-                            help=argparse.SUPPRESS)  # negative-control test hook
     return parser
 
 
@@ -132,74 +136,30 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-# The JSON shapes of a candidate and a job spec.  A shape is a type, a
-# one-item list [item] for a list of such items, or a dict from keys to
-# shapes, where a key ending in "?" is optional and the key `str` stands for
-# every key.  A document that fits its shape gets past decoding's type
-# conversions; what is left for decoding to reject are bad values (ValueError)
-CANDIDATE_SHAPE = {
-    "ctx": {"p": int, "m": int, "n": int, "modulus?": [int]},
-    "a": str,
-    "ell": {"coeffs": {str: str}},
-}
-JOB_SHAPE = {
-    "p": int, "m": int, "n": int, "family": str, "filters?": [str],
-    "oracle?": str, "mode?": str, "sample_count?": int, "seed?": int,
-    "audit_every?": int, "k?": int, "a_values?": [str],
-}
-
-
-def _misfit(obj, shape, where: str = "document") -> str | None:
-    """Where the decoded JSON obj departs from shape, or None if it fits."""
-    if isinstance(shape, type):
-        return None if isinstance(obj, shape) else f"{where}: expected {shape.__name__}"
-    if isinstance(shape, list):
-        if not isinstance(obj, list):
-            return f"{where}: expected a list"
-        return next((err for i, item in enumerate(obj)
-                     if (err := _misfit(item, shape[0], f"{where}[{i}]"))), None)
-    if not isinstance(obj, dict):
-        return f"{where}: expected an object"
-    if str in shape:
-        return next((err for key, item in obj.items()
-                     if (err := _misfit(item, shape[str], f"{where}.{key}"))), None)
-    for key, sub in shape.items():
-        name = key.rstrip("?")
-        if name not in obj:
-            if key == name:
-                return f"{where}: missing {name!r}"
-        elif err := _misfit(obj[name], sub, f"{where}.{name}"):
-            return err
-    return None
-
-
-def _read_json(path: str, what: str, shape, build):
-    """build(obj) for the JSON document at path.  Exits 66 when the file
-    cannot be read and 65 when it is not a well-formed `what`: when it does
-    not fit shape, or build rejects a value in it with ValueError.  Either
-    exit writes one line on stderr and nothing on stdout."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        print(f"cannot read {what} file: {exc}", file=sys.stderr)
-        raise SystemExit(EX_NOINPUT)
-    except json.JSONDecodeError as exc:
-        print(f"malformed {what} JSON: {exc}", file=sys.stderr)
-        raise SystemExit(EX_DATAERR)
-    err = _misfit(obj, shape)
-    if err is None:
+def _read_json(path: str | None, what: str, build, bad: str = ""):
+    """build(obj) for the JSON document at path, or for {} when path is None.
+    Exits 66 when the file cannot be read and 65 when build rejects the
+    document with ValueError (bad JSON included); either exit writes one
+    line on stderr, which starts with `bad` or "malformed <what>", and
+    nothing on stdout."""
+    text = "{}"
+    if path is not None:
         try:
-            return build(obj)
-        except ValueError as exc:
-            err = str(exc)
-    print(f"malformed {what}: {err}", file=sys.stderr)
-    raise SystemExit(EX_DATAERR)
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            print(f"cannot read {what} file: {exc}", file=sys.stderr)
+            raise SystemExit(EX_NOINPUT)
+    try:
+        return build(json.loads(text))
+    except ValueError as exc:
+        print(f"{bad or 'malformed ' + what}: {exc}", file=sys.stderr)
+        raise SystemExit(EX_DATAERR)
 
 
 def _candidate_from_args(args, config: Config) -> PlanarCandidate:
     if args.candidate:
-        return _read_json(args.candidate, "candidate", CANDIDATE_SHAPE,
+        return _read_json(args.candidate, "candidate",
                           lambda obj: PlanarCandidate.from_json(obj, config.table_cap))
     if args.p is None or args.m is None or args.n is None:
         print("verify needs --candidate or all of --p --m --n", file=sys.stderr)
@@ -283,7 +243,7 @@ class _LazyOut:
 
 def cmd_scan(args, config: Config) -> int:
     if args.job:
-        job = _read_json(args.job, "job spec", JOB_SHAPE, SearchJob.from_json)
+        job = _read_json(args.job, "job spec", SearchJob.from_json)
     else:
         if args.p is None or args.m is None or args.n is None or args.family is None:
             print("scan needs --job or all of --p --m --n --family", file=sys.stderr)
@@ -356,8 +316,7 @@ def cmd_subspace(args, config: Config) -> int:
 
 def cmd_selftest(args, config: Config) -> int:
     results = run_selftest(name_filter=args.filter, workers=config.workers,
-                           config=config,
-                           corrupt_field_tables=args.corrupt_tables)
+                           config=config)
     width = max(len(r.name) for r in results) if results else 10
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -370,14 +329,6 @@ def cmd_selftest(args, config: Config) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = load_config(args.config, workers=args.workers, fmt=args.format,
-                             seed=args.seed)
-    except OSError:
-        return EX_NOINPUT
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
-        return EX_DATAERR
     handlers = {
         "verify": cmd_verify,
         "scan": cmd_scan,
@@ -386,6 +337,10 @@ def main(argv=None) -> int:
         "selftest": cmd_selftest,
     }
     try:
+        config = _read_json(
+            args.config, "config", bad="bad configuration",
+            build=lambda obj: Config.from_json(obj, workers=args.workers,
+                                               fmt=args.format, seed=args.seed))
         return handlers[args.command](args, config)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE

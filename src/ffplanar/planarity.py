@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_BRUTE_CAP
-from .field import FieldCtx
+from .config import DEFAULT_BRUTE_CAP, check_shape
+from .field import FieldCtx, ctx_from_json
 from .linpoly import LinearizedPoly, digit_rows, fp_nullspace, fp_singular, span_table
 
 # rank: directions per batched elimination; narrower blocks go one matrix at a
@@ -50,6 +50,13 @@ NARROW_BLOCK = 16
 # built is faster on F_3^8, level with the kernel on F_11^4 (14 641 elements)
 # and slower from F_13^4 (28 561) up
 CRITERION_TABLE_MAX = 20_000
+
+# the JSON shape of a candidate, which PlanarCandidate.from_json checks
+CANDIDATE_SHAPE = {
+    "ctx": {"p": int, "m": int, "n": int, "modulus?": [int]},
+    "a": str,
+    "ell": {"coeffs": {str: str}},
+}
 
 
 @dataclass(frozen=True)
@@ -102,9 +109,8 @@ class PlanarCandidate:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, table_cap: int | None = None) -> "PlanarCandidate":
-        from .field import ctx_from_json
-
+    def from_json(cls, obj, table_cap: int | None = None) -> "PlanarCandidate":
+        check_shape(obj, CANDIDATE_SHAPE)
         ctx = ctx_from_json(obj["ctx"], table_cap)
         return cls(
             ctx,

@@ -16,9 +16,9 @@ import json
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .config import DEFAULT_AUDIT_EVERY, DEFAULT_SEED, Config
+from .config import DEFAULT_AUDIT_EVERY, DEFAULT_SEED, Config, from_fields
 from .families import (
     CubicCoeffs,
     MonomialFamilyParams,
@@ -92,30 +92,12 @@ class SearchJob:
             raise ValueError("sample mode needs a positive sample_count")
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p, "m": self.m, "n": self.n, "family": self.family,
-            "filters": list(self.filters), "oracle": self.oracle,
-            "mode": self.mode, "sample_count": self.sample_count,
-            "seed": self.seed, "audit_every": self.audit_every,
-            "oracle_all": self.oracle_all, "k": self.k,
-            "a_values": list(self.a_values),
-        }
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+                for f in fields(self)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SearchJob":
-        return cls(
-            p=int(obj["p"]), m=int(obj["m"]), n=int(obj["n"]),
-            family=obj["family"],
-            filters=tuple(obj.get("filters", ())),
-            oracle=obj.get("oracle", "bruteforce"),
-            mode=obj.get("mode", "exhaustive"),
-            sample_count=int(obj.get("sample_count", 0)),
-            seed=int(obj.get("seed", DEFAULT_SEED)),
-            audit_every=int(obj.get("audit_every", DEFAULT_AUDIT_EVERY)),
-            oracle_all=bool(obj.get("oracle_all", False)),
-            k=int(obj.get("k", 1)),
-            a_values=tuple(obj.get("a_values", ("1",))),
-        )
+    def from_json(cls, obj) -> "SearchJob":
+        return from_fields(cls, obj)
 
 
 @dataclass(frozen=True)

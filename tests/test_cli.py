@@ -7,6 +7,8 @@ import pytest
 from ffplanar import cli
 from ffplanar.cli import _factor_prime_power, main
 from ffplanar.config import Config, load_config
+from ffplanar.planarity import PlanarCandidate
+from ffplanar.search import SearchJob
 
 
 def run_cli(capsys, *argv):
@@ -147,7 +149,8 @@ def candidate_obj():
 
 
 @pytest.mark.parametrize("shape", ["list", "no-a", "no-ell", "no-ctx", "int-a",
-                                   "int-coeff", "coeff-index", "null-p"])
+                                   "int-coeff", "coeff-index", "null-p",
+                                   "unknown-key", "bool-p"])
 def test_verify_rejects_malformed_candidate(shape, candidate_obj, tmp_path, capsys):
     if shape == "list":
         obj = [candidate_obj]
@@ -159,6 +162,10 @@ def test_verify_rejects_malformed_candidate(shape, candidate_obj, tmp_path, caps
         obj = dict(candidate_obj, ell={"coeffs": {"2": "1"}})
     elif shape == "null-p":
         obj = dict(candidate_obj, ctx=dict(candidate_obj["ctx"], p=None))
+    elif shape == "unknown-key":
+        obj = dict(candidate_obj, b="1")
+    elif shape == "bool-p":
+        obj = dict(candidate_obj, ctx=dict(candidate_obj["ctx"], p=True))
     else:
         obj = dict(candidate_obj)
         del obj[shape[3:]]
@@ -168,14 +175,23 @@ def test_verify_rejects_malformed_candidate(shape, candidate_obj, tmp_path, caps
     assert code == 65
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("malformed candidate:")
+    with pytest.raises(ValueError):
+        PlanarCandidate.from_json(obj)
 
 
 @pytest.mark.parametrize("job", [[{"p": 3, "m": 1, "n": 2, "family": "monomial"}],
                                  {"p": 3, "m": 1, "n": 2},
                                  {"p": None, "m": 1, "n": 2, "family": "monomial"},
                                  {"p": 3, "m": 1, "n": 2, "family": "monomial",
-                                  "filters": [["criterion-n2"]]}],
-                         ids=["list", "no-family", "null-p", "nested-filter"])
+                                  "filters": [["criterion-n2"]]},
+                                 {"p": 3, "m": 1, "n": 2, "family": "monomial",
+                                  "oracle_all": "no"},
+                                 {"p": 3, "m": 1, "n": 2, "family": "monomial",
+                                  "oracle_all": 1},
+                                 {"p": 3, "m": 1, "n": 2, "family": "monomial",
+                                  "filter": ["criterion-n2"]}],
+                         ids=["list", "no-family", "null-p", "nested-filter",
+                              "str-oracle_all", "int-oracle_all", "misspelled-filters"])
 def test_scan_rejects_malformed_job(job, tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
@@ -183,6 +199,8 @@ def test_scan_rejects_malformed_job(job, tmp_path, capsys):
     assert code == 65
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("malformed job spec:")
+    with pytest.raises(ValueError):
+        SearchJob.from_json(job)
 
 
 @pytest.mark.parametrize("command,flag", [("verify", "--candidate"),
@@ -315,15 +333,6 @@ def test_selftest_filtered(capsys):
     assert "PASS" in out
 
 
-def test_selftest_corrupt_tables_negative_control(capsys):
-    # the corrupted-table hook must still PASS the check that corruption is
-    # detected; the check itself asserts the invariants fail on the bad copy
-    code, out, _ = run_cli(capsys, "selftest", "--filter", "field-tables",
-                           "--corrupt-tables")
-    assert code == 0
-    assert "corrupted tables detected" in out
-
-
 def test_selftest_cubic_filter_runs_only_cubic(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--filter", "cubic-root")
     assert code == 0
@@ -331,16 +340,42 @@ def test_selftest_cubic_filter_runs_only_cubic(capsys):
     assert "classical-fixtures" not in out
 
 
-def test_config_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("FFPLANAR_TABLE_CAP", "0x1000")
-    cfg = load_config()
-    assert cfg.table_cap == 0x1000
-    monkeypatch.delenv("FFPLANAR_TABLE_CAP")
+def test_config_file_overrides_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"brute_cap": 1024, "fmt": "csv"}))
     cfg = load_config(str(path))
     assert cfg.brute_cap == 1024 and cfg.fmt == "csv"
     assert Config().brute_cap == 1 << 16
+    # a keyword override wins over the file; a None override keeps it
+    assert load_config(str(path), fmt="json", seed=None) == Config(brute_cap=1024,
+                                                                     fmt="json")
+
+
+def test_config_null_values_keep_the_defaults(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: None for key in Config.__dataclass_fields__}))
+    assert load_config(str(path)) == Config()
+    plain = run_cli(capsys, "verify", "--p", "3", "--m", "1", "--n", "2")
+    nulls = run_cli(capsys, "--config", str(path), "verify", "--p", "3",
+                    "--m", "1", "--n", "2")
+    assert nulls[0] == plain[0] == 1
+    assert _without_ms(nulls[1], "jsonl") == _without_ms(plain[1], "jsonl")
+
+
+@pytest.mark.parametrize("doc", [{"seed": "5"}, {"audit_every": 2.5},
+                                 {"workers": True}, {"table_caps": 4096},
+                                 {"fmt": ["csv"]}],
+                         ids=["str-seed", "float-audit", "bool-workers",
+                              "unknown-key", "list-fmt"])
+def test_mistyped_config_exits_65(doc, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--config", str(path),
+                             "verify", "--p", "3", "--m", "1", "--n", "2")
+    assert code == 65 and out == ""
+    assert err.count("\n") == 1 and err.startswith("bad configuration:")
+    with pytest.raises(ValueError):
+        load_config(str(path))
 
 
 def test_malformed_or_unreadable_config(tmp_path, capsys):
@@ -349,8 +384,10 @@ def test_malformed_or_unreadable_config(tmp_path, capsys):
     verify = ["verify", "--p", "3", "--m", "1", "--n", "2"]
     code, out, err = run_cli(capsys, "--config", str(path), *verify)
     assert code == 65 and out == "" and "bad configuration" in err
-    code, out, _ = run_cli(capsys, "--config", str(tmp_path), *verify)
-    assert code == 66 and out == ""
+    for missing in (tmp_path, tmp_path / "none.json"):
+        code, out, err = run_cli(capsys, "--config", str(missing), *verify)
+        assert code == 66 and out == ""
+        assert err.count("\n") == 1 and err.startswith("cannot read config file:")
 
 
 def test_config_validation():

@@ -16,6 +16,7 @@ from ffplanar.field import (
     multiplicative_chars,
     new_ctx,
 )
+from ffplanar.selftest import field_invariants_hold
 
 F9 = new_ctx(3, 1, 2)
 F27 = new_ctx(3, 1, 3)
@@ -349,3 +350,11 @@ def test_character_vector_values_match_scalar():
     for i, x in enumerate(sub):
         assert abs(cv[i] - chi(int(x))) < 1e-12
         assert abs(pv[i] - psi(int(x))) < 1e-12
+
+
+def test_field_invariants_detect_swapped_exp_entries():
+    assert field_invariants_hold(FieldCtx(3, 1, 2, DEFAULT_TABLE_CAP))
+    broken = FieldCtx(3, 1, 2, DEFAULT_TABLE_CAP)
+    broken.exp_table = broken.exp_table.copy()
+    broken.exp_table[[3, 4]] = broken.exp_table[[4, 3]]
+    assert not field_invariants_hold(broken)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -65,6 +66,14 @@ def test_job_json_round_trip():
     job = SearchJob(3, 1, 2, family="binomial", filters=("closed-binomial",),
                     oracle_all=True, k=1)
     assert SearchJob.from_json(job.to_json()) == job
+    # every field away from its default, through the JSON text as a file holds it
+    full = SearchJob(5, 2, 2, family="nbc", filters=("closed-nbc", "criterion-n2"),
+                     oracle="rank", mode="sample", sample_count=7, seed=11,
+                     audit_every=5, oracle_all=True, k=2, a_values=("1", "2,1"))
+    assert all(getattr(full, f.name) != f.default for f in dataclasses.fields(SearchJob)
+               if f.default is not dataclasses.MISSING)
+    assert SearchJob.from_json(json.loads(json.dumps(full.to_json()))) == full
+    assert set(full.to_json()) == {f.name for f in dataclasses.fields(SearchJob)}
 
 
 def test_splitmix_is_deterministic_and_spread():
