@@ -1,7 +1,7 @@
 """Planar-function constructions and cross-validated planarity testing on
 finite field extension towers."""
 
-from .config import Config, load_config
+from .config import Config
 from .field import (
     AdditiveChar,
     FieldCtx,
@@ -51,7 +51,7 @@ from .charsum import (
     weil_bound_check,
     weil_eta_sum,
 )
-from .search import SearchJob, dedup_by_scaling, run
+from .search import SearchJob, run
 from .selftest import run_selftest
 
 __version__ = "0.1.0"
@@ -64,10 +64,10 @@ __all__ = [
     "additive_chars", "all_subspaces", "annihilator_coeffs",
     "annihilator_poly", "count_solutions", "criterion_quadratic",
     "ctx_from_json", "cubic_lemma_bruteforce", "cubic_lemma_predicate",
-    "cubic_theorem_predicate", "dedup_by_scaling", "eval_general",
-    "example1_construct", "image_poly_for_subspace", "is_planar_bruteforce",
+    "cubic_theorem_predicate", "eval_general", "example1_construct",
+    "image_poly_for_subspace", "is_planar_bruteforce",
     "is_planar_bruteforce_general", "is_planar_rank", "is_planar_reduction",
-    "load_config", "multiplicative_chars", "new_ctx", "nonexistence_witness",
-    "phi", "run", "run_selftest", "theorem_monomial_predicate",
-    "theorem_nbc_predicate", "weil_bound_check", "weil_eta_sum",
+    "multiplicative_chars", "new_ctx", "nonexistence_witness", "phi", "run",
+    "run_selftest", "theorem_monomial_predicate", "theorem_nbc_predicate",
+    "weil_bound_check", "weil_eta_sum",
 ]

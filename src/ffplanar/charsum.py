@@ -212,13 +212,6 @@ def char_weighted_total(ctx: FieldCtx, upsilon: int, omega: int, c: int) -> comp
 # Quadratic-character sums over the full field and the Weil bound.
 # ---------------------------------------------------------------------------
 
-def poly_eval(ctx: FieldCtx, coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(list(coeffs)):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
-
-
 def _poly_values(ctx: FieldCtx, coeffs) -> np.ndarray:
     xs = np.arange(ctx.order, dtype=np.int64)
     acc = np.zeros(ctx.order, dtype=np.int64)

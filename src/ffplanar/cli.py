@@ -3,7 +3,8 @@ character-sum counts, demonstrate subspace round-trips, and self-test.
 
 Exit codes: 0 success (verify: planar), 1 verify: not planar or selftest
 failure, 2 verify: method disagreement, 3 scan: disagreement records,
-64 usage errors, 65 malformed input data, 66 missing or unreadable input file.
+64 usage errors, 65 malformed input data or an input above a size cap, 66
+missing or unreadable input file.
 
 A candidate, job spec or config file is decoded by the `from_json` of its
 type, which checks it against the shape declared beside that type (the job
@@ -206,7 +207,7 @@ def cmd_verify(args, config: Config) -> int:
     if ctx.order <= config.brute_cap:
         reports["bruteforce"] = is_planar_bruteforce(cand, config.brute_cap)
         reports["reduction"] = is_planar_reduction(cand, config.brute_cap)
-    reports["rank"] = is_planar_rank(cand)
+    reports["rank"] = is_planar_rank(cand, config.brute_cap)
     records = []
     for name, rep in reports.items():
         records.append(dict(rep.to_json(ctx), method=name))

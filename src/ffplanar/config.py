@@ -4,7 +4,6 @@ options) and the one shape check of the package's JSON documents."""
 from __future__ import annotations
 
 import functools
-import json
 import typing
 from dataclasses import MISSING, dataclass, fields
 
@@ -96,12 +95,3 @@ class Config:
             obj = {k: v for k, v in (*obj.items(), *overrides.items()) if v is not None}
         return from_fields(cls, obj)
 
-
-def load_config(path: str | None = None, **overrides) -> Config:
-    """Build a Config from defaults, an optional JSON file and explicit
-    keyword overrides, in that order of precedence."""
-    obj = {}
-    if path:
-        with open(path) as fh:
-            obj = json.load(fh)
-    return Config.from_json(obj, **overrides)

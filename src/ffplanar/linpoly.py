@@ -111,17 +111,6 @@ def span_table(ctx: FieldCtx, rows) -> np.ndarray:
     return ctx.add_vec(hi[:, None], lo).ravel()
 
 
-def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of an n-dimensional F_p space."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
-
-
 # ---------------------------------------------------------------------------
 # Subspaces of the field over F_p.
 # ---------------------------------------------------------------------------
@@ -142,10 +131,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, e: int) -> bool:
-        rows = [self.ctx.digits(b) for b in (*self.basis, e)]
-        return fp_rank(rows, self.ctx.p) == self.dim
-
     def elements(self) -> tuple[int, ...]:
         """All p^dim member elements; one field addition per element visited."""
         if not hasattr(self, "_elems"):
@@ -162,10 +147,6 @@ class Subspace:
 
     def to_json(self) -> dict:
         return {"basis": [self.ctx.format_element(b) for b in self.basis]}
-
-    @classmethod
-    def from_json(cls, ctx: FieldCtx, obj: dict) -> "Subspace":
-        return cls.from_vectors(ctx, [ctx.parse_element(t) for t in obj["basis"]])
 
     def __eq__(self, other):
         return (

@@ -87,20 +87,6 @@ class PlanarCandidate:
         t = ctx.trace_table[ctx.mul_vec(self.a, ctx.pow_vec(xs, ctx.q + 1))]
         return ctx.add_vec(t, ell_sq)
 
-    def substituted(self, lam: int) -> "PlanarCandidate":
-        """Candidate for x -> f(lam * x); planarity is preserved for lam != 0."""
-        ctx = self.ctx
-        a2 = ctx.mul(self.a, ctx.pow(lam, ctx.q + 1))
-        ell2 = self.ell.compose(LinearizedPoly.monomial(ctx, ctx.mul(lam, lam), 0))
-        return PlanarCandidate(ctx, a2, ell2)
-
-    def scaled(self, c: int) -> "PlanarCandidate":
-        """Candidate for c * f with c in F_q^*; planarity is preserved."""
-        ctx = self.ctx
-        if not ctx.in_subfield(c) or c == 0:
-            raise ValueError("scale factor must lie in F_q^*")
-        return PlanarCandidate(ctx, ctx.mul(c, self.a), self.ell.scale(c))
-
     def to_json(self) -> dict:
         return {
             "ctx": self.ctx.to_json(),
@@ -143,13 +129,6 @@ class VerificationReport:
             }
         return {"planar": self.planar, "method": self.method, "witness": wit,
                 "ms": self.ms}
-
-    @classmethod
-    def from_json(cls, ctx: FieldCtx, obj: dict) -> "VerificationReport":
-        wit = obj.get("witness")
-        if wit is not None:
-            wit = tuple(ctx.parse_element(wit[k]) for k in ("c", "x1", "x2"))
-        return cls(bool(obj["planar"]), obj["method"], wit, float(obj["ms"]))
 
 
 def check_witness(f, ctx: FieldCtx, witness) -> bool:
@@ -284,12 +263,17 @@ def is_planar_bruteforce_general(ctx: FieldCtx, monomials,
 # Rank test on the linear part of the difference maps.
 # ---------------------------------------------------------------------------
 
-def is_planar_rank(cand: PlanarCandidate) -> VerificationReport:
+def is_planar_rank(cand: PlanarCandidate,
+                   brute_cap: int = DEFAULT_BRUTE_CAP) -> VerificationReport:
     """Planar iff the linear part of every difference map has full rank; the
-    witness is (v, x0, 0), x0 the first nullspace vector of the first singular M_v."""
+    witness is (v, x0, 0), x0 the first nullspace vector of the first singular M_v.
+    A field with more than `brute_cap` directions is refused before the scan."""
     started = time.perf_counter()
     ctx = cand.ctx
     p, d = ctx.p, ctx.degree
+    directions = (p**d - 1) // (p - 1)
+    if directions > brute_cap:
+        raise ValueError(f"{directions} rank directions exceed brute-force cap {brute_cap}")
     seen = {}  # f at every point read so far; the witness check reads f(0) again
     f = lambda x: seen[x] if x in seen else seen.setdefault(x, cand(x))
     B = lambda x, y: ctx.digits(ctx.sub(ctx.add(f(x + y), f(0)), ctx.add(f(x), f(y))))

@@ -231,7 +231,7 @@ def _run_oracle(job: SearchJob, cand: PlanarCandidate, config: Config):
     if job.oracle == "bruteforce":
         return is_planar_bruteforce(cand, config.brute_cap)
     if job.oracle == "rank":
-        return is_planar_rank(cand)
+        return is_planar_rank(cand, config.brute_cap)
     return is_planar_reduction(cand, config.brute_cap)
 
 
@@ -346,44 +346,3 @@ def run(job: SearchJob, config: Config | None = None, workers: int = 1,
         out.write(json.dumps({"summary": counts}, sort_keys=True) + "\n")
     return RunResult(counts)
 
-
-# ---------------------------------------------------------------------------
-# Orbit grouping under substitution and subfield scaling.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DedupGroup:
-    representative: PlanarCandidate
-    size: int
-    members: tuple[int, ...]
-
-
-def _orbit(cand: PlanarCandidate) -> set[tuple]:
-    """Keys (a, ell coefficients) of every candidate in the orbit."""
-    ctx = cand.ctx
-    subfield_units = [c for c in ctx.subfield_elements() if c]
-    orbit = set()
-    for lam in range(1, ctx.order):
-        moved = cand.substituted(lam)
-        for c in subfield_units:
-            final = moved.scaled(c)
-            orbit.add((final.a, final.ell.coeffs))
-    return orbit
-
-
-def dedup_by_scaling(candidates) -> list[DedupGroup]:
-    """Group candidates equivalent under x -> lam x and scaling by F_q^*;
-    each group keeps its lexicographically least member as representative."""
-    groups: dict[tuple, tuple[FieldCtx, list[int]]] = {}
-    for i, cand in enumerate(candidates):
-        groups.setdefault(min(_orbit(cand)), (cand.ctx, []))[1].append(i)
-    return [
-        DedupGroup(PlanarCandidate(ctx, a, LinearizedPoly(ctx, coeffs)),
-                   len(members), tuple(members))
-        for (a, coeffs), (ctx, members) in sorted(groups.items())
-    ]
-
-
-def orbit_size(cand: PlanarCandidate) -> int:
-    """Number of distinct candidates in the substitution/scaling orbit."""
-    return len(_orbit(cand))

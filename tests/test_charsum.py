@@ -17,7 +17,6 @@ from ffplanar.charsum import (
     monic_square_root,
     phi,
     phi_degree_sum,
-    poly_eval,
     weil_bound_check,
     weil_eta_sum,
 )
@@ -273,9 +272,3 @@ def test_is_scalar_times_square():
     assert not is_scalar_times_square(F3, [0, 0, 0, 1])  # x^3, odd multiplicity
     # p-th power of a non-square stays non-square
     assert not is_scalar_times_square(F3, [0, 0, 0, 1, 0, 0, 1])  # (x^2+x)^3
-
-
-def test_poly_eval():
-    g = [2, 0, 1]  # x^2 + 2
-    for x in range(3):
-        assert poly_eval(F3, g, x) == F3.add(F3.mul(x, x), 2)

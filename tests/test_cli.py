@@ -6,7 +6,7 @@ import pytest
 
 from ffplanar import cli
 from ffplanar.cli import _factor_prime_power, main
-from ffplanar.config import Config, load_config
+from ffplanar.config import Config
 from ffplanar.planarity import PlanarCandidate
 from ffplanar.search import SearchJob
 
@@ -74,6 +74,28 @@ def test_verify_example1_preset_degenerate_char3(capsys):
 def test_verify_missing_flags_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 64
+
+
+def test_verify_refuses_rank_above_brute_cap(capsys):
+    # planar x^2 on F_3^14: 2 391 484 rank directions, above the default cap
+    code, out, err = run_cli(capsys, "verify", "--p", "3", "--m", "1", "--n", "14",
+                             "--ell-preset", "identity")
+    assert code == 65 and out == ""
+    assert err == "error: 2391484 rank directions exceed brute-force cap 65536\n"
+
+
+def test_configured_brute_cap_bounds_rank(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"brute_cap": 12}))
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"p": 3, "m": 1, "n": 3, "family": "monomial",
+                               "oracle": "rank", "oracle_all": True}))
+    # F_27 has 13 rank directions
+    for argv in (["verify", "--p", "3", "--m", "1", "--n", "3"],
+                 ["scan", "--job", str(job)]):
+        code, out, err = run_cli(capsys, "--config", str(config), *argv)
+        assert code == 65 and out == ""
+        assert err == "error: 13 rank directions exceed brute-force cap 12\n"
 
 
 def test_unknown_subcommand_usage_error():
@@ -343,18 +365,19 @@ def test_selftest_cubic_filter_runs_only_cubic(capsys):
 def test_config_file_overrides_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"brute_cap": 1024, "fmt": "csv"}))
-    cfg = load_config(str(path))
+    doc = json.loads(path.read_text())
+    cfg = Config.from_json(doc)
     assert cfg.brute_cap == 1024 and cfg.fmt == "csv"
     assert Config().brute_cap == 1 << 16
     # a keyword override wins over the file; a None override keeps it
-    assert load_config(str(path), fmt="json", seed=None) == Config(brute_cap=1024,
-                                                                     fmt="json")
+    assert Config.from_json(doc, fmt="json", seed=None) == Config(brute_cap=1024,
+                                                                  fmt="json")
 
 
 def test_config_null_values_keep_the_defaults(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({key: None for key in Config.__dataclass_fields__}))
-    assert load_config(str(path)) == Config()
+    assert Config.from_json(json.loads(path.read_text())) == Config()
     plain = run_cli(capsys, "verify", "--p", "3", "--m", "1", "--n", "2")
     nulls = run_cli(capsys, "--config", str(path), "verify", "--p", "3",
                     "--m", "1", "--n", "2")
@@ -375,7 +398,7 @@ def test_mistyped_config_exits_65(doc, tmp_path, capsys):
     assert code == 65 and out == ""
     assert err.count("\n") == 1 and err.startswith("bad configuration:")
     with pytest.raises(ValueError):
-        load_config(str(path))
+        Config.from_json(json.loads(path.read_text()))
 
 
 def test_malformed_or_unreadable_config(tmp_path, capsys):

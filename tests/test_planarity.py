@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -344,10 +345,22 @@ def test_rank_matches_reference_on_planar_fixtures():
 
 
 def test_rank_scales_to_f_3_10():
+    # 29 524 directions, under the default brute_cap
     ctx = new_ctx(3, 1, 10)
     started = time.perf_counter()
     assert is_planar_rank(square_candidate(ctx)).planar
     assert time.perf_counter() - started <= 5.0
+
+
+def test_rank_refuses_more_directions_than_brute_cap(monkeypatch):
+    ctx = new_ctx(3, 1, 5)  # 121 directions
+    assert is_planar_rank(square_candidate(ctx), brute_cap=121).planar
+    # refused before f is evaluated once
+    monkeypatch.setattr(PlanarCandidate, "__call__", lambda self, x: 1 / 0)
+    with pytest.raises(ValueError, match="121 rank directions exceed"):
+        is_planar_rank(square_candidate(ctx), brute_cap=120)
+    with pytest.raises(ValueError, match="88573 rank directions exceed"):
+        is_planar_rank(square_candidate(new_ctx(3, 1, 11)))  # default cap
 
 
 def test_invalid_witness_raises_under_python_O():
@@ -503,9 +516,17 @@ def test_substitution_and_scaling_preserve_verdicts():
         cand = PlanarCandidate(F9, a, ell)
         base = is_planar_bruteforce(cand).planar
         for lam in range(1, 9):
-            assert is_planar_bruteforce(cand.substituted(lam)).planar == base
+            # x -> f(lam x): a lam^(q+1) and ell(lam^2 x)
+            moved = PlanarCandidate(
+                F9, F9.mul(a, F9.pow(lam, F9.q + 1)),
+                ell.compose(LinearizedPoly.monomial(F9, F9.mul(lam, lam), 0)))
+            assert all(moved(x) == cand(F9.mul(lam, x)) for x in range(9))
+            assert is_planar_bruteforce(moved).planar == base
         for c in (1, 2):
-            assert is_planar_bruteforce(cand.scaled(c)).planar == base
+            # c f with c in F_q^*
+            scaled = PlanarCandidate(F9, F9.mul(c, a), ell.scale(c))
+            assert all(scaled(x) == F9.mul(c, cand(x)) for x in range(9))
+            assert is_planar_bruteforce(scaled).planar == base
 
 
 def test_candidate_and_report_json_round_trip():
@@ -513,11 +534,10 @@ def test_candidate_and_report_json_round_trip():
     back = PlanarCandidate.from_json(cand.to_json())
     assert back == cand
     rep = is_planar_bruteforce_general(F9, [(1, 4)])
-    obj = rep.to_json(F9)
-    back_rep = VerificationReport.from_json(F9, obj)
-    assert back_rep.planar == rep.planar
-    assert back_rep.witness == rep.witness
-    assert back_rep.to_json(F9) == obj
+    obj = json.loads(json.dumps(rep.to_json(F9)))
+    assert obj == {"planar": False, "method": rep.method, "ms": rep.ms,
+                   "witness": {k: F9.format_element(e)
+                               for k, e in zip(("c", "x1", "x2"), rep.witness)}}
 
 
 def test_report_witness_consistency_enforced():

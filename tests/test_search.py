@@ -15,14 +15,11 @@ from ffplanar.linpoly import LinearizedPoly
 from ffplanar.planarity import PlanarCandidate, is_planar_bruteforce
 from ffplanar.search import (
     CHUNK,
-    DedupGroup,
     Finding,
     SearchJob,
     candidate_space,
     decode_candidate,
-    dedup_by_scaling,
     findings,
-    orbit_size,
     run,
     seeded_stream,
     splitmix64,
@@ -355,32 +352,3 @@ def test_cubic_rank_sweep_throughput_floor():
     elapsed = time.perf_counter() - started
     assert result.summary["candidates"] == 27**3
     assert elapsed <= 60.0
-
-
-def test_dedup_identity_grouping():
-    cand = PlanarCandidate(F9, 1, LinearizedPoly.identity(F9))
-    groups = dedup_by_scaling([cand])
-    assert len(groups) == 1
-    assert groups[0].size == 1
-    assert groups[0].members == (0,)
-
-
-def test_dedup_collapses_substituted_candidates():
-    cand = PlanarCandidate(F9, 1, LinearizedPoly.monomial(F9, 5, 1))
-    related = cand.substituted(4).scaled(2)
-    groups = dedup_by_scaling([cand, related])
-    assert len(groups) == 1
-    assert groups[0].size == 2
-    # representative is the lexicographic orbit minimum for both
-    rep = groups[0].representative
-    assert (rep.a, rep.ell.coeffs) <= (cand.a, cand.ell.coeffs)
-
-
-def test_orbit_sizes_divide_group_order():
-    # the acting group has order (q^n - 1)(q - 1), dividing (q^n - 1)^2
-    group_order = 8 * 2
-    for a, b, t in ((1, 5, 1), (0, 1, 0), (2, 7, 0)):
-        cand = PlanarCandidate(F9, a, LinearizedPoly.monomial(F9, b, t))
-        size = orbit_size(cand)
-        assert group_order % size == 0
-        assert (8 * 8) % size == 0
