@@ -16,6 +16,9 @@ table mode, and add, neg and sub read the addition and negation tables when
 the field has at most ADD_TABLE_CAP elements.  Otherwise add and neg run
 digit by digit, and mul, inv and pow by polynomial arithmetic.  Above
 ADD_TABLE_CAP, vector addition works on one plane of a few digits at a time.
+The difference rows f(x + c) - f(x) that brute force counts read the same
+planes, with x + c taken from sums of the high and the low halves of the
+digits, kept in two tables while these stay small.
 
 The relative trace and norm, the absolute trace of F_q and their tables are
 one fold over an element's conjugates, run with the scalar or the vector ops.
@@ -57,6 +60,12 @@ ADD_TABLE_CAP = 1024
 TABLE_BLOCK = 1 << 12
 # largest field order: element indices and table entries are int64
 MAX_ORDER = 1 << 62
+# shifted_differences keeps the digitwise sums of every pair of half-digit
+# values while each of its two tables holds at most this many (512 KB): every
+# even degree up to 2^16 elements, odd ones up to F_13^3, F_5^5 and F_3^9.
+# Above (odd degree and a large p, a prime field F_p with p > 256) the tables
+# would hold about p times the order, so each block of directions sums its own
+HALF_TABLE_CAP = 1 << 16
 
 
 # prime_factors: trial division below TRIAL_BOUND, then Miller-Rabin with the
@@ -493,6 +502,65 @@ class FieldCtx:
             out *= base
             out += reduce.take(plane.take(a) + plane.take(b))
         return out
+
+    @functools.cached_property
+    def _half_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """(hi, lo) for shifted_differences: with split = p^ceil(d/2),
+        lo[u, v] is the digitwise sum of u and v below split, and hi[u, v]
+        that of u * split and v * split."""
+        split = self.p ** -(-self.degree // 2)
+        lows, highs = np.arange(split), np.arange(0, self.order, split)
+        return (self._plane_add(highs[:, None], highs),
+                self._plane_add(lows[:, None], lows))
+
+    def shifted_differences(self, f_tab: np.ndarray):
+        """For f given by its value table, the function mapping directions cs
+        to the (len(cs), order) array of f(x + c) - f(x), row i for c = cs[i],
+        column x for every x.
+
+        With split = p^ceil(d/2), x + c is the digitwise sum of the high
+        halves of x and c plus that of their low halves.  Each block of
+        directions takes the sums of its c with every high half (order / split
+        values) and every low half (split values), and x + c is one broadcast
+        of the two, with no arithmetic on x.  The sums are read from
+        _half_sums when its tables hold at most HALF_TABLE_CAP entries each,
+        else made for the block.  f and -f are split into digit planes once,
+        so each plane costs one gather at x + c, one add and one reduce
+        lookup."""
+        planes, reduce, base = self._add_planes
+        f_planes = planes[:, f_tab]
+        neg_planes = planes[:, self._neg_table[f_tab]]
+        split = self.p ** -(-self.degree // 2)
+        if split * split <= HALF_TABLE_CAP:
+            hi, lo = self._half_sums
+
+            def half_sums(cs):
+                c_hi, c_lo = np.divmod(cs, split)
+                return hi[c_hi], lo[c_lo]
+        else:
+            lows, highs = np.arange(split), np.arange(0, self.order, split)
+
+            def half_sums(cs):
+                c_lo = cs % split
+                return (self._plane_add((cs - c_lo)[:, None], highs),
+                        self._plane_add(c_lo[:, None], lows))
+
+        def differences(cs: np.ndarray) -> np.ndarray:
+            hi_rows, lo_rows = half_sums(cs)
+            shifted = (hi_rows[:, :, None] + lo_rows[:, None, :]).reshape(len(cs), -1)
+            out = None
+            for f_plane, neg_plane in zip(f_planes[::-1], neg_planes[::-1]):
+                sums = f_plane.take(shifted)
+                sums += neg_plane
+                digits = reduce.take(sums)
+                if out is None:
+                    out = digits
+                else:
+                    out *= base
+                    out += digits
+            return out
+
+        return differences
 
     @functools.cached_property
     def add_matrix(self) -> np.ndarray | None:

@@ -278,6 +278,22 @@ def test_plane_addition_above_add_table_cap():
     assert grid.tolist() == [[ctx.add(x, y) for y in b] for x in a[:20]]
 
 
+@pytest.mark.parametrize("shape", [(7, 1, 1), (3, 1, 5), (5, 2, 2), (3, 1, 7),
+                                   (257, 1, 1), (17, 1, 3)])
+def test_shifted_differences_match_vector_ops(shape):
+    # prime fields, odd and even degrees, one digit plane and two (F_3^7);
+    # on F_257 and F_17^3 the half-digit sums exceed HALF_TABLE_CAP and are
+    # made per call
+    ctx = new_ctx(*shape)
+    rng = np.random.default_rng(ctx.order)
+    f = rng.integers(0, ctx.order, size=ctx.order)
+    cs = np.sort(rng.choice(np.arange(1, ctx.order), size=min(ctx.order - 1, 40),
+                            replace=False))
+    xs = np.arange(ctx.order)
+    want = ctx.sub_vec(f[ctx.add_vec(cs[:, None], xs[None, :])], f[None, :])
+    assert ctx.shifted_differences(f)(cs).tolist() == want.tolist()
+
+
 def test_scalar_tables_made_on_first_use():
     ctx = FieldCtx(3, 1, 5, DEFAULT_TABLE_CAP)
     assert ctx._cache == {}

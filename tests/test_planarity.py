@@ -1,16 +1,18 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ffplanar
-from ffplanar import planarity
+from ffplanar import field, planarity
 from ffplanar.families import CubicCoeffs, cubic_theorem_predicate, example1_construct
 from ffplanar.field import new_ctx
 from ffplanar.linpoly import LinearizedPoly, Subspace, fp_nullspace
@@ -130,6 +132,23 @@ def test_bruteforce_beyond_add_table_cap():
     rep = is_planar_bruteforce(bad)
     assert not rep.planar
     assert check_witness(bad, ctx, rep.witness)
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 8), (17, 1, 3), (4099, 1, 1)],
+                         ids=["F_3^8", "F_17^3", "F_4099"])
+def test_bruteforce_memory_is_bounded_by_its_blocks(shape):
+    # a full scan holds one block of differences at a time, not 128 rows of
+    # the field (93 MB at peak on F_3^8 when it did), and no table of the
+    # digitwise sums of all pairs of half-digit values, which holds p times
+    # the order on an odd degree (134 MB of int64 on F_4099)
+    ctx = new_ctx(*shape)
+    tracemalloc.start()
+    try:
+        assert is_planar_bruteforce(square_candidate(ctx)).planar
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_rank_permutation_example_planar_q25():
@@ -259,6 +278,53 @@ def test_scans_visit_one_direction_per_class(monkeypatch):
         assert sum(directions) == (ctx.order - 1) // (ctx.p - 1)
 
 
+def _pinned_bruteforce_reports():
+    """(planar, witness) of brute force on seeded inputs: random candidates
+    and x^2 on towers either side of ADD_TABLE_CAP, the general polynomials
+    the tests above use, and random sums of monomials."""
+    out = []
+    for pmn, count in [((3, 1, 5), 24), ((5, 2, 2), 24), ((7, 1, 3), 24),
+                       ((3, 1, 7), 10), ((5, 1, 5), 10), ((3, 1, 8), 6)]:
+        ctx = new_ctx(*pmn)
+        cands = list(_random_candidates(ctx, count))
+        if ctx.order < 6561:
+            cands.append(square_candidate(ctx))
+        out += [is_planar_bruteforce(cand) for cand in cands]
+    neg = F9.neg(1)
+    general = [(F9, [(1, 10), (1, 6), (neg, 2)]), (F27, [(1, 4)]), (F9, [(1, 4)]),
+               (F243, [(1, 14)]), (F9, [(2, 0)])]
+    general += [(F27, [(1, 10), (F27.neg(u), 6), (F27.neg(F27.mul(u, u)), 2)])
+                for u in F27.elements()]
+    for pmn in [(5, 1, 3), (7, 1, 2), (3, 1, 7)]:
+        ctx = new_ctx(*pmn)
+        rng = np.random.default_rng(ctx.order + 1)
+        do_exps = [ctx.p**i + ctx.p**j for i in range(ctx.degree) for j in range(i + 1)]
+        for _ in range(12):
+            general.append((ctx, [(int(rng.integers(1, ctx.order)),
+                                   int(rng.choice(do_exps) if rng.random() < 0.7
+                                       else rng.integers(0, ctx.order)))
+                                  for _ in range(int(rng.integers(1, 4)))]))
+    out += [is_planar_bruteforce_general(ctx, mono) for ctx, mono in general]
+    return [(rep.planar, rep.witness) for rep in out]
+
+
+@pytest.mark.parametrize("entries,half_cap", [
+    (planarity.BRUTE_BLOCK_ENTRIES, field.HALF_TABLE_CAP), (1, field.HALF_TABLE_CAP),
+    (planarity.BRUTE_BLOCK_ENTRIES, 0)],
+    ids=["default-blocks", "one-direction-blocks", "half-sums-per-block"])
+def test_bruteforce_witnesses_pinned(entries, half_cap, monkeypatch):
+    # sha256 of the verdicts and witnesses of the brute-force kernel that
+    # gathered x + c from add_matrix or the digit planes and found witnesses
+    # with np.unique; every later kernel must report the same, however its
+    # blocks of directions are split and wherever its half-digit sums come from
+    monkeypatch.setattr(planarity, "BRUTE_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(field, "HALF_TABLE_CAP", half_cap)
+    reports = _pinned_bruteforce_reports()
+    assert {planar for planar, _ in reports} == {True, False}
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "890c5e1c37b45a8ef9c565bc7a1586d291a8a63fbffce0f48d0fd81c2c36792b"
+
+
 def _difference_matrix(cand, two_ell, v):
     """F_p matrix rows of x -> Tr(a v x^q + a v^q x) + 2 ell(v x)."""
     ctx = cand.ctx
@@ -367,14 +433,14 @@ def test_invalid_witness_raises_under_python_O():
     # corrupt the witness of two routes; the re-check must not be an assert
     script = textwrap.dedent("""
         import sys
-        from ffplanar import planarity
+        from ffplanar import field, planarity
         from ffplanar.field import new_ctx
         from ffplanar.linpoly import LinearizedPoly
 
         assert sys.flags.optimize
         ctx = new_ctx(3, 1, 2)
         cand = planarity.PlanarCandidate(ctx, 1, LinearizedPoly.zero(ctx))
-        planarity._first_collision = lambda ctx, f_tab, c: (c, 0, 0)
+        planarity._first_collision = lambda row, c: (c, 0, 0)
         planarity.fp_nullspace = lambda mat, p: [[0] * len(mat[0])]
         for route in (planarity.is_planar_bruteforce, planarity.is_planar_rank):
             try:
