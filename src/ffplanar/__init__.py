@@ -20,12 +20,11 @@ from .linpoly import (
     image_poly_for_subspace,
 )
 from .planarity import (
+    MonomialSum,
     PlanarCandidate,
     VerificationReport,
     criterion_quadratic,
-    eval_general,
     is_planar_bruteforce,
-    is_planar_bruteforce_general,
     is_planar_rank,
     is_planar_reduction,
 )
@@ -58,15 +57,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveChar", "Config", "CountRecord", "CubicCoeffs", "FieldCtx",
-    "LinearizedPoly", "MonicPoly", "MonomialFamilyParams",
+    "LinearizedPoly", "MonicPoly", "MonomialFamilyParams", "MonomialSum",
     "MultiplicativeChar", "NbcFamilyParams", "PlanarCandidate", "SearchJob",
     "Subspace", "VerificationReport", "a_sum", "a_sum_by_minimal_polys",
     "additive_chars", "all_subspaces", "annihilator_coeffs",
     "annihilator_poly", "count_solutions", "criterion_quadratic",
     "ctx_from_json", "cubic_lemma_bruteforce", "cubic_lemma_predicate",
-    "cubic_theorem_predicate", "eval_general", "example1_construct",
-    "image_poly_for_subspace", "is_planar_bruteforce",
-    "is_planar_bruteforce_general", "is_planar_rank", "is_planar_reduction",
+    "cubic_theorem_predicate", "example1_construct", "image_poly_for_subspace",
+    "is_planar_bruteforce", "is_planar_rank", "is_planar_reduction",
     "multiplicative_chars", "new_ctx", "nonexistence_witness", "phi", "run",
     "run_selftest", "theorem_monomial_predicate", "theorem_nbc_predicate",
     "weil_bound_check", "weil_eta_sum",

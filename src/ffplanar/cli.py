@@ -211,18 +211,18 @@ def cmd_verify(args, config: Config) -> int:
     records = []
     for name, rep in reports.items():
         records.append(dict(rep.to_json(ctx), method=name))
-    criterion = None
-    if ctx.n == 2 and ctx.rel_trace(cand.a) != 0:
+    methods = sorted(reports)
+    if ctx.n == 2:
         started = time.perf_counter()
         criterion = criterion_quadratic(cand)
         ms = (time.perf_counter() - started) * 1e3
         records.append({"method": "criterion-n2", "planar": criterion,
                         "witness": None, "ms": ms})
+        methods.append("criterion-n2")
     verdicts = {rec["planar"] for rec in records}
     agreement = len(verdicts) == 1
     planar = bool(verdicts == {True})
-    summary = {"planar": planar, "agreement": agreement,
-               "methods": sorted(reports) + (["criterion-n2"] if criterion is not None else [])}
+    summary = {"planar": planar, "agreement": agreement, "methods": methods}
     _emit(records + [summary], config.fmt, sys.stdout)
     if not agreement:
         return 2

@@ -497,8 +497,8 @@ class FieldCtx:
         """Digitwise a + b, one contiguous plane of digits at a time, so that
         no (..., degree) temporary is built."""
         planes, reduce, base = self._add_planes
-        out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
-        for plane in planes[::-1]:
+        out = reduce.take(planes[-1].take(a) + planes[-1].take(b))
+        for plane in planes[-2::-1]:
             out *= base
             out += reduce.take(plane.take(a) + plane.take(b))
         return out

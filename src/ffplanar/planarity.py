@@ -4,9 +4,9 @@ Three independent routes decide whether every difference map
 D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
 
 * bruteforce - evaluates the difference maps and checks bijectivity with a
-  hit count, for any function given as a value table; since
-  D_{-c}(x) = -D_c(x - c), D_c and D_{-c} permute together, so only the
-  directions c < -c are evaluated;
+  hit count, for any function given as a value table: a candidate, or any
+  polynomial as a MonomialSum; since D_{-c}(x) = -D_c(x - c), D_c and
+  D_{-c} permute together, so only the directions c < -c are evaluated;
 * rank       - f is a Dembowski-Ostrom polynomial, so f(x+v) - f(x) - f(v) + f(0)
   is a symmetric F_p-bilinear form B(v, x); f is planar iff x -> B(v, x) has
   full rank for every v != 0.  Its matrix is sum_i v_i M_i, column j of M_i
@@ -16,9 +16,12 @@ D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
 * reduction  - substitutes x = u/v and scans the equivalent two-variable
   nonvanishing condition, skipping u whose ell-value lies outside F_q.
 
-The skipped directions of the first two routes are never the least of their
-class, so both still report the lowest non-permuting direction, with the
-witness a scan of every direction would give.
+Each route refuses an input over its cap before any work, then runs a search
+that returns a witness (c, x1, x2) or None; `_verdict` times the call,
+re-checks the witness on f and builds the report.  The skipped directions of
+the first two routes are never the least of their class, so both still report
+the lowest non-permuting direction, with the witness a scan of every
+direction would give.
 
 Brute force forms x + c for a block of directions with no arithmetic on x:
 with split = p^ceil(d/2), x + c is the digitwise sum of the high halves of x
@@ -26,23 +29,26 @@ and c plus that of their low halves, one broadcast of the block's sums with
 every high half and every low half.
 D_c(x) then comes from digit planes of f and -f, split once per call: per
 plane, one gather of f's plane at x + c, one add of -f's plane and one reduce
-lookup give the canonical index, and a hit count per row decides.  A block
-holds at most BRUTE_BLOCK_ENTRIES values, or one row on a bigger field, and
-the witness is read off the bad row.
+lookup give the canonical index, and a hit count per row decides.  Blocks
+double in width from 8 directions up to BRUTE_BLOCK_ENTRIES values (one row
+on a bigger field), and the witness is read off the bad row.
 
 A quadratic-extension criterion (n = 2) decides planarity from the values
-ell(u)^2 - N(u) on the subspace where ell lands in F_q.
+ell(u)^2 - N(u) on the subspace where ell lands in F_q, or, when Tr(a) = 0,
+from whether ell permutes.
 
 Brute force (through f_table), the reduction and the criterion all read ell
 from its value table `LinearizedPoly.values`, built once per polynomial, so
 a filter and an oracle run on one candidate share it.  Above
-CRITERION_TABLE_MAX elements the criterion reads the d images ell(p^k)
-instead, which costs it the size of its subspace, not of the field.
+CRITERION_TABLE_MAX elements the reduction and the criterion read the d
+images ell(p^k) instead, which costs them the size of the F_q-valued
+subspace, not of the field.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +61,15 @@ from .linpoly import LinearizedPoly, digit_rows, fp_nullspace, fp_singular, span
 # time, which beats a numpy call when a non-planar input exits in a few
 RANK_BLOCK = 1024
 NARROW_BLOCK = 16
-# n = 2 criterion: largest order that reads ell's value table; above it the
-# F_q-valued u come from a kernel of the d images.  Reading a table already
-# built is faster on F_3^8, level with the kernel on F_11^4 (14 641 elements)
-# and slower from F_13^4 (28 561) up
+# n = 2 criterion and reduction: largest order that reads ell's value table
+# for the F_q-valued u; above it they come from a kernel of the d images.
+# Reading a table already built is faster on F_3^8, level with the kernel on
+# F_11^4 (14 641 elements) and slower from F_13^4 (28 561) up
 CRITERION_TABLE_MAX = 20_000
-# brute force: most difference values (directions x order) held at once; a
-# block of directions wider than this is scanned in narrower pieces.  The
-# kernel's int64 temporaries then stay within a 2 MB L2 cache: full scans of
-# x^2 on F_3^7, F_5^5 and F_3^8 ran 1.7-2x faster than at 2^19 entries, and
-# F_625 the same (2-vCPU Xeon)
+# brute force: most difference values (directions x order) held at once, the
+# cap on the doubling block widths.  The kernel's int64 temporaries then stay
+# within a 2 MB L2 cache: full scans of x^2 on F_3^7, F_5^5 and F_3^8 ran
+# 1.7-2x faster than at 2^19 entries, and F_625 the same (2-vCPU Xeon)
 BRUTE_BLOCK_ENTRIES = 1 << 16
 
 # the JSON shape of a candidate, which PlanarCandidate.from_json checks
@@ -157,13 +162,42 @@ def check_witness(f, ctx: FieldCtx, witness) -> bool:
     return d1 == d2
 
 
-def _checked(report: VerificationReport, f, ctx: FieldCtx) -> VerificationReport:
-    """Re-verify a non-planar report's witness; raises, so that it also runs
-    under python -O."""
-    if report.witness is not None and not check_witness(f, ctx, report.witness):
-        raise RuntimeError(f"{report.method} produced an invalid witness "
-                           f"{report.witness}")
-    return report
+def _verdict(method: str, f, ctx: FieldCtx, started: float,
+             witness) -> VerificationReport:
+    """The report of a route whose search began at `started` and found
+    `witness`, or None; a witness is re-checked on f first, by a raise, so
+    that the check also runs under python -O."""
+    ms = (time.perf_counter() - started) * 1e3
+    if witness is not None and not check_witness(f, ctx, witness):
+        raise RuntimeError(f"{method} produced an invalid witness {witness}")
+    return VerificationReport(witness is None, method, witness, ms)
+
+
+@dataclass(frozen=True)
+class MonomialSum:
+    """f(x) = sum coeff * x^exp over (coeff, exp) pairs: any polynomial, for
+    brute force on functions outside the candidate shape."""
+
+    ctx: FieldCtx
+    monomials: Sequence[tuple[int, int]]
+
+    def __call__(self, x: int) -> int:
+        ctx, acc = self.ctx, 0
+        for coeff, e in self.monomials:
+            acc = ctx.add(acc, ctx.mul(coeff, ctx.pow(x, e)))
+        return acc
+
+    def f_table(self) -> np.ndarray:
+        ctx = self.ctx
+        xs = np.arange(ctx.order, dtype=np.int64)
+        acc = np.zeros(ctx.order, dtype=np.int64)
+        for coeff, e in self.monomials:
+            if e == 0:
+                term = np.full(ctx.order, coeff, dtype=np.int64)
+            else:
+                term = ctx.mul_vec(coeff, ctx.pow_vec(xs, e))
+            acc = ctx.add_vec(acc, term)
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -180,86 +214,41 @@ def _first_collision(row: np.ndarray, c: int):
     return (c, int(first[row[x2]]), x2)
 
 
-def _block_widths(n: int):
-    """Ascending scan widths: small leading blocks catch early witnesses in
-    non-planar candidates without slowing down full scans much."""
-    lo = 1
-    for width in (16, 48, 64, 128):
-        if lo >= n:
-            return
-        yield lo, min(lo + width, n)
-        lo += width
-    while lo < n:
-        yield lo, min(lo + 256, n)
-        lo += 256
-
-
-def _table_planarity(ctx: FieldCtx, f_tab: np.ndarray, method: str,
-                     started: float) -> VerificationReport:
+def _bad_direction(ctx: FieldCtx, f_tab: np.ndarray):
+    """(c, x1, x2) for the lowest c whose difference map does not permute,
+    or None.  Blocks of directions double in width from 8, so that early
+    witnesses cost little, up to BRUTE_BLOCK_ENTRIES values."""
     n = ctx.order
     differences = ctx.shifted_differences(f_tab)
-    per_block = max(1, BRUTE_BLOCK_ENTRIES // n)
-    for lo, hi in _block_widths(n):
-        # c and -c permute together, so only the smaller of the two is scanned
-        cs = np.arange(lo, hi, dtype=np.int64)
-        cs = cs[cs < ctx.neg_vec(cs)]
-        for start in range(0, len(cs), per_block):
-            sub = cs[start:start + per_block]
-            width = len(sub)
-            # diffs[i, x] = f(x + sub[i]) - f(x), then offset so row i counts
-            # hits in bins i*n .. i*n + n - 1
-            diffs = differences(sub)
-            diffs += (np.arange(width) * n)[:, None]
-            counts = np.bincount(diffs.ravel(), minlength=width * n)
-            bad = np.flatnonzero(counts.reshape(width, n).max(axis=1) > 1)
-            if len(bad):
-                i = int(bad[0])
-                witness = _first_collision(diffs[i] - i * n, int(sub[i]))
-                ms = (time.perf_counter() - started) * 1e3
-                return VerificationReport(False, method, witness, ms)
-    ms = (time.perf_counter() - started) * 1e3
-    return VerificationReport(True, method, None, ms)
+    # c and -c permute together, so only the smaller of the two is scanned
+    cs = np.arange(1, n, dtype=np.int64)
+    cs = cs[cs < ctx.neg_vec(cs)]
+    widest = max(1, BRUTE_BLOCK_ENTRIES // n)
+    lo, width = 0, 8
+    while lo < len(cs):
+        block = cs[lo:lo + min(width, widest)]
+        lo, width = lo + len(block), 2 * width
+        # diffs[i, x] = f(x + block[i]) - f(x), then offset so row i counts
+        # hits in bins i*n .. i*n + n - 1
+        diffs = differences(block)
+        diffs += (np.arange(len(block)) * n)[:, None]
+        counts = np.bincount(diffs.ravel(), minlength=len(block) * n)
+        bad = np.flatnonzero(counts.reshape(len(block), n).max(axis=1) > 1)
+        if len(bad):
+            i = int(bad[0])
+            return _first_collision(diffs[i] - i * n, int(block[i]))
+    return None
 
 
-def is_planar_bruteforce(cand: PlanarCandidate,
+def is_planar_bruteforce(f: PlanarCandidate | MonomialSum,
                          brute_cap: int = DEFAULT_BRUTE_CAP) -> VerificationReport:
-    """Exact verdict: checks bijectivity of every difference map by hit counts."""
+    """Exact verdict for a candidate or any MonomialSum: checks bijectivity
+    of every difference map by hit counts."""
     started = time.perf_counter()
-    ctx = cand.ctx
+    ctx = f.ctx
     if ctx.order > brute_cap:
         raise ValueError(f"field order {ctx.order} exceeds brute-force cap {brute_cap}")
-    return _checked(_table_planarity(ctx, cand.f_table(), "bruteforce", started),
-                    cand, ctx)
-
-
-def eval_general(ctx: FieldCtx, monomials, x: int) -> int:
-    """Evaluate sum coeff * x^exp for a list of (coeff, exp) pairs."""
-    acc = 0
-    for coeff, e in monomials:
-        acc = ctx.add(acc, ctx.mul(coeff, ctx.pow(x, e)))
-    return acc
-
-
-def general_table(ctx: FieldCtx, monomials) -> np.ndarray:
-    xs = np.arange(ctx.order, dtype=np.int64)
-    acc = np.zeros(ctx.order, dtype=np.int64)
-    for coeff, e in monomials:
-        if e == 0:
-            term = np.full(ctx.order, coeff, dtype=np.int64)
-        else:
-            term = ctx.mul_vec(coeff, ctx.pow_vec(xs, e))
-        acc = ctx.add_vec(acc, term)
-    return acc
-
-
-def is_planar_bruteforce_general(ctx: FieldCtx, monomials,
-                                 brute_cap: int = DEFAULT_BRUTE_CAP) -> VerificationReport:
-    """Brute-force planarity for an arbitrary polynomial given as monomials."""
-    started = time.perf_counter()
-    if ctx.order > brute_cap:
-        raise ValueError(f"field order {ctx.order} exceeds brute-force cap {brute_cap}")
-    report = _table_planarity(ctx, general_table(ctx, monomials), "bruteforce", started)
-    return _checked(report, lambda x: eval_general(ctx, monomials, x), ctx)
+    return _verdict("bruteforce", f, ctx, started, _bad_direction(ctx, f.f_table()))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +268,12 @@ def is_planar_rank(cand: PlanarCandidate,
         raise ValueError(f"{directions} rank directions exceed brute-force cap {brute_cap}")
     seen = {}  # f at every point read so far; the witness check reads f(0) again
     f = lambda x: seen[x] if x in seen else seen.setdefault(x, cand(x))
+    return _verdict("rank", f, ctx, started, _singular_direction(ctx, f))
+
+
+def _singular_direction(ctx: FieldCtx, f):
+    """(v, x0, 0) for the first v whose M_v is singular, or None."""
+    p, d = ctx.p, ctx.degree
     B = lambda x, y: ctx.digits(ctx.sub(ctx.add(f(x + y), f(0)), ctx.add(f(x), f(y))))
     # cols[k][j]: B(p^k, p^j), column j of M_k and row j of M_k^T; M_k is built
     # when the scan reaches p^k, by d - k new evaluations of f
@@ -307,12 +302,8 @@ def is_planar_rank(cand: PlanarCandidate,
             for v, mat in tried:
                 null = fp_nullspace(mat, p)
                 if null:
-                    witness = (v, ctx.from_digits(null[0]), 0)
-                    ms = (time.perf_counter() - started) * 1e3
-                    return _checked(VerificationReport(False, "rank", witness, ms),
-                                    f, ctx)
-    ms = (time.perf_counter() - started) * 1e3
-    return VerificationReport(True, "rank", None, ms)
+                    return (v, ctx.from_digits(null[0]), 0)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +320,19 @@ def is_planar_reduction(cand: PlanarCandidate,
     ctx = cand.ctx
     if ctx.order > brute_cap:
         raise ValueError(f"field order {ctx.order} exceeds brute-force cap {brute_cap}")
+    return _verdict("reduction", cand, ctx, started, _vanishing_point(cand))
+
+
+def _vanishing_point(cand: PlanarCandidate):
+    """(v, u/v, 0) for the lowest u, then v, at which the reduced form
+    vanishes, or None."""
+    ctx = cand.ctx
     vs = np.arange(1, ctx.order, dtype=np.int64)
     v_pow_up = ctx.pow_vec(vs, ctx.q - 1)       # v^(q-1)
     v_pow_dn = ctx.inv_vec(v_pow_up)            # v^(1-q)
     tr = ctx.trace_table
-    ell = cand.ell.values
-    # ascending u != 0 with ell(u) in F_q; ell(0) = 0 always is, and comes first
-    for u in np.flatnonzero(ctx.pow_vec(ell, ctx.q) == ell)[1:].tolist():
-        lu = int(ell[u])
+    us, lus = _fq_values(cand.ell)
+    for u, lu in zip(us.tolist(), lus.tolist()):
         target = ctx.neg(ctx.mul(2, lu))
         auq = ctx.mul(cand.a, ctx.frobenius(u, ctx.m))
         au = ctx.mul(cand.a, u)
@@ -344,12 +340,8 @@ def is_planar_reduction(cand: PlanarCandidate,
         hits = np.nonzero(vals == target)[0]
         if len(hits):
             v = int(vs[hits[0]])
-            witness = (v, ctx.mul(u, ctx.inv(v)), 0)
-            ms = (time.perf_counter() - started) * 1e3
-            return _checked(VerificationReport(False, "reduction", witness, ms),
-                            cand, ctx)
-    ms = (time.perf_counter() - started) * 1e3
-    return VerificationReport(True, "reduction", None, ms)
+            return (v, ctx.mul(u, ctx.inv(v)), 0)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +351,15 @@ def is_planar_reduction(cand: PlanarCandidate,
 def criterion_quadratic(cand: PlanarCandidate) -> bool:
     """Planarity criterion for n = 2: after normalizing f to x^(q+1) + ell(x^2),
     every nonzero u with ell(u) in F_q must make ell(u)^2 - N(u) a nonzero
-    square in F_q."""
+    square in F_q.  If Tr(a) = 0, Tr(a x^(q+1)) = N(x) Tr(a) vanishes, and f
+    is planar iff ell permutes."""
     ctx = cand.ctx
     if ctx.n != 2:
         raise ValueError("the quadratic criterion requires a degree-2 tower")
-    ctx._need_tables()  # before any order-sized array is built
     tr_a = ctx.rel_trace(cand.a)
     if tr_a == 0:
-        raise ValueError("criterion requires Tr(a) != 0; use a permutation check")
+        return cand.ell.is_permutation()
+    ctx._need_tables()  # before any order-sized array is built
     us, lu = _fq_values(cand.ell)
     # ell / Tr(a) lies in F_q exactly where ell does
     lu = ctx.mul_vec(ctx.inv(tr_a), lu)
@@ -375,7 +368,8 @@ def criterion_quadratic(cand: PlanarCandidate) -> bool:
 
 
 def _fq_values(ell: LinearizedPoly) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of the nonzero u with ell(u) in F_q and of their ell(u).
+    """Index arrays of the nonzero u with ell(u) in F_q, ascending, and of
+    their ell(u).
 
     Up to CRITERION_TABLE_MAX elements they are read off ell's value table.
     Above it, u runs over the kernel of u -> ell(u)^q - ell(u), found from
@@ -391,5 +385,6 @@ def _fq_values(ell: LinearizedPoly) -> tuple[np.ndarray, np.ndarray]:
     moved = digit_rows(ctx, [ctx.sub(ctx.frobenius(v, ctx.m), v) for v in ell.images])
     basis = np.array(fp_nullspace(moved.T, p), dtype=np.int64)
     images = digit_rows(ctx, ell.images)
-    # position 0 of a span table is u = 0
-    return span_table(ctx, basis)[1:], span_table(ctx, basis @ images % p)[1:]
+    us = span_table(ctx, basis)
+    ascending = np.argsort(us)[1:]  # u = 0 sorts first
+    return us[ascending], span_table(ctx, basis @ images % p)[ascending]

@@ -214,9 +214,6 @@ def decode_candidate(job: SearchJob, ctx: FieldCtx, index: int):
 
 def _apply_filter(name: str, cand: PlanarCandidate, params) -> bool:
     if name == "criterion-n2":
-        ctx = cand.ctx
-        if ctx.rel_trace(cand.a) == 0:
-            return cand.ell.is_permutation()
         return criterion_quadratic(cand)
     if name == "closed-binomial":
         return theorem_monomial_predicate(params)

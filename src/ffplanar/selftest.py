@@ -43,10 +43,10 @@ from .linpoly import (
     image_poly_for_subspace,
 )
 from .planarity import (
+    MonomialSum,
     PlanarCandidate,
     criterion_quadratic,
     is_planar_bruteforce,
-    is_planar_bruteforce_general,
     is_planar_rank,
     is_planar_reduction,
 )
@@ -189,15 +189,15 @@ def _check_classical_fixtures(shared: _Shared) -> tuple[bool, str]:
     cap = shared.config.brute_cap
     neg = F9.neg(1)
     checks = [
-        is_planar_bruteforce_general(F9, [(1, 2)], cap).planar,
-        is_planar_bruteforce_general(F27, [(1, 4)], cap).planar,
-        is_planar_bruteforce_general(F243, [(1, 14)], cap).planar,
-        is_planar_bruteforce_general(F9, [(1, 10), (1, 6), (neg, 2)], cap).planar,
+        is_planar_bruteforce(MonomialSum(F9, [(1, 2)]), cap).planar,
+        is_planar_bruteforce(MonomialSum(F27, [(1, 4)]), cap).planar,
+        is_planar_bruteforce(MonomialSum(F243, [(1, 14)]), cap).planar,
+        is_planar_bruteforce(MonomialSum(F9, [(1, 10), (1, 6), (neg, 2)]), cap).planar,
     ]
     for u in range(27):
         mono = [(1, 10), (F27.neg(u), 6), (F27.neg(F27.mul(u, u)), 2)]
-        checks.append(is_planar_bruteforce_general(F27, mono, cap).planar)
-    bad = is_planar_bruteforce_general(F9, [(1, 4)], cap)
+        checks.append(is_planar_bruteforce(MonomialSum(F27, mono), cap).planar)
+    bad = is_planar_bruteforce(MonomialSum(F9, [(1, 4)]), cap)
     checks.append(not bad.planar and bad.witness is not None)
     elapsed = time.perf_counter() - started
     checks.append(elapsed < 5.0)

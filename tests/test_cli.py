@@ -35,8 +35,11 @@ def test_verify_square_is_planar(capsys):
     code, out, _ = run_cli(capsys, "verify", "--p", "3", "--m", "1", "--n", "2",
                            "--a", "0", "--ell-preset", "identity")
     assert code == 0
-    summary = json.loads(out.strip().split("\n")[-1])
+    *records, summary = [json.loads(line) for line in out.strip().split("\n")]
     assert summary["planar"] is True and summary["agreement"] is True
+    # Tr(0) = 0: the criterion runs too, as a permutation check of ell
+    assert summary["methods"][-1] == records[-1]["method"] == "criterion-n2"
+    assert records[-1]["planar"] is True
 
 
 def test_verify_example1_preset_q25(capsys):

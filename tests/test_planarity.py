@@ -17,13 +17,12 @@ from ffplanar.families import CubicCoeffs, cubic_theorem_predicate, example1_con
 from ffplanar.field import new_ctx
 from ffplanar.linpoly import LinearizedPoly, Subspace, fp_nullspace
 from ffplanar.planarity import (
+    MonomialSum,
     PlanarCandidate,
     VerificationReport,
     check_witness,
     criterion_quadratic,
-    eval_general,
     is_planar_bruteforce,
-    is_planar_bruteforce_general,
     is_planar_rank,
     is_planar_reduction,
 )
@@ -86,32 +85,32 @@ def test_bruteforce_square_is_planar():
 
 def test_bruteforce_classical_trinomial_f9():
     neg = F9.neg(1)
-    rep = is_planar_bruteforce_general(F9, [(1, 10), (1, 6), (neg, 2)])
+    rep = is_planar_bruteforce(MonomialSum(F9, [(1, 10), (1, 6), (neg, 2)]))
     assert rep.planar
 
 
 def test_bruteforce_x4_27_planar_x4_9_not():
-    planar = is_planar_bruteforce_general(F27, [(1, 4)])
+    planar = is_planar_bruteforce(MonomialSum(F27, [(1, 4)]))
     assert planar.planar
-    bad = is_planar_bruteforce_general(F9, [(1, 4)])
+    bad = is_planar_bruteforce(MonomialSum(F9, [(1, 4)]))
     assert not bad.planar
     assert bad.witness is not None
-    assert check_witness(lambda x: eval_general(F9, [(1, 4)], x), F9, bad.witness)
+    assert check_witness(MonomialSum(F9, [(1, 4)]), F9, bad.witness)
 
 
 def test_bruteforce_x14_on_f243():
     # x^((3^3+1)/2), gcd(3, 5) = 1 and the power's exponent odd
-    assert is_planar_bruteforce_general(F243, [(1, 14)]).planar
+    assert is_planar_bruteforce(MonomialSum(F243, [(1, 14)])).planar
 
 
 def test_bruteforce_ding_family_f27_all_u():
     for u in F27.elements():
         mono = [(1, 10), (F27.neg(u), 6), (F27.neg(F27.mul(u, u)), 2)]
-        assert is_planar_bruteforce_general(F27, mono).planar
+        assert is_planar_bruteforce(MonomialSum(F27, mono)).planar
 
 
 def test_bruteforce_constant_not_planar():
-    rep = is_planar_bruteforce_general(F9, [(2, 0)])
+    rep = is_planar_bruteforce(MonomialSum(F9, [(2, 0)]))
     assert not rep.planar and rep.witness is not None
 
 
@@ -240,8 +239,8 @@ def test_witness_direction_is_lowest(shape):
                  int(rng.choice(do_exps) if rng.random() < 0.7
                      else rng.integers(0, ctx.order)))
                 for _ in range(int(rng.integers(1, 4)))]
-        want = _lowest_collision(ctx, lambda x: eval_general(ctx, mono, x))
-        assert is_planar_bruteforce_general(ctx, mono).witness == want
+        want = _lowest_collision(ctx, MonomialSum(ctx, mono))
+        assert is_planar_bruteforce(MonomialSum(ctx, mono)).witness == want
 
 
 def test_scans_visit_one_direction_per_class(monkeypatch):
@@ -304,7 +303,7 @@ def _pinned_bruteforce_reports():
                                    int(rng.choice(do_exps) if rng.random() < 0.7
                                        else rng.integers(0, ctx.order)))
                                   for _ in range(int(rng.integers(1, 4)))]))
-    out += [is_planar_bruteforce_general(ctx, mono) for ctx, mono in general]
+    out += [is_planar_bruteforce(MonomialSum(ctx, mono)) for ctx, mono in general]
     return [(rep.planar, rep.witness) for rep in out]
 
 
@@ -323,6 +322,37 @@ def test_bruteforce_witnesses_pinned(entries, half_cap, monkeypatch):
     assert {planar for planar, _ in reports} == {True, False}
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == "890c5e1c37b45a8ef9c565bc7a1586d291a8a63fbffce0f48d0fd81c2c36792b"
+
+
+def _pinned_reports(route):
+    """(planar, witness) of `route` on seeded candidates and x^2, on towers
+    either side of ADD_TABLE_CAP and of F_q degrees 1 and 2."""
+    out = []
+    for pmn, count in [((3, 1, 5), 24), ((5, 2, 2), 24), ((7, 1, 3), 24),
+                       ((3, 1, 7), 10), ((5, 1, 5), 10), ((3, 1, 8), 6)]:
+        ctx = new_ctx(*pmn)
+        for cand in [*_random_candidates(ctx, count), square_candidate(ctx)]:
+            rep = route(cand)
+            out.append((rep.planar, rep.witness))
+    assert {planar for planar, _ in out} == {True, False}
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+def test_rank_witnesses_pinned():
+    # sha256 of the verdicts and witnesses of the rank route whose every exit
+    # built and re-checked its own report
+    digest = _pinned_reports(is_planar_rank)
+    assert digest == "69ab22ac97aa1172a89843d3928ec0691babc7a0f9bb8260e07219d076af1dca"
+
+
+@pytest.mark.parametrize("table_max", [planarity.CRITERION_TABLE_MAX, 0],
+                         ids=["value-table", "kernel"])
+def test_reduction_witnesses_pinned(table_max, monkeypatch):
+    # as above for the reduction route, whichever way the u with ell(u) in
+    # F_q are found: off ell's value table, or off the kernel of the images
+    monkeypatch.setattr(planarity, "CRITERION_TABLE_MAX", table_max)
+    digest = _pinned_reports(is_planar_reduction)
+    assert digest == "0081fe5dc4b1d4a15a71c04c38f0747edb5d530949ebdfd2830c5a0143d9eb4a"
 
 
 def _difference_matrix(cand, two_ell, v):
@@ -430,7 +460,7 @@ def test_rank_refuses_more_directions_than_brute_cap(monkeypatch):
 
 
 def test_invalid_witness_raises_under_python_O():
-    # corrupt the witness of two routes; the re-check must not be an assert
+    # corrupt the witness of every route; the re-check must not be an assert
     script = textwrap.dedent("""
         import sys
         from ffplanar import field, planarity
@@ -442,7 +472,9 @@ def test_invalid_witness_raises_under_python_O():
         cand = planarity.PlanarCandidate(ctx, 1, LinearizedPoly.zero(ctx))
         planarity._first_collision = lambda row, c: (c, 0, 0)
         planarity.fp_nullspace = lambda mat, p: [[0] * len(mat[0])]
-        for route in (planarity.is_planar_bruteforce, planarity.is_planar_rank):
+        planarity._vanishing_point = lambda cand: (1, 0, 0)
+        for route in (planarity.is_planar_bruteforce, planarity.is_planar_rank,
+                      planarity.is_planar_reduction):
             try:
                 route(cand)
             except RuntimeError:
@@ -452,7 +484,8 @@ def test_invalid_witness_raises_under_python_O():
     res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["is_planar_bruteforce", "is_planar_rank"]
+    assert res.stdout.split() == ["is_planar_bruteforce", "is_planar_rank",
+                                  "is_planar_reduction"]
 
 
 def test_reduction_skipped_u_never_vanish():
@@ -482,12 +515,22 @@ def test_reduction_a0_matches_permutation():
         assert is_planar_reduction(cand).planar == ell.is_permutation()
 
 
-def test_criterion_requires_quadratic_tower_and_nonzero_trace():
+def test_criterion_requires_quadratic_tower_and_zero_trace_is_permutation():
     with pytest.raises(ValueError):
         criterion_quadratic(PlanarCandidate(F27, 1, LinearizedPoly.zero(F27)))
-    tr0 = next(a for a in range(1, 81) if F81_T.rel_trace(a) == 0)
-    with pytest.raises(ValueError):
-        criterion_quadratic(PlanarCandidate(F81_T, tr0, LinearizedPoly.zero(F81_T)))
+    # Tr(a) = 0 makes Tr(a x^(q+1)) = N(x) Tr(a) vanish: f = ell(x^2) is
+    # planar iff ell permutes
+    rng = np.random.default_rng(15)
+    verdicts = set()
+    for a in (a for a in range(81) if F81_T.rel_trace(a) == 0):
+        dense = LinearizedPoly(F81_T, tuple(int(c) for c in rng.integers(0, 81, 4)))
+        for ell in (LinearizedPoly.zero(F81_T), LinearizedPoly.identity(F81_T),
+                    LinearizedPoly.monomial(F81_T, int(rng.integers(1, 81)), 1), dense):
+            cand = PlanarCandidate(F81_T, a, ell)
+            verdict = criterion_quadratic(cand)
+            assert verdict == ell.is_permutation() == is_planar_bruteforce(cand).planar
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_criterion_zero_ell_fails():
@@ -599,7 +642,7 @@ def test_candidate_and_report_json_round_trip():
     cand = perm_example_candidate(F81_T)
     back = PlanarCandidate.from_json(cand.to_json())
     assert back == cand
-    rep = is_planar_bruteforce_general(F9, [(1, 4)])
+    rep = is_planar_bruteforce(MonomialSum(F9, [(1, 4)]))
     obj = json.loads(json.dumps(rep.to_json(F9)))
     assert obj == {"planar": False, "method": rep.method, "ms": rep.ms,
                    "witness": {k: F9.format_element(e)
