@@ -52,6 +52,9 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
 
+ELL_PRESETS = {"zero": LinearizedPoly.zero, "identity": LinearizedPoly.identity,
+               "example1": example1_ell}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -78,8 +81,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--m", type=int)
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--a", default="0", help="digit string for a")
-    p_verify.add_argument("--ell-preset", choices=("zero", "identity", "example1"),
-                          default="zero")
+    p_verify.add_argument("--ell-preset", choices=ELL_PRESETS, default="zero")
     p_verify.add_argument("--ell-coeff", action="append", default=[],
                           metavar="T=DIGITS", help="coefficient of x^(p^T)")
 
@@ -97,7 +99,7 @@ def _build_parser() -> _Parser:
                         help="sample this many candidates instead of exhausting")
     p_scan.add_argument("--k", type=int, default=1)
     p_scan.add_argument("--a-values", default="1",
-                        help="comma-free digit strings separated by ';'")
+                        help="element digit strings separated by ';'")
     p_scan.add_argument("--out", help="output file (default stdout)")
 
     p_charsum = sub.add_parser("charsum", help="element counts with bounds")
@@ -166,12 +168,7 @@ def _candidate_from_args(args, config: Config) -> PlanarCandidate:
         print("verify needs --candidate or all of --p --m --n", file=sys.stderr)
         raise SystemExit(EX_USAGE)
     ctx = new_ctx(args.p, args.m, args.n, config.table_cap)
-    if args.ell_preset == "identity":
-        ell = LinearizedPoly.identity(ctx)
-    elif args.ell_preset == "example1":
-        ell = example1_ell(ctx)
-    else:
-        ell = LinearizedPoly.zero(ctx)
+    ell = ELL_PRESETS[args.ell_preset](ctx)
     for spec in args.ell_coeff:
         t, _, digits = spec.partition("=")
         ell = ell + LinearizedPoly.monomial(ctx, ctx.parse_element(digits), int(t))
@@ -208,9 +205,7 @@ def cmd_verify(args, config: Config) -> int:
         reports["bruteforce"] = is_planar_bruteforce(cand, config.brute_cap)
         reports["reduction"] = is_planar_reduction(cand, config.brute_cap)
     reports["rank"] = is_planar_rank(cand, config.brute_cap)
-    records = []
-    for name, rep in reports.items():
-        records.append(dict(rep.to_json(ctx), method=name))
+    records = [rep.to_json(ctx) for rep in reports.values()]
     methods = sorted(reports)
     if ctx.n == 2:
         started = time.perf_counter()

@@ -21,12 +21,12 @@ def _normalized_a(ctx: FieldCtx) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic tower, norm-inequal family: ell(x) = (b x^q + c x)^(p^k).
+# Quadratic tower: both binomial families build on (b x^q + c x)^(p^k).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MonomialFamilyParams:
-    """Parameters of ell(x) = (b x^q + c x)^(p^k) on F_{q^2}, N(b) != N(c)."""
+class _QuadraticBinomial:
+    """The map (b x^q + c x)^(p^k) on F_{q^2}, 0 < k < m."""
 
     ctx: FieldCtx
     k: int
@@ -34,13 +34,10 @@ class MonomialFamilyParams:
     c: int
 
     def __post_init__(self):
-        ctx = self.ctx
-        if ctx.n != 2:
+        if self.ctx.n != 2:
             raise ValueError("family lives on a quadratic tower")
-        if not 0 < self.k < ctx.m:
+        if not 0 < self.k < self.ctx.m:
             raise ValueError("exponent k must satisfy 0 < k < m")
-        if ctx.rel_norm(self.b) == ctx.rel_norm(self.c):
-            raise ValueError("family requires N(b) != N(c)")
 
     def ell(self) -> LinearizedPoly:
         ctx, k = self.ctx, self.k
@@ -51,6 +48,16 @@ class MonomialFamilyParams:
 
     def candidate(self) -> PlanarCandidate:
         return PlanarCandidate(self.ctx, _normalized_a(self.ctx), self.ell())
+
+
+@dataclass(frozen=True)
+class MonomialFamilyParams(_QuadraticBinomial):
+    """Norm-inequal family: ell(x) = (b x^q + c x)^(p^k), N(b) != N(c)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.ctx.rel_norm(self.b) == self.ctx.rel_norm(self.c):
+            raise ValueError("family requires N(b) != N(c)")
 
 
 def theorem_monomial_predicate(params: MonomialFamilyParams) -> bool:
@@ -66,44 +73,25 @@ def theorem_monomial_predicate(params: MonomialFamilyParams) -> bool:
     return lhs == rhs
 
 
-# ---------------------------------------------------------------------------
-# Quadratic tower, norm-equal family:
-# ell(x) = (b x^q + c x)^(p^k) - c0 (b x^q + c x).
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
-class NbcFamilyParams:
-    """Parameters of ell(x) = (b x^q + c x)^(p^k) - c0 (b x^q + c x) with
-    b, c != 0 and N(b) = N(c)."""
+class NbcFamilyParams(_QuadraticBinomial):
+    """Norm-equal family: ell(x) = (b x^q + c x)^(p^k) - c0 (b x^q + c x)
+    with b, c != 0 and N(b) = N(c)."""
 
-    ctx: FieldCtx
-    k: int
-    b: int
-    c: int
     c0: int
 
     def __post_init__(self):
-        ctx = self.ctx
-        if ctx.n != 2:
-            raise ValueError("family lives on a quadratic tower")
-        if not 0 < self.k < ctx.m:
-            raise ValueError("exponent k must satisfy 0 < k < m")
+        super().__post_init__()
         if self.b == 0 or self.c == 0:
             raise ValueError("b and c must be nonzero")
-        if ctx.rel_norm(self.b) != ctx.rel_norm(self.c):
+        if self.ctx.rel_norm(self.b) != self.ctx.rel_norm(self.c):
             raise ValueError("family requires N(b) = N(c)")
 
     def ell(self) -> LinearizedPoly:
-        ctx, k = self.ctx, self.k
-        pk = ctx.p**k
-        inner_hi = LinearizedPoly.monomial(ctx, ctx.pow(self.b, pk), (ctx.m + k) % ctx.degree)
-        inner_lo = LinearizedPoly.monomial(ctx, ctx.pow(self.c, pk), k)
+        ctx = self.ctx
         corr_hi = LinearizedPoly.monomial(ctx, ctx.mul(self.c0, self.b), ctx.m)
         corr_lo = LinearizedPoly.monomial(ctx, ctx.mul(self.c0, self.c), 0)
-        return inner_hi + inner_lo - corr_hi - corr_lo
-
-    def candidate(self) -> PlanarCandidate:
-        return PlanarCandidate(self.ctx, _normalized_a(self.ctx), self.ell())
+        return super().ell() - corr_hi - corr_lo
 
 
 def _power_equation_solutions(ctx: FieldCtx, e: int, rhs: int) -> list[int]:

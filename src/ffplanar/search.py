@@ -1,18 +1,22 @@
 """Deterministic candidate enumeration with filter-before-oracle pipelines.
 
-Jobs visit a family's parameter space in a canonical order (lexicographic on
-the raw parameter index), apply cheap closed-form filters, and evaluate the
-expensive planarity oracle on every candidate, on a deterministic audit
-subsample, or whenever filters disagree.  Indices are processed in chunks of
-at most `CHUNK`, and output streams per chunk as it completes: one JSON line
-per visited candidate plus a trailing summary line, byte-identical for a given
-job no matter how many workers produced it.
+Jobs visit a family's parameter space in raw index order, apply cheap
+closed-form filters, and evaluate the expensive planarity oracle on every
+candidate, on a deterministic audit subsample, or whenever filters disagree.
+A raw index is a little-endian mixed-radix number of the family's parameter
+digits, whose radices are declared once per family in `_RADICES`:
+`candidate_space` is their product, `index_digits` splits an index into its
+digits, and `decode_candidate` builds the candidate from them.  Indices are
+processed in chunks of at most `CHUNK`, and output streams per chunk as it
+completes: one JSON line per visited candidate plus a trailing summary line,
+byte-identical for a given job no matter how many workers produced it.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -38,7 +42,19 @@ from .planarity import (
     is_planar_reduction,
 )
 
-FAMILIES = ("monomial", "binomial", "nbc", "cubic", "example1")
+# Each family's radices, least significant first, on a field of order n and
+# degree d = m*n: monomial (d, n, n) for the digits (t, b, a); binomial
+# (n, n) for (c, b); nbc (n, n, n) for (c0, c, b); cubic n for each entry of
+# the m x 3 b grid, row-major, then len(a_values) for the position of a in
+# a_values; example1 none.
+_RADICES = {
+    "monomial": lambda job, ctx: (ctx.degree, ctx.order, ctx.order),
+    "binomial": lambda job, ctx: (ctx.order,) * 2,
+    "nbc": lambda job, ctx: (ctx.order,) * 3,
+    "cubic": lambda job, ctx: (ctx.order,) * (3 * ctx.m) + (len(job.a_values),),
+    "example1": lambda job, ctx: (),
+}
+FAMILIES = tuple(_RADICES)
 ORACLES = ("bruteforce", "rank", "reduction")
 # each closed predicate takes its own family's parameters
 FILTERS = {"criterion-n2": None, "closed-binomial": "binomial",
@@ -126,18 +142,16 @@ class Finding:
 
 def candidate_space(job: SearchJob, ctx: FieldCtx) -> int:
     """Raw index-space size; some raw indices may decode to no candidate."""
-    n = ctx.order
-    if job.family == "monomial":
-        return n * n * ctx.degree
-    if job.family == "binomial":
-        return n * n
-    if job.family == "nbc":
-        return n * n * n
-    if job.family == "cubic":
-        return len(job.a_values) * n ** (3 * ctx.m)
-    if job.family == "example1":
-        return 1
-    raise AssertionError
+    return math.prod(_RADICES[job.family](job, ctx))
+
+
+def index_digits(job: SearchJob, ctx: FieldCtx, index: int) -> list[int]:
+    """The parameter digits of a raw index, least significant first."""
+    digits = []
+    for radix in _RADICES[job.family](job, ctx):
+        index, digit = divmod(index, radix)
+        digits.append(digit)
+    return digits
 
 
 @functools.lru_cache(maxsize=16)
@@ -150,66 +164,33 @@ def _cubic_a_elements(ctx: FieldCtx, a_values: tuple[str, ...]) -> tuple[int, ..
 def decode_candidate(job: SearchJob, ctx: FieldCtx, index: int):
     """(params_json, PlanarCandidate, family_params) or None for skipped
     raw indices (for example a binomial pair with equal norms)."""
-    n = ctx.order
+    digits = index_digits(job, ctx, index)
+    fmt = ctx.format_element
     if job.family == "monomial":
-        t = index % ctx.degree
-        b = index // ctx.degree % n
-        a = index // (ctx.degree * n)
+        t, b, a = digits
         cand = PlanarCandidate(ctx, a, LinearizedPoly.monomial(ctx, b, t))
-        return (
-            {"a": ctx.format_element(a), "b": ctx.format_element(b), "t": t},
-            cand,
-            None,
-        )
+        return {"a": fmt(a), "b": fmt(b), "t": t}, cand, None
     if job.family == "binomial":
-        b, c = divmod(index, n)
+        c, b = digits
         if ctx.rel_norm(b) == ctx.rel_norm(c):
             return None
         params = MonomialFamilyParams(ctx, job.k, b, c)
-        return (
-            {"b": ctx.format_element(b), "c": ctx.format_element(c), "k": job.k},
-            params.candidate(),
-            params,
-        )
+        return {"b": fmt(b), "c": fmt(c), "k": job.k}, params.candidate(), params
     if job.family == "nbc":
-        c0 = index % n
-        c = index // n % n
-        b = index // (n * n)
+        c0, c, b = digits
         if b == 0 or c == 0 or ctx.rel_norm(b) != ctx.rel_norm(c):
             return None
         params = NbcFamilyParams(ctx, job.k, b, c, c0)
-        return (
-            {
-                "b": ctx.format_element(b), "c": ctx.format_element(c),
-                "c0": ctx.format_element(c0), "k": job.k,
-            },
-            params.candidate(),
-            params,
-        )
+        return ({"b": fmt(b), "c": fmt(c), "c0": fmt(c0), "k": job.k},
+                params.candidate(), params)
     if job.family == "cubic":
-        per_a = ctx.order ** (3 * ctx.m)
-        a = _cubic_a_elements(ctx, job.a_values)[index // per_a]
-        rest = index % per_a
-        flat = []
-        for _ in range(3 * ctx.m):
-            flat.append(rest % n)
-            rest //= n
-        rows = tuple(
-            tuple(flat[i * 3 + j] for j in range(3)) for i in range(ctx.m)
-        )
+        *flat, which = digits
+        a = _cubic_a_elements(ctx, job.a_values)[which]
+        rows = tuple(tuple(flat[i:i + 3]) for i in range(0, len(flat), 3))
         params = CubicCoeffs(ctx, a, rows)
-        return (
-            {
-                "a": ctx.format_element(a),
-                "b": [[ctx.format_element(v) for v in row] for row in rows],
-            },
-            params.candidate(),
-            params,
-        )
-    if job.family == "example1":
-        cand = example1_construct(ctx)
-        return ({"preset": "example1"}, cand, None)
-    raise AssertionError
+        return ({"a": fmt(a), "b": [[fmt(v) for v in row] for row in rows]},
+                params.candidate(), params)
+    return {"preset": "example1"}, example1_construct(ctx), None
 
 
 def _apply_filter(name: str, cand: PlanarCandidate, params) -> bool:

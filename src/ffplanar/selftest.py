@@ -50,7 +50,7 @@ from .planarity import (
     is_planar_rank,
     is_planar_reduction,
 )
-from .search import SearchJob, findings, run as search_run
+from .search import SearchJob, findings, index_digits, run as search_run
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class _Shared:
             valid, pred, crit, oracle = (np.zeros((n, n), dtype=bool)
                                          for _ in range(4))
             for f in findings(job, self.config, self.workers):
-                b, c = divmod(f.index, n)
+                c, b = index_digits(job, ctx, f.index)
                 valid[b, c] = True
                 pred[b, c] = f.filters["closed-binomial"]
                 crit[b, c] = f.filters["criterion-n2"]

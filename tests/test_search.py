@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import Future
@@ -20,6 +21,7 @@ from ffplanar.search import (
     candidate_space,
     decode_candidate,
     findings,
+    index_digits,
     run,
     seeded_stream,
     splitmix64,
@@ -276,6 +278,24 @@ def test_rank_scan_output_pinned():
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+def test_family_layout_scan_output_pinned():
+    # sha256 of the output when each family decoded its raw index by its own
+    # arithmetic: the nbc digits (c0, c, b) and the cubic a_values digit
+    pinned = [
+        (SearchJob(3, 2, 2, family="nbc", filters=("closed-nbc",), oracle_all=True,
+                   mode="sample", sample_count=400),
+         "eb9fa46dc1d54bb5b0ce25d376560482d517f32efeab6c10345d79d86d524f3a"),
+        (SearchJob(3, 1, 3, family="cubic", filters=("closed-cubic",), oracle="rank",
+                   oracle_all=True, mode="sample", sample_count=300,
+                   a_values=("1", "0,1")),
+         "482bd6cccf1a68d1ba8473fed4821e1124058263831cb39ae8975b127cab53f4"),
+    ]
+    for job, digest in pinned:
+        buf = io.StringIO()
+        run(job, out=buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
 def test_bruteforce_scan_output_pinned():
     # sha256 of the output of the brute-force route when it scanned every
     # direction and recovered witnesses by a Python loop; the F_3^7 job runs
@@ -329,10 +349,30 @@ def test_sample_mode_deterministic():
     assert r1 != [f.index for f in findings(job2)]
 
 
+@pytest.mark.parametrize("job, radices", [
+    (SearchJob(3, 1, 2, family="monomial"), (2, 9, 9)),
+    (SearchJob(3, 2, 2, family="binomial"), (81, 81)),
+    (SearchJob(3, 2, 2, family="nbc"), (81, 81, 81)),
+    (SearchJob(3, 1, 3, family="cubic", a_values=("1", "2", "0,1")), (27, 27, 27, 3)),
+    (SearchJob(3, 2, 2, family="example1"), ()),
+], ids=["monomial", "binomial", "nbc", "cubic", "example1"])
+def test_index_digits_are_little_endian_mixed_radix(job, radices):
+    ctx = new_ctx(job.p, job.m, job.n)
+    space = candidate_space(job, ctx)
+    assert space == math.prod(radices)
+    weights = [math.prod(radices[:i]) for i in range(len(radices))]
+    for index in {0, space // 3, space - 1}:
+        digits = index_digits(job, ctx, index)
+        assert len(digits) == len(radices)
+        assert all(0 <= d < r for d, r in zip(digits, radices))
+        assert sum(d * w for d, w in zip(digits, weights)) == index
+
+
 def test_decode_candidate_skips_invalid():
     ctx = new_ctx(3, 2, 2)
     job = SearchJob(3, 2, 2, family="binomial")
-    # b = c = 1 has equal norms
+    # the binomial index is b * n + c; b = c = 1 has equal norms
+    assert index_digits(job, ctx, 7 * 81 + 3) == [3, 7]
     assert decode_candidate(job, ctx, 1 * 81 + 1) is None
     decoded = decode_candidate(job, ctx, 1 * 81 + 3)
     assert decoded is not None
