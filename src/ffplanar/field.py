@@ -513,23 +513,26 @@ class FieldCtx:
         return (self._plane_add(highs[:, None], highs),
                 self._plane_add(lows[:, None], lows))
 
-    def shifted_differences(self, f_tab: np.ndarray):
-        """For f given by its value table, the function mapping directions cs
-        to the (len(cs), order) array of f(x + c) - f(x), row i for c = cs[i],
-        column x for every x.
+    def shifted_differences(self, f_tabs: np.ndarray):
+        """For a (k, order) stack of value tables, the function mapping
+        directions cs and a slice `rows` of the stack to the (rows, len(cs),
+        order) array of f(x + c) - f(x): [i, j, x] for f = f_tabs[rows][i],
+        c = cs[j] and every x.
 
         With split = p^ceil(d/2), x + c is the digitwise sum of the high
         halves of x and c plus that of their low halves.  Each block of
         directions takes the sums of its c with every high half (order / split
         values) and every low half (split values), and x + c is one broadcast
-        of the two, with no arithmetic on x.  The sums are read from
+        of the two, with no arithmetic on x; the offset of each row in the
+        flattened stack rides on the high sums.  The sums are read from
         _half_sums when its tables hold at most HALF_TABLE_CAP entries each,
-        else made for the block.  f and -f are split into digit planes once,
-        so each plane costs one gather at x + c, one add and one reduce
-        lookup."""
+        else made for the block.  The tables and their negations are split
+        into digit planes once, so each plane costs one gather at x + c, one
+        add and one reduce lookup."""
         planes, reduce, base = self._add_planes
-        f_planes = planes[:, f_tab]
-        neg_planes = planes[:, self._neg_table[f_tab]]
+        f_planes = planes[:, f_tabs].reshape(len(planes), -1)
+        neg_planes = planes[:, self._neg_table[f_tabs]][:, :, None, :]
+        offsets = np.arange(0, f_tabs.size, self.order)[:, None, None]
         split = self.p ** -(-self.degree // 2)
         if split * split <= HALF_TABLE_CAP:
             hi, lo = self._half_sums
@@ -545,13 +548,15 @@ class FieldCtx:
                 return (self._plane_add((cs - c_lo)[:, None], highs),
                         self._plane_add(c_lo[:, None], lows))
 
-        def differences(cs: np.ndarray) -> np.ndarray:
+        def differences(cs: np.ndarray, rows: slice) -> np.ndarray:
             hi_rows, lo_rows = half_sums(cs)
-            shifted = (hi_rows[:, :, None] + lo_rows[:, None, :]).reshape(len(cs), -1)
+            hi_rows = hi_rows + offsets[rows]
+            shifted = (hi_rows[:, :, :, None] + lo_rows[:, None, :]).reshape(
+                len(hi_rows), len(cs), -1)
             out = None
             for f_plane, neg_plane in zip(f_planes[::-1], neg_planes[::-1]):
                 sums = f_plane.take(shifted)
-                sums += neg_plane
+                sums += neg_plane[rows]
                 digits = reduce.take(sums)
                 if out is None:
                     out = digits

@@ -94,21 +94,51 @@ def fp_singular(mats, p: int) -> np.ndarray:
 
 
 def digit_rows(ctx: FieldCtx, elems) -> np.ndarray:
-    """(len(elems), m*n) array: the base-p digits of each element index."""
+    """The base-p digits of each element index, on a new last axis of
+    length m*n."""
     weights = ctx.p ** np.arange(ctx.degree)
-    return np.asarray(elems, dtype=np.int64)[:, None] // weights % ctx.p
+    return np.asarray(elems, dtype=np.int64)[..., None] // weights % ctx.p
 
 
 def span_table(ctx: FieldCtx, rows) -> np.ndarray:
     """sum_i c_i v_i at position sum_i c_i p^i, for every c in F_p^k, where
-    v_i is the element with digit row rows[i] and k = len(rows) <= m*n: a
-    table over each half of the rows by digit arithmetic, and one add_vec
-    that sums the two."""
-    p, h = ctx.p, len(rows) // 2
+    v_i is the element with digit row rows[..., i, :] and k <= m*n: a table
+    over each half of the rows by digit arithmetic, and one add_vec that sums
+    the two.  Leading axes of rows give a stack of tables."""
+    p, h = ctx.p, rows.shape[-2] // 2
     weights = p ** np.arange(ctx.degree)
-    hi, lo = ((np.arange(p ** len(part))[:, None] // weights[:len(part)] % p)
-              @ part % p @ weights for part in (rows[h:], rows[:h]))
-    return ctx.add_vec(hi[:, None], lo).ravel()
+    hi, lo = ((np.arange(p ** part.shape[-2])[:, None] // weights[:part.shape[-2]] % p)
+              @ part % p @ weights for part in (rows[..., h:, :], rows[..., :h, :]))
+    return ctx.add_vec(hi[..., :, None], lo[..., None, :]).reshape(*rows.shape[:-2], -1)
+
+
+@functools.lru_cache(maxsize=16)
+def _basis_conjugates(ctx: FieldCtx) -> tuple[tuple[int, ...], ...]:
+    """(p^j)^(p^t) at [j][t], j, t < m*n: the images of the basis element
+    p^j under each x^(p^t)."""
+    return tuple(tuple(ctx.frobenius(ctx.p**j, t) for t in range(ctx.degree))
+                 for j in range(ctx.degree))
+
+
+def value_tables(ctx: FieldCtx, images) -> np.ndarray:
+    """(k, order) value tables of the k F_p-linear maps whose basis images
+    ell(p^j) are the rows of images; ValueError above the table cap.
+    ell(sum_j c_j p^j) = sum_j c_j ell(p^j), so each is the span table of
+    its row."""
+    ctx._need_tables()
+    return span_table(ctx, digit_rows(ctx, images))
+
+
+def fill_values(ells) -> None:
+    """Cache `LinearizedPoly.values` on each polynomial (all on one field)
+    that has no table yet, the missing tables made as one stack; ValueError
+    above the table cap."""
+    todo = [ell for ell in ells if "values" not in vars(ell)]
+    if todo:
+        tabs = value_tables(todo[0].ctx, [ell.images for ell in todo])
+        tabs.flags.writeable = False
+        for ell, tab in zip(todo, tabs):
+            vars(ell)["values"] = tab  # where functools.cached_property keeps it
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +281,23 @@ class LinearizedPoly:
 
     @functools.cached_property
     def images(self) -> tuple[int, ...]:
-        """The basis images ell(p^k), k < m*n, which fix the map."""
-        return tuple(self(self.ctx.p**k) for k in range(self.ctx.degree))
+        """The basis images ell(p^j) = sum_t c_t (p^j)^(p^t), j < m*n, which
+        fix the map."""
+        ctx, out = self.ctx, []
+        for conjugates in _basis_conjugates(ctx):
+            acc = 0
+            for c, v in zip(self.coeffs, conjugates):
+                if c:
+                    acc = ctx.add(acc, ctx.mul(c, v))
+            out.append(acc)
+        return tuple(out)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
         """Read-only table of ell at every element index, cached on the
-        polynomial; ValueError above the table cap.  ell is F_p-linear, so
-        ell(sum_k c_k p^k) = sum_k c_k ell(p^k): the span table of the d
-        images ell(p^k)."""
-        ctx = self.ctx
-        ctx._need_tables()
-        vals = span_table(ctx, digit_rows(ctx, self.images))
+        polynomial (`fill_values` caches a stack of them at once);
+        ValueError above the table cap."""
+        vals = value_tables(self.ctx, [self.images])[0]
         vals.flags.writeable = False
         return vals
 

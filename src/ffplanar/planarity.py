@@ -23,23 +23,33 @@ the first two routes are never the least of their class, so both still report
 the lowest non-permuting direction, with the witness a scan of every
 direction would give.
 
+Brute force and the criterion work on a stack of candidates of one field.
+A `Batch` holds candidates checked together: the first brute-force or
+criterion call on one of them runs for all of them, and later calls read
+their row.  Without a batch a call is a stack of one, so a scan batch and a
+single verify run the same code.
+
 Brute force forms x + c for a block of directions with no arithmetic on x:
 with split = p^ceil(d/2), x + c is the digitwise sum of the high halves of x
 and c plus that of their low halves, one broadcast of the block's sums with
 every high half and every low half.
-D_c(x) then comes from digit planes of f and -f, split once per call: per
-plane, one gather of f's plane at x + c, one add of -f's plane and one reduce
-lookup give the canonical index, and a hit count per row decides.  Blocks
-double in width from 8 directions up to BRUTE_BLOCK_ENTRIES values (one row
-on a bigger field), and the witness is read off the bad row.
+D_c(x) then comes from digit planes of the value tables and their
+negations, split once per stack: per plane, one gather at x + c, one add and
+one reduce lookup give the canonical index, and a hit count per row decides.
+Blocks double in width from ceil(8 / k) directions on a stack of k up to
+BRUTE_BLOCK_ENTRIES values (one row on a bigger field); each block runs on
+every candidate still undecided, and a candidate leaves the stack with the
+witness read off its first bad row.
 
 A quadratic-extension criterion (n = 2) decides planarity from the values
 ell(u)^2 - N(u) on the subspace where ell lands in F_q, or, when Tr(a) = 0,
-from whether ell permutes.
+from whether ell permutes.  The subspace test runs on all rows of a stack
+at once, over the pairs (u, ell(u)) of every row.
 
 Brute force (through f_table), the reduction and the criterion all read ell
 from its value table `LinearizedPoly.values`, built once per polynomial, so
-a filter and an oracle run on one candidate share it.  Above
+a filter and an oracle run on one candidate share it; a batch makes the
+missing tables of all its ell as one stack (`linpoly.fill_values`).  Above
 CRITERION_TABLE_MAX elements the reduction and the criterion read the d
 images ell(p^k) instead, which costs them the size of the F_q-valued
 subspace, not of the field.
@@ -47,6 +57,7 @@ subspace, not of the field.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -55,7 +66,14 @@ import numpy as np
 
 from .config import DEFAULT_BRUTE_CAP, check_shape
 from .field import FieldCtx, ctx_from_json
-from .linpoly import LinearizedPoly, digit_rows, fp_nullspace, fp_singular, span_table
+from .linpoly import (
+    LinearizedPoly,
+    digit_rows,
+    fill_values,
+    fp_nullspace,
+    fp_singular,
+    span_table,
+)
 
 # rank: directions per batched elimination; narrower blocks go one matrix at a
 # time, which beats a numpy call when a non-planar input exits in a few
@@ -66,10 +84,11 @@ NARROW_BLOCK = 16
 # Reading a table already built is faster on F_3^8, level with the kernel on
 # F_11^4 (14 641 elements) and slower from F_13^4 (28 561) up
 CRITERION_TABLE_MAX = 20_000
-# brute force: most difference values (directions x order) held at once, the
-# cap on the doubling block widths.  The kernel's int64 temporaries then stay
-# within a 2 MB L2 cache: full scans of x^2 on F_3^7, F_5^5 and F_3^8 ran
-# 1.7-2x faster than at 2^19 entries, and F_625 the same (2-vCPU Xeon)
+# brute force: most difference values (directions x candidates x order) held
+# at once, the cap on the doubling block widths and on the candidates a block
+# runs on together.  The kernel's int64 temporaries then stay within a 2 MB
+# L2 cache: full scans of x^2 on F_3^7, F_5^5 and F_3^8 ran 1.7-2x faster
+# than at 2^19 entries, and F_625 the same (2-vCPU Xeon)
 BRUTE_BLOCK_ENTRIES = 1 << 16
 
 # the JSON shape of a candidate, which PlanarCandidate.from_json checks
@@ -100,13 +119,7 @@ class PlanarCandidate:
         return ctx.add(t, self.ell(ctx.mul(x, x)))
 
     def f_table(self) -> np.ndarray:
-        ctx = self.ctx
-        # first, so that above the table cap it raises before any order-sized
-        # array is made
-        ell_sq = self.ell.eval_vec(ctx.square_table)
-        xs = np.arange(ctx.order, dtype=np.int64)
-        t = ctx.trace_table[ctx.mul_vec(self.a, ctx.pow_vec(xs, ctx.q + 1))]
-        return ctx.add_vec(t, ell_sq)
+        return f_tables([self])[0]
 
     def to_json(self) -> dict:
         return {
@@ -150,6 +163,20 @@ class VerificationReport:
             }
         return {"planar": self.planar, "method": self.method, "witness": wit,
                 "ms": self.ms}
+
+
+def f_tables(cands: Sequence[PlanarCandidate]) -> np.ndarray:
+    """(k, order) value tables of k candidates of one field, from the value
+    tables of their ell, the missing ones made as one stack."""
+    ctx = cands[0].ctx
+    # ell's tables first, so that above the table cap it raises before any
+    # order-sized array is made
+    fill_values([cand.ell for cand in cands])
+    ell_sq = np.array([cand.ell.values for cand in cands])[:, ctx.square_table]
+    xs = np.arange(ctx.order, dtype=np.int64)
+    a = np.array([cand.a for cand in cands], dtype=np.int64)[:, None]
+    t = ctx.trace_table[ctx.mul_vec(a, ctx.pow_vec(xs, ctx.q + 1))]
+    return ctx.add_vec(t, ell_sq)
 
 
 def check_witness(f, ctx: FieldCtx, witness) -> bool:
@@ -214,41 +241,64 @@ def _first_collision(row: np.ndarray, c: int):
     return (c, int(first[row[x2]]), x2)
 
 
-def _bad_direction(ctx: FieldCtx, f_tab: np.ndarray):
-    """(c, x1, x2) for the lowest c whose difference map does not permute,
-    or None.  Blocks of directions double in width from 8, so that early
-    witnesses cost little, up to BRUTE_BLOCK_ENTRIES values."""
+def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
+    """For each row of a (k, order) stack of value tables, (c, x1, x2) for
+    the lowest c whose difference map does not permute, or None.
+
+    Blocks of directions double in width from ceil(8 / k), so that early
+    witnesses cost little and a stack of one starts at 8, up to
+    BRUTE_BLOCK_ENTRIES values.  Each block is evaluated for every row still
+    undecided, as many rows at a time as keep block x rows x order within
+    BRUTE_BLOCK_ENTRIES, and a row drops out at its first bad direction."""
     n = ctx.order
-    differences = ctx.shifted_differences(f_tab)
     # c and -c permute together, so only the smaller of the two is scanned
     cs = np.arange(1, n, dtype=np.int64)
     cs = cs[cs < ctx.neg_vec(cs)]
     widest = max(1, BRUTE_BLOCK_ENTRIES // n)
-    lo, width = 0, 8
-    while lo < len(cs):
+    found = [None] * len(f_tabs)
+    live = list(range(len(f_tabs)))  # the rows of f_tabs still undecided
+    differences = ctx.shifted_differences(f_tabs)
+    lo, width = 0, -(-8 // len(f_tabs))
+    while lo < len(cs) and live:
         block = cs[lo:lo + min(width, widest)]
         lo, width = lo + len(block), 2 * width
-        # diffs[i, x] = f(x + block[i]) - f(x), then offset so row i counts
-        # hits in bins i*n .. i*n + n - 1
-        diffs = differences(block)
-        diffs += (np.arange(len(block)) * n)[:, None]
-        counts = np.bincount(diffs.ravel(), minlength=len(block) * n)
-        bad = np.flatnonzero(counts.reshape(len(block), n).max(axis=1) > 1)
-        if len(bad):
-            i = int(bad[0])
-            return _first_collision(diffs[i] - i * n, int(block[i]))
-    return None
+        step = max(1, BRUTE_BLOCK_ENTRIES // (len(block) * n))
+        decided = False
+        for start in range(0, len(live), step):
+            # diffs[r, i, x] = f_r(x + block[i]) - f_r(x), then offset so that
+            # pair j = r * len(block) + i counts hits in bins j*n .. j*n + n - 1
+            diffs = differences(block, slice(start, start + step))
+            pairs = diffs.shape[0] * len(block)
+            diffs += np.arange(0, pairs * n, n).reshape(-1, len(block), 1)
+            counts = np.bincount(diffs.ravel(), minlength=pairs * n)
+            bad = np.flatnonzero(counts.reshape(pairs, n).max(axis=1) > 1)
+            # bad pairs ascend, so a row's first one is its lowest direction
+            for j in bad.tolist():
+                r, i = divmod(j, len(block))
+                row = live[start + r]
+                if found[row] is None:
+                    found[row] = _first_collision(diffs[r, i] - j * n, int(block[i]))
+                    decided = True
+        if decided:
+            live = [row for row in live if found[row] is None]
+            if live:
+                differences = ctx.shifted_differences(f_tabs[live])
+    return found
 
 
 def is_planar_bruteforce(f: PlanarCandidate | MonomialSum,
-                         brute_cap: int = DEFAULT_BRUTE_CAP) -> VerificationReport:
+                         brute_cap: int = DEFAULT_BRUTE_CAP,
+                         batch: Batch | None = None) -> VerificationReport:
     """Exact verdict for a candidate or any MonomialSum: checks bijectivity
-    of every difference map by hit counts."""
+    of every difference map by hit counts.  A candidate of `batch` reads its
+    witness from the batch's one kernel run."""
     started = time.perf_counter()
     ctx = f.ctx
     if ctx.order > brute_cap:
         raise ValueError(f"field order {ctx.order} exceeds brute-force cap {brute_cap}")
-    return _verdict("bruteforce", f, ctx, started, _bad_direction(ctx, f.f_table()))
+    witness = (_bad_direction(ctx, f.f_table()[None])[0] if batch is None
+               else batch.witness(f))
+    return _verdict("bruteforce", f, ctx, started, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -348,23 +398,55 @@ def _vanishing_point(cand: PlanarCandidate):
 # Closed criterion on quadratic extensions.
 # ---------------------------------------------------------------------------
 
-def criterion_quadratic(cand: PlanarCandidate) -> bool:
+def criterion_quadratic(cand: PlanarCandidate, batch: Batch | None = None) -> bool:
     """Planarity criterion for n = 2: after normalizing f to x^(q+1) + ell(x^2),
     every nonzero u with ell(u) in F_q must make ell(u)^2 - N(u) a nonzero
     square in F_q.  If Tr(a) = 0, Tr(a x^(q+1)) = N(x) Tr(a) vanishes, and f
-    is planar iff ell permutes."""
-    ctx = cand.ctx
+    is planar iff ell permutes.  A candidate of `batch` reads its verdict
+    from the batch's one run of the criterion."""
+    return (Batch([cand]) if batch is None else batch).criterion(cand)
+
+
+def _quadratic_criteria(cands: Sequence[PlanarCandidate]) -> list[bool]:
+    """criterion_quadratic of each candidate of a stack on one n = 2 tower.  Rows with Tr(a) = 0 test whether ell permutes; the
+    others go through one masked core over the pairs (u, ell(u)) of all of
+    them, read off the stack of their ell tables, or off the kernel of the
+    images above CRITERION_TABLE_MAX."""
+    ctx = cands[0].ctx
     if ctx.n != 2:
         raise ValueError("the quadratic criterion requires a degree-2 tower")
-    tr_a = ctx.rel_trace(cand.a)
-    if tr_a == 0:
-        return cand.ell.is_permutation()
+    tr_a = [ctx.rel_trace(cand.a) for cand in cands]
+    verdicts = [tr == 0 and cand.ell.is_permutation() for cand, tr in zip(cands, tr_a)]
+    live = [i for i, tr in enumerate(tr_a) if tr]
+    if not live:
+        return verdicts
     ctx._need_tables()  # before any order-sized array is built
-    us, lu = _fq_values(cand.ell)
-    # ell / Tr(a) lies in F_q exactly where ell does
-    lu = ctx.mul_vec(ctx.inv(tr_a), lu)
-    w = ctx.sub_vec(ctx.mul_vec(lu, lu), ctx.norm_table[us])
-    return bool(np.all(ctx.subfield_eta_table[w] == 1))
+    if ctx.order <= CRITERION_TABLE_MAX:
+        fill_values([cands[i].ell for i in live])
+        rows, us, lu = _fq_points(ctx, np.array([cands[i].ell.values for i in live]))
+    else:
+        points = [_fq_values(cands[i].ell) for i in live]
+        rows = np.repeat(np.arange(len(live)), [len(us) for us, _ in points])
+        us = np.concatenate([us for us, _ in points])
+        lu = np.concatenate([lu for _, lu in points])
+    # ell / Tr(a) lies in F_q exactly where ell does, and (ell / Tr(a))^2 -
+    # N(u) times the nonzero square Tr(a)^2 of F_q, ell^2 - Tr(a)^2 N(u), has
+    # the same character
+    tr_sq = np.array([ctx.mul(tr_a[i], tr_a[i]) for i in live], dtype=np.int64)
+    w = ctx.sub_vec(ctx.mul_vec(lu, lu), ctx.mul_vec(tr_sq[rows], ctx.norm_table[us]))
+    bad = set(rows[ctx.subfield_eta_table[w] != 1].tolist())
+    for r, i in enumerate(live):
+        verdicts[i] = r not in bad
+    return verdicts
+
+
+def _fq_points(ctx: FieldCtx, tabs: np.ndarray):
+    """(rows, us, ell(u)) over the nonzero u with ell(u) in F_q of each row
+    of a (k, order) stack of ell value tables, row by row, u ascending."""
+    in_fq = ctx.pow_vec(tabs, ctx.q) == tabs
+    in_fq[:, 0] = False
+    rows, us = np.nonzero(in_fq)
+    return rows, us, tabs[rows, us]
 
 
 def _fq_values(ell: LinearizedPoly) -> tuple[np.ndarray, np.ndarray]:
@@ -378,9 +460,7 @@ def _fq_values(ell: LinearizedPoly) -> tuple[np.ndarray, np.ndarray]:
     size instead of the field's."""
     ctx = ell.ctx
     if ctx.order <= CRITERION_TABLE_MAX:
-        vals = ell.values
-        us = np.flatnonzero(ctx.pow_vec(vals, ctx.q) == vals)[1:]  # [0] is u = 0
-        return us, vals[us]
+        return _fq_points(ctx, ell.values[None])[1:]
     p = ctx.p
     moved = digit_rows(ctx, [ctx.sub(ctx.frobenius(v, ctx.m), v) for v in ell.images])
     basis = np.array(fp_nullspace(moved.T, p), dtype=np.int64)
@@ -388,3 +468,34 @@ def _fq_values(ell: LinearizedPoly) -> tuple[np.ndarray, np.ndarray]:
     us = span_table(ctx, basis)
     ascending = np.argsort(us)[1:]  # u = 0 sorts first
     return us[ascending], span_table(ctx, basis @ images % p)[ascending]
+
+
+# ---------------------------------------------------------------------------
+# Candidates checked together.
+# ---------------------------------------------------------------------------
+
+class Batch:
+    """Candidates of one field checked together.  The first brute-force call
+    on any of them runs the kernel once on the stack of all their value
+    tables, the first criterion call runs one masked core over all of them,
+    and every call reads its candidate's row.  The ell tables both read are
+    made as one stack and cached on each polynomial, where a reduction oracle
+    finds them too."""
+
+    def __init__(self, cands: Sequence[PlanarCandidate]):
+        self.cands = list(cands)
+        self._rows = {id(cand): i for i, cand in enumerate(self.cands)}
+
+    def witness(self, cand: PlanarCandidate):
+        return self._witnesses[self._rows[id(cand)]]
+
+    def criterion(self, cand: PlanarCandidate) -> bool:
+        return self._criteria[self._rows[id(cand)]]
+
+    @functools.cached_property
+    def _witnesses(self) -> list:
+        return _bad_direction(self.cands[0].ctx, f_tables(self.cands))
+
+    @functools.cached_property
+    def _criteria(self) -> list[bool]:
+        return _quadratic_criteria(self.cands)

@@ -35,6 +35,8 @@ from .families import (
 from .field import FieldCtx, new_ctx
 from .linpoly import LinearizedPoly
 from .planarity import (
+    BRUTE_BLOCK_ENTRIES,
+    Batch,
     PlanarCandidate,
     criterion_quadratic,
     is_planar_bruteforce,
@@ -193,9 +195,9 @@ def decode_candidate(job: SearchJob, ctx: FieldCtx, index: int):
     return {"preset": "example1"}, example1_construct(ctx), None
 
 
-def _apply_filter(name: str, cand: PlanarCandidate, params) -> bool:
+def _apply_filter(name: str, cand: PlanarCandidate, params, batch: Batch) -> bool:
     if name == "criterion-n2":
-        return criterion_quadratic(cand)
+        return criterion_quadratic(cand, batch)
     if name == "closed-binomial":
         return theorem_monomial_predicate(params)
     if name == "closed-nbc":
@@ -205,9 +207,9 @@ def _apply_filter(name: str, cand: PlanarCandidate, params) -> bool:
     raise ValueError(f"unknown filter {name!r}")
 
 
-def _run_oracle(job: SearchJob, cand: PlanarCandidate, config: Config):
+def _run_oracle(job: SearchJob, cand: PlanarCandidate, config: Config, batch: Batch):
     if job.oracle == "bruteforce":
-        return is_planar_bruteforce(cand, config.brute_cap)
+        return is_planar_bruteforce(cand, config.brute_cap, batch)
     if job.oracle == "rank":
         return is_planar_rank(cand, config.brute_cap)
     return is_planar_reduction(cand, config.brute_cap)
@@ -221,30 +223,45 @@ CHUNK = 2048
 
 
 def _chunk_findings(job: SearchJob, config: Config, indices) -> list[Finding]:
+    """The findings of a chunk of indices, decoded in order and checked a
+    batch at a time.  A batch holds as many candidates as the brute-force
+    kernel takes value tables at once, so that its memory stays bounded."""
     ctx = new_ctx(job.p, job.m, job.n, config.table_cap)
-    out = []
+    size = max(1, BRUTE_BLOCK_ENTRIES // ctx.order)
+    out, batch = [], []
     for raw in indices:
         decoded = decode_candidate(job, ctx, raw)
-        if decoded is None:
-            continue
-        params_json, cand, params = decoded
-        fvals = {name: _apply_filter(name, cand, params) for name in job.filters}
-        distinct = set(fvals.values())
-        need_oracle = (
-            job.oracle_all
-            or len(distinct) > 1
-            or (raw % job.audit_every == 0)
-        )
-        oracle = None
-        witness = None
-        flagged = len(distinct) > 1
-        if need_oracle:
-            report = _run_oracle(job, cand, config)
+        if decoded is not None:
+            batch.append((raw, *decoded))
+        if len(batch) == size:
+            out += _batch_findings(job, config, ctx, batch)
+            batch = []
+    if batch:
+        out += _batch_findings(job, config, ctx, batch)
+    return out
+
+
+def _batch_findings(job: SearchJob, config: Config, ctx: FieldCtx,
+                    batch) -> list[Finding]:
+    """Findings for (raw, params_json, candidate, family_params) tuples.  The
+    filters run on every candidate, sharing a Batch of them all; the oracle
+    runs on the candidates it must check, sharing a Batch of those."""
+    filtered = Batch([cand for _, _, cand, _ in batch])
+    fvals = [{name: _apply_filter(name, cand, params, filtered) for name in job.filters}
+             for _, _, cand, params in batch]
+    flagged = [len(set(fv.values())) > 1 for fv in fvals]
+    oracled = [i for i, (raw, *_) in enumerate(batch)
+               if job.oracle_all or flagged[i] or raw % job.audit_every == 0]
+    checked = Batch([batch[i][2] for i in oracled])
+    out = []
+    for i, (raw, params_json, cand, _) in enumerate(batch):
+        oracle = witness = None
+        if i in oracled:
+            report = _run_oracle(job, cand, config, checked)
             oracle = report.planar
             witness = report.to_json(ctx)["witness"]
-            if any(v != oracle for v in fvals.values()):
-                flagged = True
-        out.append(Finding(raw, params_json, fvals, oracle, witness, flagged))
+            flagged[i] = flagged[i] or any(v != oracle for v in fvals[i].values())
+        out.append(Finding(raw, params_json, fvals[i], oracle, witness, flagged[i]))
     return out
 
 
@@ -253,11 +270,11 @@ def findings(job: SearchJob, config: Config | None = None,
     """Yield the job's findings in output order, computed a chunk of indices
     at a time: exhaustive jobs in index order, sample jobs in stream order.
 
-    A chunk holds at most `CHUNK` indices, and fewer when that gives each
-    worker at least four chunks.  With several workers the chunks go through
-    a process pool, at most 2 * workers of them submitted ahead of the one
-    being yielded, and come back in order, so the sequence does not depend
-    on the worker count.  Family, tower and k mismatches raise ValueError
+    A chunk holds at most `CHUNK` indices.  With several workers it holds
+    fewer when that gives each worker at least four chunks, and the chunks
+    go through a process pool, at most 2 * workers of them submitted ahead
+    of the one being yielded, and come back in order, so the sequence does
+    not depend on the worker count.  Family, tower and k mismatches raise ValueError
     from the first candidate built; a cubic `a_values` entry that is zero or
     not an element, or a sample over an empty space, raises before any chunk.
     """
@@ -272,7 +289,8 @@ def findings(job: SearchJob, config: Config | None = None,
     if sample and not space:
         raise ValueError("sample mode needs a nonempty candidate space")
     total = job.sample_count if sample else space
-    size = max(1, min(CHUNK, -(-total // (4 * workers))))
+    per_worker = total if workers <= 1 else -(-total // (4 * workers))
+    size = max(1, min(CHUNK, per_worker))
     spans = (range(lo, min(lo + size, total)) for lo in range(0, total, size))
     if sample:
         spans = ([seeded_stream(job.seed, i) % space for i in span] for span in spans)

@@ -288,15 +288,17 @@ def test_plane_addition_above_add_table_cap():
 def test_shifted_differences_match_vector_ops(shape):
     # prime fields, odd and even degrees, one digit plane and two (F_3^7);
     # on F_257 and F_17^3 the half-digit sums exceed HALF_TABLE_CAP and are
-    # made per call
+    # made per call.  A stack of three tables, read in part, as a scan reads
+    # a slice of the rows still undecided
     ctx = new_ctx(*shape)
     rng = np.random.default_rng(ctx.order)
-    f = rng.integers(0, ctx.order, size=ctx.order)
+    fs = rng.integers(0, ctx.order, size=(3, ctx.order))
     cs = np.sort(rng.choice(np.arange(1, ctx.order), size=min(ctx.order - 1, 40),
                             replace=False))
     xs = np.arange(ctx.order)
-    want = ctx.sub_vec(f[ctx.add_vec(cs[:, None], xs[None, :])], f[None, :])
-    assert ctx.shifted_differences(f)(cs).tolist() == want.tolist()
+    shifted = ctx.add_vec(cs[:, None], xs[None, :])
+    want = [ctx.sub_vec(f[shifted], f[None, :]).tolist() for f in fs[1:]]
+    assert ctx.shifted_differences(fs)(cs, slice(1, 3)).tolist() == want
 
 
 def test_scalar_tables_made_on_first_use():

@@ -17,6 +17,7 @@ from ffplanar.families import CubicCoeffs, cubic_theorem_predicate, example1_con
 from ffplanar.field import new_ctx
 from ffplanar.linpoly import LinearizedPoly, Subspace, fp_nullspace
 from ffplanar.planarity import (
+    Batch,
     MonomialSum,
     PlanarCandidate,
     VerificationReport,
@@ -271,10 +272,44 @@ def test_scans_visit_one_direction_per_class(monkeypatch):
         rows.clear()
         assert is_planar_bruteforce(square_candidate(ctx)).planar
         assert sum(rows) == ctx.order * (ctx.order - 1) // 2
+        # and once per stack row, however the stack is split
+        rows.clear()
+        stack = np.stack([square_candidate(ctx).f_table()] * 5)
+        assert planarity._bad_direction(ctx, stack) == [None] * 5
+        assert sum(rows) == 5 * ctx.order * (ctx.order - 1) // 2
     for ctx in (F625, new_ctx(5, 1, 3), new_ctx(7, 1, 2)):
         directions.clear()
         assert is_planar_rank(square_candidate(ctx)).planar
         assert sum(directions) == (ctx.order - 1) // (ctx.p - 1)
+
+
+@pytest.mark.parametrize("entries", [planarity.BRUTE_BLOCK_ENTRIES, 1 << 12],
+                         ids=["default-blocks", "split-stacks"])
+def test_bruteforce_stack_matches_one_candidate_calls(entries, monkeypatch):
+    # planar rows and rows whose first bad direction lies at different
+    # depths, in one batch: each row gets the report it gets alone, by one
+    # kernel run on tables made as one stack
+    monkeypatch.setattr(planarity, "BRUTE_BLOCK_ENTRIES", entries)
+    for ctx in (F625, new_ctx(3, 1, 7)):
+        cands = [*_random_candidates(ctx, 12), square_candidate(ctx),
+                 perm_example_candidate(ctx) if ctx.n == 2 else square_candidate(ctx)]
+        cands.insert(3, cands.pop())
+        alone = [is_planar_bruteforce(cand) for cand in cands]
+        assert {rep.planar for rep in alone} == {True, False}
+        assert len({rep.witness[0] for rep in alone if not rep.planar}) >= 3
+        fresh = [PlanarCandidate(ctx, cand.a, LinearizedPoly(ctx, cand.ell.coeffs))
+                 for cand in cands]
+        kernel_runs = []
+        bad_direction = planarity._bad_direction
+        monkeypatch.setattr(planarity, "_bad_direction",
+                            lambda ctx, f_tabs: kernel_runs.append(len(f_tabs))
+                            or bad_direction(ctx, f_tabs))
+        batch = Batch(fresh)
+        stacked = [is_planar_bruteforce(cand, batch=batch) for cand in fresh]
+        monkeypatch.setattr(planarity, "_bad_direction", bad_direction)
+        assert kernel_runs == [len(cands)]
+        assert [(rep.planar, rep.witness) for rep in stacked] == \
+            [(rep.planar, rep.witness) for rep in alone]
 
 
 def _pinned_bruteforce_reports():
@@ -597,7 +632,7 @@ def test_criterion_matches_kernel_reference(pmn, monkeypatch):
     # F_q-valued u run on every tower: the value table and the kernel.
     ctx = new_ctx(*pmn)
     rng = np.random.default_rng(5)
-    verdicts = set()
+    verdicts, cands, want = set(), [], []
     for i in range(60):
         a = 0
         while ctx.rel_trace(a) == 0:
@@ -614,7 +649,23 @@ def test_criterion_matches_kernel_reference(pmn, monkeypatch):
             monkeypatch.setattr(planarity, "CRITERION_TABLE_MAX", table_max)
             assert criterion_quadratic(cand) == verdict
         verdicts.add(verdict)
+        cands.append(cand)
+        want.append(verdict)
     assert verdicts == {True, False}
+    # the same candidates in one batch, with Tr(a) = 0 rows among them,
+    # which test whether ell permutes; fresh polynomials, so that the table
+    # route makes their tables as one stack
+    for ell in (LinearizedPoly.identity(ctx), LinearizedPoly.zero(ctx)):
+        cands.insert(7, PlanarCandidate(ctx, 0, ell))
+        want.insert(7, ell.is_permutation())
+    for table_max in (0, ctx.order):
+        monkeypatch.setattr(planarity, "CRITERION_TABLE_MAX", table_max)
+        batch = Batch([PlanarCandidate(ctx, cand.a, LinearizedPoly(ctx, cand.ell.coeffs))
+                       for cand in cands])
+        assert [criterion_quadratic(cand, batch) for cand in batch.cands] == want
+        # the kernel route makes no table
+        assert all(("values" in vars(cand.ell)) == (table_max > 0 and ctx.rel_trace(cand.a) != 0)
+                   for cand in batch.cands)
 
 
 def test_substitution_and_scaling_preserve_verdicts():

@@ -5,15 +5,16 @@ import json
 import math
 import os
 import time
+import tracemalloc
 from concurrent.futures import Future
 
 import pytest
 
-from ffplanar import search
+from ffplanar import linpoly, planarity, search
 from ffplanar.config import Config
 from ffplanar.field import new_ctx
 from ffplanar.linpoly import LinearizedPoly
-from ffplanar.planarity import PlanarCandidate, is_planar_bruteforce
+from ffplanar.planarity import PlanarCandidate, criterion_quadratic, is_planar_bruteforce
 from ffplanar.search import (
     CHUNK,
     Finding,
@@ -199,6 +200,96 @@ def test_findings_is_lazy(monkeypatch):
     first = next(findings(job))
     assert first.index == 0
     assert 0 < len(decoded) <= CHUNK
+
+
+def test_one_worker_takes_a_small_job_in_one_chunk(monkeypatch):
+    # only a pool gains from four chunks per worker; one worker decodes the
+    # job's indices as one chunk, so its batches are as full as they can be
+    chunks = []
+    real = search._chunk_findings
+
+    def recording(job, config, indices):
+        chunks.append(len(indices))
+        return real(job, config, indices)
+
+    monkeypatch.setattr(search, "_chunk_findings", recording)
+    job = SearchJob(5, 2, 2, family="binomial", filters=("closed-binomial",),
+                    mode="sample", sample_count=32)
+    assert len(list(findings(job))) > 20
+    assert chunks == [32]
+
+
+@pytest.mark.parametrize("job", [
+    SearchJob(3, 2, 2, family="binomial", filters=("criterion-n2",), oracle_all=True),
+    SearchJob(3, 2, 2, family="nbc", filters=("criterion-n2",), oracle_all=True),
+    SearchJob(3, 1, 7, family="monomial", oracle_all=True, mode="sample",
+              sample_count=80),
+], ids=["binomial-F_81", "nbc-F_81", "monomial-F_3^7"])
+def test_batched_chunks_match_one_candidate_routes(job):
+    # every candidate's verdict, witness and criterion value from the
+    # batched chunk path equal those of the one-candidate routes; F_3^7 has
+    # two digit planes and lies above ADD_TABLE_CAP
+    ctx = new_ctx(job.p, job.m, job.n)
+    depths = set()
+    for f in findings(job):
+        cand = decode_candidate(job, ctx, f.index)[1]
+        rep = is_planar_bruteforce(cand)
+        assert (f.oracle, f.witness) == (rep.planar, rep.to_json(ctx)["witness"])
+        if job.filters:
+            assert f.filters["criterion-n2"] == criterion_quadratic(cand)
+        depths.add(None if rep.planar else rep.witness[0])
+    # batches whose rows leave at different depths
+    assert len(depths) > 2
+
+
+@pytest.mark.parametrize("oracle, table_max, audit_every, tables", [
+    ("reduction", planarity.CRITERION_TABLE_MAX, 1, "every"),
+    ("bruteforce", planarity.CRITERION_TABLE_MAX, 7, "every"),
+    ("bruteforce", 0, 7, "oracled"),
+    ("rank", 0, 1, "none"),
+], ids=["criterion+reduction", "criterion+audit", "kernel-criterion+audit",
+        "kernel-criterion+rank"])
+def test_batched_scan_makes_each_ell_table_once(oracle, table_max, audit_every,
+                                                 tables, monkeypatch):
+    # value tables are cached on each polynomial, so the criterion, brute
+    # force and the reduction share one table per candidate; rows that
+    # nothing reads get none: the criterion's kernel route (above
+    # CRITERION_TABLE_MAX) reads the images, and brute force builds tables
+    # only for the candidates it checks
+    made = []
+    real = linpoly.value_tables
+
+    def counting(ctx, images):
+        made.append(len(images))
+        return real(ctx, images)
+
+    monkeypatch.setattr(linpoly, "value_tables", counting)
+    monkeypatch.setattr(planarity, "CRITERION_TABLE_MAX", table_max)
+    job = SearchJob(3, 2, 2, family="binomial", filters=("criterion-n2",),
+                    oracle=oracle, audit_every=audit_every, mode="sample",
+                    sample_count=300)
+    found = list(findings(job))
+    oracled = sum(f.oracle is not None for f in found)
+    assert 0 < oracled and (oracled < len(found)) == (audit_every > 1)
+    assert sum(made) == {"every": len(found), "oracled": oracled, "none": 0}[tables]
+
+
+def test_batched_chunk_memory_is_bounded_by_its_batches():
+    # a batch holds the value tables of at most BRUTE_BLOCK_ENTRIES / order
+    # candidates (9 on F_3^8); the tables of a whole chunk of 2048 would take
+    # 107 MB
+    job = SearchJob(3, 1, 8, family="monomial", oracle_all=True)
+    ctx = new_ctx(3, 1, 8)
+    base = ctx.degree * ctx.order  # a = 1
+    search._chunk_findings(job, Config(), range(base, base + 9))  # warm tables
+    tracemalloc.start()
+    try:
+        found = search._chunk_findings(job, Config(), range(base, base + 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 512 and all(f.oracle is not None for f in found)
+    assert peak < 16 << 20
 
 
 class _InlinePool:
