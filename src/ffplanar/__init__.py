@@ -16,7 +16,6 @@ from .linpoly import (
     Subspace,
     all_subspaces,
     annihilator_coeffs,
-    annihilator_poly,
     image_poly_for_subspace,
 )
 from .planarity import (
@@ -44,11 +43,8 @@ from .charsum import (
     CountRecord,
     MonicPoly,
     a_sum,
-    a_sum_by_minimal_polys,
     count_solutions,
     phi,
-    weil_bound_check,
-    weil_eta_sum,
 )
 from .search import SearchJob, run
 from .selftest import run_selftest
@@ -59,13 +55,12 @@ __all__ = [
     "AdditiveChar", "Config", "CountRecord", "CubicCoeffs", "FieldCtx",
     "LinearizedPoly", "MonicPoly", "MonomialFamilyParams", "MonomialSum",
     "MultiplicativeChar", "NbcFamilyParams", "PlanarCandidate", "SearchJob",
-    "Subspace", "VerificationReport", "a_sum", "a_sum_by_minimal_polys",
-    "additive_chars", "all_subspaces", "annihilator_coeffs",
-    "annihilator_poly", "count_solutions", "criterion_quadratic",
-    "ctx_from_json", "cubic_lemma_bruteforce", "cubic_lemma_predicate",
-    "cubic_theorem_predicate", "example1_construct", "image_poly_for_subspace",
-    "is_planar_bruteforce", "is_planar_rank", "is_planar_reduction",
-    "multiplicative_chars", "new_ctx", "nonexistence_witness", "phi", "run",
-    "run_selftest", "theorem_monomial_predicate", "theorem_nbc_predicate",
-    "weil_bound_check", "weil_eta_sum",
+    "Subspace", "VerificationReport", "a_sum", "additive_chars",
+    "all_subspaces", "annihilator_coeffs", "count_solutions",
+    "criterion_quadratic", "ctx_from_json", "cubic_lemma_bruteforce",
+    "cubic_lemma_predicate", "cubic_theorem_predicate", "example1_construct",
+    "image_poly_for_subspace", "is_planar_bruteforce", "is_planar_rank",
+    "is_planar_reduction", "multiplicative_chars", "new_ctx",
+    "nonexistence_witness", "phi", "run", "run_selftest",
+    "theorem_monomial_predicate", "theorem_nbc_predicate",
 ]

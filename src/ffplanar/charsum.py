@@ -2,10 +2,9 @@
 
 The host context is F_{q^k} with q = p^m; monic polynomials live over the
 F_q subfield, characters are characters of F_q.  The multiplicative weight
-Phi on monic polynomials, its degree-restricted sums, the element counts
-M_k(upsilon, omega) with their explicit lower bound, and quadratic-character
-sums with the Weil bound are all computed exactly at desk scale (complex
-doubles for character values, integers elsewhere).
+Phi on monic polynomials, its degree-restricted sums, and the element counts
+M_k(upsilon, omega) with their explicit lower bound are all computed exactly
+at desk scale (complex doubles for character values, integers elsewhere).
 """
 
 from __future__ import annotations
@@ -50,38 +49,6 @@ class MonicPoly:
         c = self.coeffs[j]
         return c if (self.degree - j) % 2 == 0 else self.ctx.neg(c)
 
-    def __mul__(self, other: "MonicPoly") -> "MonicPoly":
-        ctx = self.ctx
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-        return MonicPoly(ctx, tuple(out))
-
-    def divides(self, other: "MonicPoly") -> bool:
-        ctx = self.ctx
-        rem = list(other.coeffs)
-        d = self.degree
-        while len(rem) - 1 >= d:
-            lead = rem[-1]
-            if lead:
-                for j in range(d + 1):
-                    rem[len(rem) - 1 - d + j] = ctx.sub(
-                        rem[len(rem) - 1 - d + j], ctx.mul(lead, self.coeffs[j])
-                    )
-            rem.pop()
-        return all(c == 0 for c in rem)
-
-    def is_irreducible(self) -> bool:
-        """Trial division by lower-degree monic polynomials."""
-        for d in range(1, self.degree // 2 + 1):
-            for div in monic_polys(self.ctx, d):
-                if div.divides(self):
-                    return False
-        return True
-
 
 def monic_polys(ctx: FieldCtx, degree: int):
     """Monic degree-d polynomials over F_q in lexicographic coefficient order
@@ -89,10 +56,6 @@ def monic_polys(ctx: FieldCtx, degree: int):
     sub = ctx.subfield_elements()
     for lower in itertools.product(sub, repeat=degree):
         yield MonicPoly(ctx, tuple(lower) + (1,))
-
-
-def irreducible_polys(ctx: FieldCtx, degree: int) -> list[MonicPoly]:
-    return [g for g in monic_polys(ctx, degree) if g.is_irreducible()]
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +90,6 @@ def a_sum(ctx: FieldCtx, chi: AdditiveChar, psi: MultiplicativeChar,
     xs = np.arange(1, ctx.order, dtype=np.int64)
     arg = ctx.trace_table[ctx.add_vec(xs, ctx.mul_vec(c, ctx.inv_vec(xs)))]
     return complex(np.sum(chi.values(arg) * psi.values(ctx.norm_table[xs])))
-
-
-def a_sum_by_minimal_polys(ctx: FieldCtx, chi: AdditiveChar,
-                           psi: MultiplicativeChar, c: int) -> complex:
-    """Independent route: sum deg(P) * Phi(P)^(k/deg P) over monic
-    irreducible P with degree dividing k."""
-    k = ctx.n
-    total = 0j
-    for d in range(1, k + 1):
-        if k % d:
-            continue
-        for poly in irreducible_polys(ctx, d):
-            total += d * phi(chi, psi, poly, c) ** (k // d)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -207,93 +156,3 @@ def char_weighted_total(ctx: FieldCtx, upsilon: int, omega: int, c: int) -> comp
             total += chi(upsilon) * psi(omega) * a_sum(ctx, chi, psi, c)
     return total
 
-
-# ---------------------------------------------------------------------------
-# Quadratic-character sums over the full field and the Weil bound.
-# ---------------------------------------------------------------------------
-
-def _poly_values(ctx: FieldCtx, coeffs) -> np.ndarray:
-    xs = np.arange(ctx.order, dtype=np.int64)
-    acc = np.zeros(ctx.order, dtype=np.int64)
-    for c in reversed(list(coeffs)):
-        acc = ctx.add_vec(ctx.mul_vec(acc, xs), np.int64(c))
-    return acc
-
-
-def weil_eta_sum(ctx: FieldCtx, coeffs) -> int:
-    """Exact integer sum of the quadratic character of g(xi) over the field."""
-    ctx._need_tables()
-    return int(ctx.eta_table[_poly_values(ctx, coeffs)].sum())
-
-
-def _trim(ctx, coeffs) -> list[int]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _derivative(ctx: FieldCtx, coeffs) -> list[int]:
-    out = []
-    for i in range(1, len(coeffs)):
-        out.append(ctx.mul(i % ctx.p, coeffs[i]))
-    return _trim(ctx, out)
-
-
-def monic_square_root(ctx: FieldCtx, coeffs) -> list[int] | None:
-    """Exact square root of a monic polynomial, or None.
-
-    Solved top-down: the coefficient of x^(e+i) in h^2 is 2 h_i plus a sum of
-    already-known higher coefficients, so each h_i needs one division by 2;
-    the candidate is verified against the full product before returning.
-    """
-    coeffs = _trim(ctx, coeffs)
-    d = len(coeffs) - 1
-    if d % 2:
-        return None
-    e = d // 2
-    h = [0] * (e + 1)
-    h[e] = 1
-    inv2 = ctx.inv(2)
-    for i in range(e - 1, -1, -1):
-        s = 0
-        for j in range(i + 1, e):
-            s = ctx.add(s, ctx.mul(h[j], h[e + i - j]))
-        h[i] = ctx.mul(ctx.sub(coeffs[e + i], s), inv2)
-    square = [0] * (d + 1)
-    for a in range(e + 1):
-        for b in range(e + 1):
-            square[a + b] = ctx.add(square[a + b], ctx.mul(h[a], h[b]))
-    return h if square == coeffs else None
-
-
-def is_scalar_times_square(ctx: FieldCtx, coeffs) -> bool:
-    """True iff g = c * h^2; p-th power layers are peeled with the inverse
-    Frobenius before the square-root probe (odd p keeps multiplicity parity)."""
-    coeffs = _trim(ctx, coeffs)
-    if len(coeffs) <= 1:
-        return True
-    if not _derivative(ctx, coeffs):
-        # zero derivative in char p means g = (p-th root of g)^p, and odd p
-        # preserves multiplicity parity
-        root = [
-            ctx.pow(c, ctx.p ** (ctx.degree - 1))
-            for i, c in enumerate(coeffs)
-            if i % ctx.p == 0
-        ]
-        return is_scalar_times_square(ctx, root)
-    lead = coeffs[-1]
-    monic = [ctx.mul(ctx.inv(lead), c) for c in coeffs]
-    return monic_square_root(ctx, monic) is not None
-
-
-def weil_bound_check(ctx: FieldCtx, coeffs) -> bool:
-    """|sum eta(g(xi))| <= (deg g - 1) sqrt(field order), after checking the
-    hypothesis that g is nonconstant and not a scalar times a square."""
-    coeffs = _trim(ctx, coeffs)
-    if len(coeffs) <= 1:
-        raise ValueError("the bound needs a nonconstant polynomial")
-    if is_scalar_times_square(ctx, coeffs):
-        raise ValueError("the bound hypothesis excludes scalar multiples of squares")
-    total = abs(weil_eta_sum(ctx, coeffs))
-    return total <= (len(coeffs) - 2) * math.sqrt(ctx.order)

@@ -664,16 +664,6 @@ class FieldCtx:
         return out
 
     @functools.cached_property
-    def eta_table(self) -> np.ndarray:
-        """Quadratic character of the whole field (+1, -1, 0) at every index."""
-        vals = self.pow_vec(np.arange(self.order, dtype=np.int64),
-                            (self.order - 1) // 2)
-        out = np.zeros(self.order, dtype=np.int64)
-        out[vals == 1] = 1
-        out[vals == self.neg(1)] = -1
-        return out
-
-    @functools.cached_property
     def subfield_abs_trace_table(self) -> np.ndarray:
         """subfield_abs_trace of every element; valid only at subfield indices."""
         return self._conjugate_fold(np.arange(self.order, dtype=np.int64),

@@ -305,14 +305,6 @@ class LinearizedPoly:
         """ell at each index in xs, read from `values`."""
         return self.values[xs]
 
-    def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        """Symbolic composition self(other(x)), reduced mod x^(p^(m*n)) - x."""
-        ctx = self.ctx
-        if other.ctx != ctx:
-            raise ValueError("composition requires a shared field context")
-        return LinearizedPoly.from_formal(
-            ctx, compose_formal(ctx, self.coeffs, other.coeffs))
-
     def scale(self, c: int) -> "LinearizedPoly":
         return LinearizedPoly(
             self.ctx, tuple(self.ctx.mul(c, v) for v in self.coeffs)
@@ -405,11 +397,6 @@ def annihilator_coeffs(sub: Subspace) -> tuple[int, ...]:
             new[t] = ctx.sub(new[t], ctx.mul(factor, c))
         raw = new
     return tuple(raw)
-
-
-def annihilator_poly(sub: Subspace) -> LinearizedPoly:
-    """Functional form of the subspace's vanishing polynomial."""
-    return LinearizedPoly.from_formal(sub.ctx, annihilator_coeffs(sub))
 
 
 def image_poly_coeffs(sub: Subspace) -> tuple[int, ...]:

@@ -381,7 +381,7 @@ def _vanishing_point(cand: PlanarCandidate):
     v_pow_up = ctx.pow_vec(vs, ctx.q - 1)       # v^(q-1)
     v_pow_dn = ctx.inv_vec(v_pow_up)            # v^(1-q)
     tr = ctx.trace_table
-    us, lus = _fq_values(cand.ell)
+    _, us, lus = _fq_values(ctx, [cand.ell])
     for u, lu in zip(us.tolist(), lus.tolist()):
         target = ctx.neg(ctx.mul(2, lu))
         auq = ctx.mul(cand.a, ctx.frobenius(u, ctx.m))
@@ -408,10 +408,10 @@ def criterion_quadratic(cand: PlanarCandidate, batch: Batch | None = None) -> bo
 
 
 def _quadratic_criteria(cands: Sequence[PlanarCandidate]) -> list[bool]:
-    """criterion_quadratic of each candidate of a stack on one n = 2 tower.  Rows with Tr(a) = 0 test whether ell permutes; the
-    others go through one masked core over the pairs (u, ell(u)) of all of
-    them, read off the stack of their ell tables, or off the kernel of the
-    images above CRITERION_TABLE_MAX."""
+    """criterion_quadratic of each candidate of a stack on one n = 2 tower.
+
+    Rows with Tr(a) = 0 test whether ell permutes; the others go through one
+    masked core over the pairs (u, ell(u)) of all of them (`_fq_values`)."""
     ctx = cands[0].ctx
     if ctx.n != 2:
         raise ValueError("the quadratic criterion requires a degree-2 tower")
@@ -421,14 +421,7 @@ def _quadratic_criteria(cands: Sequence[PlanarCandidate]) -> list[bool]:
     if not live:
         return verdicts
     ctx._need_tables()  # before any order-sized array is built
-    if ctx.order <= CRITERION_TABLE_MAX:
-        fill_values([cands[i].ell for i in live])
-        rows, us, lu = _fq_points(ctx, np.array([cands[i].ell.values for i in live]))
-    else:
-        points = [_fq_values(cands[i].ell) for i in live]
-        rows = np.repeat(np.arange(len(live)), [len(us) for us, _ in points])
-        us = np.concatenate([us for us, _ in points])
-        lu = np.concatenate([lu for _, lu in points])
+    rows, us, lu = _fq_values(ctx, [cands[i].ell for i in live])
     # ell / Tr(a) lies in F_q exactly where ell does, and (ell / Tr(a))^2 -
     # N(u) times the nonzero square Tr(a)^2 of F_q, ell^2 - Tr(a)^2 N(u), has
     # the same character
@@ -440,34 +433,34 @@ def _quadratic_criteria(cands: Sequence[PlanarCandidate]) -> list[bool]:
     return verdicts
 
 
-def _fq_points(ctx: FieldCtx, tabs: np.ndarray):
-    """(rows, us, ell(u)) over the nonzero u with ell(u) in F_q of each row
-    of a (k, order) stack of ell value tables, row by row, u ascending."""
-    in_fq = ctx.pow_vec(tabs, ctx.q) == tabs
-    in_fq[:, 0] = False
-    rows, us = np.nonzero(in_fq)
-    return rows, us, tabs[rows, us]
+def _fq_values(ctx: FieldCtx, ells: Sequence[LinearizedPoly]):
+    """(rows, us, ell(u)) over the nonzero u with ell(u) in F_q of each
+    polynomial of a list on one field: index arrays, row by row, u ascending.
 
-
-def _fq_values(ell: LinearizedPoly) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of the nonzero u with ell(u) in F_q, ascending, and of
-    their ell(u).
-
-    Up to CRITERION_TABLE_MAX elements they are read off ell's value table.
-    Above it, u runs over the kernel of u -> ell(u)^q - ell(u), found from
-    the d images ell(p^k) by fp_nullspace; the span tables of its basis and
-    of the basis images list u and ell(u), so the cost follows the kernel's
-    size instead of the field's."""
-    ctx = ell.ctx
+    Up to CRITERION_TABLE_MAX elements they are read off the stack of the
+    polynomials' value tables, the missing ones made as one stack.  Above
+    it, u runs over the kernel of u -> ell(u)^q - ell(u), found from the d
+    images ell(p^k) by fp_nullspace; the span tables of its basis and of the
+    basis images list u and ell(u), so the cost follows the kernel's size
+    instead of the field's."""
     if ctx.order <= CRITERION_TABLE_MAX:
-        return _fq_points(ctx, ell.values[None])[1:]
-    p = ctx.p
-    moved = digit_rows(ctx, [ctx.sub(ctx.frobenius(v, ctx.m), v) for v in ell.images])
-    basis = np.array(fp_nullspace(moved.T, p), dtype=np.int64)
-    images = digit_rows(ctx, ell.images)
-    us = span_table(ctx, basis)
-    ascending = np.argsort(us)[1:]  # u = 0 sorts first
-    return us[ascending], span_table(ctx, basis @ images % p)[ascending]
+        fill_values(ells)
+        tabs = np.array([ell.values for ell in ells])
+        in_fq = ctx.pow_vec(tabs, ctx.q) == tabs
+        in_fq[:, 0] = False
+        rows, us = np.nonzero(in_fq)
+        return rows, us, tabs[rows, us]
+    p, us, lus = ctx.p, [], []
+    for ell in ells:
+        moved = [ctx.sub(ctx.frobenius(v, ctx.m), v) for v in ell.images]
+        basis = np.array(fp_nullspace(digit_rows(ctx, moved).T, p), dtype=np.int64)
+        images = digit_rows(ctx, ell.images)
+        span = span_table(ctx, basis)
+        ascending = np.argsort(span)[1:]  # u = 0 sorts first
+        us.append(span[ascending])
+        lus.append(span_table(ctx, basis @ images % p)[ascending])
+    rows = np.repeat(np.arange(len(ells)), [len(u) for u in us])
+    return rows, np.concatenate(us), np.concatenate(lus)
 
 
 # ---------------------------------------------------------------------------

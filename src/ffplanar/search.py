@@ -108,6 +108,8 @@ class SearchJob:
             raise ValueError("mode must be exhaustive or sample")
         if self.mode == "sample" and self.sample_count <= 0:
             raise ValueError("sample mode needs a positive sample_count")
+        if self.audit_every <= 0:
+            raise ValueError("audit ratio must be positive")
 
     def to_json(self) -> dict:
         return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v

@@ -279,6 +279,19 @@ def test_scan_rejects_undecodable_job_before_output(tmp_path, capsys):
     assert not fresh.exists()
 
 
+def test_scan_rejects_nonpositive_audit_ratio(tmp_path, capsys):
+    # audit_every = 0 would divide by zero at the first candidate
+    job_path, out_path = tmp_path / "job.json", tmp_path / "out.jsonl"
+    job_path.write_text(json.dumps({"p": 3, "m": 1, "n": 2, "family": "monomial",
+                                    "audit_every": 0}))
+    code, out, err = run_cli(capsys, "scan", "--job", str(job_path),
+                             "--out", str(out_path))
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and "audit ratio must be positive" in err
+    assert not out_path.exists()
+
+
 def test_scan_rejects_filter_outside_its_family(tmp_path, capsys):
     # a closed predicate on another family, or the n = 2 criterion on a
     # cubic tower, is a malformed job: exit 65, nothing written

@@ -276,7 +276,7 @@ def test_plane_addition_above_add_table_cap():
     assert ctx.sub_vec(a, b).tolist() == [ctx.sub(x, y) for x, y in zip(a, b)]
     grid = ctx.add_vec(a[:20, None], b[None, :])
     assert grid.tolist() == [[ctx.add(x, y) for y in b] for x in a[:20]]
-    # numpy-scalar operands, as charsum._poly_values passes one
+    # numpy-scalar operands
     c = np.int64(b[0])
     assert ctx.add_vec(a, c).tolist() == [ctx.add(x, int(c)) for x in a]
     both = ctx.add_vec(np.int64(a[0]), c)

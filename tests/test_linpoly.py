@@ -9,7 +9,6 @@ from ffplanar.linpoly import (
     Subspace,
     all_subspaces,
     annihilator_coeffs,
-    annihilator_poly,
     compose_formal,
     eval_formal,
     fp_nullspace,
@@ -43,6 +42,11 @@ def random_poly(ctx, rng):
     return LinearizedPoly(
         ctx, tuple(int(v) for v in rng.integers(0, ctx.order, size=ctx.degree))
     )
+
+
+def compose(f, g):
+    """f(g(x)) as a functional polynomial, through the formal composition."""
+    return LinearizedPoly.from_formal(f.ctx, compose_formal(f.ctx, f.coeffs, g.coeffs))
 
 
 def test_identity_eval():
@@ -83,8 +87,8 @@ def test_compose_identity():
     rng = np.random.default_rng(3)
     ell = random_poly(F27, rng)
     ident = LinearizedPoly.identity(F27)
-    assert ident.compose(ell) == ell
-    assert ell.compose(ident) == ell
+    assert compose(ident, ell) == ell
+    assert compose(ell, ident) == ell
 
 
 def test_compose_frobenius_powers():
@@ -92,7 +96,7 @@ def test_compose_frobenius_powers():
         for s in range(4):
             ft = LinearizedPoly.monomial(F81_4, 1, t)
             fs = LinearizedPoly.monomial(F81_4, 1, s)
-            assert ft.compose(fs) == LinearizedPoly.monomial(F81_4, 1, (t + s) % 4)
+            assert compose(ft, fs) == LinearizedPoly.monomial(F81_4, 1, (t + s) % 4)
 
 
 def test_compose_matches_nested_eval():
@@ -100,7 +104,7 @@ def test_compose_matches_nested_eval():
     for _ in range(100):
         l1 = random_poly(F81_4, rng)
         l2 = random_poly(F81_4, rng)
-        comp = l1.compose(l2)
+        comp = compose(l1, l2)
         for x in range(0, 81, 7):
             assert comp(x) == l1(l2(x))
     # polynomial mode (no tables) composes the same way, at every element
@@ -109,20 +113,17 @@ def test_compose_matches_nested_eval():
     for _ in range(5):
         l1 = random_poly(poly_ctx, rng)
         l2 = random_poly(poly_ctx, rng)
-        comp = l1.compose(l2)
+        comp = compose(l1, l2)
         assert [comp(x) for x in poly_ctx.elements()] == \
             [l1(l2(x)) for x in poly_ctx.elements()]
-    # ctx mismatch is an error
-    with pytest.raises(ValueError):
-        random_poly(F81_4, rng).compose(random_poly(F27, rng))
 
 
 def test_compose_associative_and_matrix_homomorphism():
     rng = np.random.default_rng(5)
     for _ in range(20):
         a, b, c = (random_poly(F27, rng) for _ in range(3))
-        assert a.compose(b).compose(c) == a.compose(b.compose(c))
-        lhs = a.compose(b).as_matrix()
+        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+        lhs = compose(a, b).as_matrix()
         rhs = a.as_matrix() @ b.as_matrix() % 3
         assert np.array_equal(lhs, rhs)
 
@@ -217,8 +218,8 @@ def test_annihilator_functional_form_matches():
     rng = np.random.default_rng(9)
     vecs = [int(v) for v in rng.integers(0, 27, size=2)]
     sub = Subspace.from_vectors(F27, vecs)
-    poly = annihilator_poly(sub)
     raw = annihilator_coeffs(sub)
+    poly = LinearizedPoly.from_formal(F27, raw)
     for x in F27.elements():
         assert poly(x) == eval_formal(F27, raw, x)
 

@@ -15,7 +15,7 @@ import ffplanar
 from ffplanar import field, planarity
 from ffplanar.families import CubicCoeffs, cubic_theorem_predicate, example1_construct
 from ffplanar.field import new_ctx
-from ffplanar.linpoly import LinearizedPoly, Subspace, fp_nullspace
+from ffplanar.linpoly import LinearizedPoly, Subspace, compose_formal, fp_nullspace
 from ffplanar.planarity import (
     Batch,
     MonomialSum,
@@ -602,7 +602,8 @@ def fq_value_subspace(ell: LinearizedPoly) -> Subspace:
     """The subspace {u : ell(u) in F_q}, as the kernel of (x^q - x) o ell."""
     ctx = ell.ctx
     fq_test = LinearizedPoly.monomial(ctx, 1, ctx.m) - LinearizedPoly.identity(ctx)
-    return fq_test.compose(ell).kernel()
+    return LinearizedPoly.from_formal(
+        ctx, compose_formal(ctx, fq_test.coeffs, ell.coeffs)).kernel()
 
 
 def reference_criterion(cand):
@@ -678,8 +679,8 @@ def test_substitution_and_scaling_preserve_verdicts():
         for lam in range(1, 9):
             # x -> f(lam x): a lam^(q+1) and ell(lam^2 x)
             moved = PlanarCandidate(
-                F9, F9.mul(a, F9.pow(lam, F9.q + 1)),
-                ell.compose(LinearizedPoly.monomial(F9, F9.mul(lam, lam), 0)))
+                F9, F9.mul(a, F9.pow(lam, F9.q + 1)), LinearizedPoly.from_formal(
+                    F9, compose_formal(F9, ell.coeffs, (F9.mul(lam, lam),))))
             assert all(moved(x) == cand(F9.mul(lam, x)) for x in range(9))
             assert is_planar_bruteforce(moved).planar == base
         for c in (1, 2):

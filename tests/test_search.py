@@ -40,6 +40,9 @@ def test_job_validation():
         SearchJob(3, 1, 2, family="monomial", filters=("nope",))
     with pytest.raises(ValueError):
         SearchJob(3, 1, 2, family="monomial", mode="sample")
+    for audit_every in (0, -1):
+        with pytest.raises(ValueError, match="audit ratio must be positive"):
+            SearchJob(3, 1, 2, family="monomial", audit_every=audit_every)
     # each closed predicate needs its own family, and the n = 2 criterion a
     # quadratic tower: rejected when the job is built, before any candidate
     for family, filt in (("monomial", "closed-cubic"),
