@@ -6,7 +6,12 @@ D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
 * bruteforce - evaluates the difference maps and checks bijectivity with a
   hit count, for any function given as a value table: a candidate, or any
   polynomial as a MonomialSum; since D_{-c}(x) = -D_c(x - c), D_c and
-  D_{-c} permute together, so only the directions c < -c are evaluated;
+  D_{-c} permute together, so only the directions c < -c are evaluated.
+  Every candidate, a Dembowski-Ostrom polynomial, has f(lam x) = lam^2 f(x)
+  for lam in F_p^*, so D_{lam c}(lam x) = lam^2 D_c(x) and D_c permutes iff
+  D_{lam c} does: on a stack whose tables all pass that test for a
+  generator of F_p^*, only the directions whose leading base-p digit is 1
+  are evaluated, one per class {lam c}, as in rank;
 * rank       - f is a Dembowski-Ostrom polynomial, so f(x+v) - f(x) - f(v) + f(0)
   is a symmetric F_p-bilinear form B(v, x); f is planar iff x -> B(v, x) has
   full rank for every v != 0.  Its matrix is sum_i v_i M_i, column j of M_i
@@ -19,9 +24,9 @@ D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
 Each route refuses an input over its cap before any work, then runs a search
 that returns a witness (c, x1, x2) or None; `_verdict` times the call,
 re-checks the witness on f and builds the report.  The skipped directions of
-the first two routes are never the least of their class, so both still report
-the lowest non-permuting direction, with the witness a scan of every
-direction would give.
+the first two routes are never the least of their pair or class, so both
+still report the lowest non-permuting direction, with the witness a scan of
+every direction would give.
 
 Brute force and the criterion work on a stack of candidates of one field.
 A `Batch` holds candidates checked together: the first brute-force or
@@ -203,7 +208,9 @@ def _verdict(method: str, f, ctx: FieldCtx, started: float,
 @dataclass(frozen=True)
 class MonomialSum:
     """f(x) = sum coeff * x^exp over (coeff, exp) pairs: any polynomial, for
-    brute force on functions outside the candidate shape."""
+    brute force on functions outside the candidate shape.  One that is not
+    homogeneous of degree 2 over F_p (x^2 + x, say) keeps the scan of every
+    c < -c, and so does any stack it is part of."""
 
     ctx: FieldCtx
     monomials: Sequence[tuple[int, int]]
@@ -241,19 +248,31 @@ def _first_collision(row: np.ndarray, c: int):
     return (c, int(first[row[x2]]), x2)
 
 
+def _homogeneous(ctx: FieldCtx, f_tabs: np.ndarray) -> bool:
+    """True iff every row has f(g x) = g^2 f(x) for all x, g generating F_p^*,
+    and so f(lam x) = lam^2 f(x) for every lam in F_p^*."""
+    gx, g2x = ctx.prime_scalings
+    return bool((f_tabs[:, gx] == g2x[f_tabs]).all())
+
+
 def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
     """For each row of a (k, order) stack of value tables, (c, x1, x2) for
     the lowest c whose difference map does not permute, or None.
 
+    The directions are one of each pair {c, -c}, or one of each class
+    {lam c} when every row is homogeneous (`_homogeneous`); the least of a
+    class has leading digit 1, so either set holds the lowest bad direction.
     Blocks of directions double in width from ceil(8 / k), so that early
     witnesses cost little and a stack of one starts at 8, up to
     BRUTE_BLOCK_ENTRIES values.  Each block is evaluated for every row still
     undecided, as many rows at a time as keep block x rows x order within
     BRUTE_BLOCK_ENTRIES, and a row drops out at its first bad direction."""
-    n = ctx.order
-    # c and -c permute together, so only the smaller of the two is scanned
-    cs = np.arange(1, n, dtype=np.int64)
-    cs = cs[cs < ctx.neg_vec(cs)]
+    n, p = ctx.order, ctx.p
+    # the directions whose leading base-p digit is below `top`: one of each
+    # pair {c, -c} for top = (p + 1) / 2, one of each class {lam c} for 2;
+    # for p = 3 the two are the same set
+    top = 2 if p > 3 and _homogeneous(ctx, f_tabs) else (p + 1) // 2
+    cs = np.concatenate([np.arange(p**k, top * p**k) for k in range(ctx.degree)])
     widest = max(1, BRUTE_BLOCK_ENTRIES // n)
     found = [None] * len(f_tabs)
     live = list(range(len(f_tabs)))  # the rows of f_tabs still undecided

@@ -23,6 +23,7 @@ from ffplanar.planarity import (
     VerificationReport,
     check_witness,
     criterion_quadratic,
+    f_tables,
     is_planar_bruteforce,
     is_planar_rank,
     is_planar_reduction,
@@ -219,9 +220,10 @@ def _lowest_collision(ctx, f):
 
 @pytest.mark.parametrize("shape", [(5, 1, 3), (7, 1, 2)])
 def test_witness_direction_is_lowest(shape):
-    # bruteforce skips c > -c and rank skips v whose leading digit is not 1
-    # (for p > 3 that is more than the +-v pairs); neither may move the
-    # lowest non-permuting direction, nor brute force its witness pair
+    # rank, and brute force on a candidate, skip the directions whose leading
+    # digit is not 1 (for p > 3 that is more than the +-c pairs), brute force
+    # on a sum of monomials that is not homogeneous skips c > -c; neither may
+    # move the lowest non-permuting direction, nor brute force its witness pair
     ctx = new_ctx(*shape)
     rng = np.random.default_rng(ctx.order)
     do_exps = [ctx.p**i + ctx.p**j for i in range(ctx.degree) for j in range(i + 1)]
@@ -245,10 +247,12 @@ def test_witness_direction_is_lowest(shape):
 
 
 def test_scans_visit_one_direction_per_class(monkeypatch):
-    # on planar x^2 every class is visited once: (order-1)/2 brute-force
-    # directions (rows of the hit-count matrix), (order-1)/(p-1) rank
-    # directions (matrices tested one by one in narrow blocks, or in a stack
-    # by the batched eliminator)
+    # on planar x^2 every class {lam c}, lam in F_p^*, is visited once:
+    # (order-1)/(p-1) brute-force directions (rows of the hit-count matrix;
+    # on F_3^7 that is (order-1)/2) and as many rank directions (matrices
+    # tested one by one in narrow blocks, or in a stack by the batched
+    # eliminator).  x^2 + x is planar too but not homogeneous, so brute
+    # force visits one direction of each pair {c, -c}, (order-1)/2 in all
     rows, directions = [], []
     bincount = np.bincount
     nullspace, singular = planarity.fp_nullspace, planarity.fp_singular
@@ -269,14 +273,18 @@ def test_scans_visit_one_direction_per_class(monkeypatch):
     monkeypatch.setattr(planarity, "fp_nullspace", counting_nullspace)
     monkeypatch.setattr(planarity, "fp_singular", counting_singular)
     for ctx in (F625, new_ctx(3, 1, 7)):
+        classes = (ctx.order - 1) // (ctx.p - 1)
         rows.clear()
         assert is_planar_bruteforce(square_candidate(ctx)).planar
-        assert sum(rows) == ctx.order * (ctx.order - 1) // 2
+        assert sum(rows) == ctx.order * classes
         # and once per stack row, however the stack is split
         rows.clear()
         stack = np.stack([square_candidate(ctx).f_table()] * 5)
         assert planarity._bad_direction(ctx, stack) == [None] * 5
-        assert sum(rows) == 5 * ctx.order * (ctx.order - 1) // 2
+        assert sum(rows) == 5 * ctx.order * classes
+    rows.clear()
+    assert is_planar_bruteforce(MonomialSum(F625, [(1, 2), (1, 1)])).planar
+    assert sum(rows) == F625.order * (F625.order - 1) // 2
     for ctx in (F625, new_ctx(5, 1, 3), new_ctx(7, 1, 2)):
         directions.clear()
         assert is_planar_rank(square_candidate(ctx)).planar
@@ -310,6 +318,62 @@ def test_bruteforce_stack_matches_one_candidate_calls(entries, monkeypatch):
         assert kernel_runs == [len(cands)]
         assert [(rep.planar, rep.witness) for rep in stacked] == \
             [(rep.planar, rep.witness) for rep in alone]
+
+
+def _pair_scan_reference(ctx, f_tabs):
+    """Reference for _bad_direction over every direction c < -c, ascending:
+    per row, the lowest c whose difference map does not permute, with x2 the
+    lowest x whose difference value an earlier x takes, and x1 the first x
+    taking it."""
+    xs = np.arange(ctx.order)
+    found = [None] * len(f_tabs)
+    for c in (c for c in range(1, ctx.order) if c < ctx.neg(c)):
+        live = [r for r, w in enumerate(found) if w is None]
+        if not live:
+            break
+        diffs = ctx.sub_vec(f_tabs[live][:, ctx.add_vec(xs, c)], f_tabs[live])
+        srt = np.sort(diffs, axis=1)
+        for i in np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1)):
+            _, first, inverse = np.unique(diffs[i], return_index=True,
+                                          return_inverse=True)
+            x2 = int(np.flatnonzero(first[inverse] != xs)[0])
+            found[live[i]] = (c, int(first[inverse[x2]]), x2)
+    return found
+
+
+@pytest.mark.parametrize("pmn", [(5, 2, 2), (5, 1, 5), (7, 1, 3), (3, 2, 3)],
+                         ids=["F_625", "F_5^5", "F_7^3", "F_3^6"])
+def test_bruteforce_matches_pair_scan_reference(pmn):
+    # a homogeneous stack scans one direction per class {lam c}, a stack with
+    # one row that is not scans every c < -c; both must give the witnesses of
+    # a scan of every c < -c, row by row
+    ctx = new_ctx(*pmn)
+    p = ctx.p
+    cands = [*_random_candidates(ctx, 10), square_candidate(ctx),
+             PlanarCandidate(ctx, 0, LinearizedPoly.monomial(ctx, 2, 0))]
+    cands.insert(4, cands.pop())
+    if ctx.n == 2:
+        cands.insert(7, perm_example_candidate(ctx))
+    tabs = f_tables(cands)
+    # f(x) = x^(p+1), homogeneous, and planar on an odd degree
+    tabs = np.vstack([tabs, MonomialSum(ctx, [(1, p + 1)]).f_table()])
+    # x^2 + x is planar but not homogeneous; x^2 with delta = 2 added at one
+    # point is not homogeneous either, and D_1 still permutes there (delta =
+    # f(x0+c) - 2 f(x0) + f(x0-c) = 2 c^2 at c = 1) but D_2 does not, so a
+    # scan of one direction per class would miss its lowest bad direction
+    plus_x = MonomialSum(ctx, [(1, 2), (1, 1)]).f_table()
+    broken = square_candidate(ctx).f_table()
+    broken[7] = ctx.add(int(broken[7]), 2)
+    stacks = [(tabs, True), (np.vstack([tabs[:6], plus_x, tabs[6:]]), False),
+              (np.vstack([broken, tabs]), False)]
+    for stack, homogeneous in stacks:
+        if p > 3:
+            assert planarity._homogeneous(ctx, stack) == homogeneous
+        got = planarity._bad_direction(ctx, stack)
+        assert got == _pair_scan_reference(ctx, stack)
+        assert {w is None for w in got} == {True, False}
+    if p > 3:
+        assert planarity._bad_direction(ctx, broken[None])[0][0] == 2
 
 
 def _pinned_bruteforce_reports():
