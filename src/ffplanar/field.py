@@ -513,19 +513,6 @@ class FieldCtx:
         return (self._plane_add(highs[:, None], highs),
                 self._plane_add(lows[:, None], lows))
 
-    @functools.cached_property
-    def prime_scalings(self) -> tuple[np.ndarray, np.ndarray]:
-        """(gx, g2x): the index of g x and of g^2 x for every x, g the least
-        generator of F_p^*.  An element of F_p scales each digit mod p."""
-        p, idx = self.p, np.arange(self.order, dtype=np.int64)
-        g = next(g for g in range(1, p)
-                 if all(pow(g, (p - 1) // r, p) != 1 for r in prime_factors(p - 1)))
-
-        def scaled(k: int) -> np.ndarray:
-            return sum(idx // p**i % p * k % p * p**i for i in range(self.degree))
-
-        return scaled(g), scaled(g * g)
-
     def shifted_differences(self, f_tabs: np.ndarray):
         """For a (k, order) stack of value tables, the function mapping
         directions cs and a slice `rows` of the stack to the (rows, len(cs),

@@ -6,12 +6,12 @@ D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
 * bruteforce - evaluates the difference maps and checks bijectivity with a
   hit count, for any function given as a value table: a candidate, or any
   polynomial as a MonomialSum; since D_{-c}(x) = -D_c(x - c), D_c and
-  D_{-c} permute together, so only the directions c < -c are evaluated.
-  Every candidate, a Dembowski-Ostrom polynomial, has f(lam x) = lam^2 f(x)
-  for lam in F_p^*, so D_{lam c}(lam x) = lam^2 D_c(x) and D_c permutes iff
-  D_{lam c} does: on a stack whose tables all pass that test for a
-  generator of F_p^*, only the directions whose leading base-p digit is 1
-  are evaluated, one per class {lam c}, as in rank;
+  D_{-c} permute together.  If f(lam x) = mu f(x) for all x, then
+  D_{lam c}(lam x) = mu D_c(x), and D_c and D_{lam c} permute together too.
+  Every candidate, a Dembowski-Ostrom polynomial, scales so under F_p^*
+  (mu = lam^2), and many under a larger subgroup of F^* (x^2 under all of
+  it).  So brute force evaluates only the least direction of each coset of
+  the subgroup generated by -1 and the stack's scaling group;
 * rank       - f is a Dembowski-Ostrom polynomial, so f(x+v) - f(x) - f(v) + f(0)
   is a symmetric F_p-bilinear form B(v, x); f is planar iff x -> B(v, x) has
   full rank for every v != 0.  Its matrix is sum_i v_i M_i, column j of M_i
@@ -24,7 +24,7 @@ D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
 Each route refuses an input over its cap before any work, then runs a search
 that returns a witness (c, x1, x2) or None; `_verdict` times the call,
 re-checks the witness on f and builds the report.  The skipped directions of
-the first two routes are never the least of their pair or class, so both
+the first two routes are never the least of their coset or class, so both
 still report the lowest non-permuting direction, with the witness a scan of
 every direction would give.
 
@@ -32,7 +32,9 @@ Brute force and the criterion work on a stack of candidates of one field.
 A `Batch` holds candidates checked together: the first brute-force or
 criterion call on one of them runs for all of them, and later calls read
 their row.  Without a batch a call is a stack of one, so a scan batch and a
-single verify run the same code.
+single verify run the same code.  A batch re-checks all its brute-force
+witnesses at once, by vector ops on a and ell's coefficients, in place of
+one scalar check per report.
 
 Brute force forms x + c for a block of directions with no arithmetic on x:
 with split = p^ceil(d/2), x + c is the digitwise sum of the high halves of x
@@ -44,7 +46,9 @@ one reduce lookup give the canonical index, and a hit count per row decides.
 Blocks double in width from ceil(8 / k) directions on a stack of k up to
 BRUTE_BLOCK_ENTRIES values (one row on a bigger field); each block runs on
 every candidate still undecided, and a candidate leaves the stack with the
-witness read off its first bad row.
+witness read off its first bad row.  The first block takes the least of
+each pair {c, -c}; the scaling group is found only for the candidates still
+undecided after it, so most non-planar inputs never pay for it.
 
 A quadratic-extension criterion (n = 2) decides planarity from the values
 ell(u)^2 - N(u) on the subspace where ell lands in F_q, or, when Tr(a) = 0,
@@ -63,6 +67,7 @@ subspace, not of the field.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -70,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_BRUTE_CAP, check_shape
-from .field import FieldCtx, ctx_from_json
+from .field import FieldCtx, ctx_from_json, prime_factors
 from .linpoly import (
     LinearizedPoly,
     digit_rows,
@@ -95,6 +100,9 @@ CRITERION_TABLE_MAX = 20_000
 # L2 cache: full scans of x^2 on F_3^7, F_5^5 and F_3^8 ran 1.7-2x faster
 # than at 2^19 entries, and F_625 the same (2-vCPU Xeon)
 BRUTE_BLOCK_ENTRIES = 1 << 16
+# brute force: the points of each row on which a scaling x -> lam x is
+# screened before the one full test of the group found
+SCALING_SCREEN_POINTS = 8
 
 # the JSON shape of a candidate, which PlanarCandidate.from_json checks
 CANDIDATE_SHAPE = {
@@ -194,23 +202,52 @@ def check_witness(f, ctx: FieldCtx, witness) -> bool:
     return d1 == d2
 
 
-def _verdict(method: str, f, ctx: FieldCtx, started: float,
-             witness) -> VerificationReport:
+def _verdict(method: str, f, ctx: FieldCtx, started: float, witness,
+             rechecked: bool = False) -> VerificationReport:
     """The report of a route whose search began at `started` and found
     `witness`, or None; a witness is re-checked on f first, by a raise, so
-    that the check also runs under python -O."""
+    that the check also runs under python -O, unless it was `rechecked`
+    already (a batch re-checks all its witnesses at once)."""
     ms = (time.perf_counter() - started) * 1e3
-    if witness is not None and not check_witness(f, ctx, witness):
+    if witness is not None and not rechecked and not check_witness(f, ctx, witness):
         raise RuntimeError(f"{method} produced an invalid witness {witness}")
     return VerificationReport(witness is None, method, witness, ms)
+
+
+def _check_witnesses(cands: Sequence[PlanarCandidate], witnesses) -> None:
+    """check_witness for every witness of a stack of candidates at once,
+    raising as `_verdict` does at the first invalid one.  f at x1 + c, x1,
+    x2 + c and x2 is evaluated from each a and ell's coefficients by vector
+    ops, the trace as a sum of conjugates, so no value table that the kernel
+    read is read again."""
+    ctx = cands[0].ctx
+    rows = [i for i, w in enumerate(witnesses) if w is not None]
+    if not rows:
+        return
+    c, x1, x2 = np.array([witnesses[i] for i in rows], dtype=np.int64).T
+    xs = np.stack([ctx.add_vec(x1, c), x1, ctx.add_vec(x2, c), x2], axis=1)
+    a = np.array([cands[i].a for i in rows], dtype=np.int64)[:, None]
+    coeffs = np.array([cands[i].ell.coeffs for i in rows], dtype=np.int64)
+    t = ctx.mul_vec(a, ctx.pow_vec(xs, ctx.q + 1))
+    f = t
+    for k in range(1, ctx.n):
+        f = ctx.add_vec(f, ctx.frob_vec(t, k * ctx.m))
+    sq = ctx.mul_vec(xs, xs)
+    for k in range(ctx.degree):
+        f = ctx.add_vec(f, ctx.mul_vec(coeffs[:, k, None], ctx.frob_vec(sq, k)))
+    d = ctx.sub_vec(f[:, 0::2], f[:, 1::2])  # D_c(x1), D_c(x2)
+    valid = (c != 0) & (x1 != x2) & (d[:, 0] == d[:, 1])
+    if not valid.all():
+        bad = witnesses[rows[int(np.argmin(valid))]]
+        raise RuntimeError(f"bruteforce produced an invalid witness {bad}")
 
 
 @dataclass(frozen=True)
 class MonomialSum:
     """f(x) = sum coeff * x^exp over (coeff, exp) pairs: any polynomial, for
-    brute force on functions outside the candidate shape.  One that is not
-    homogeneous of degree 2 over F_p (x^2 + x, say) keeps the scan of every
-    c < -c, and so does any stack it is part of."""
+    brute force on functions outside the candidate shape.  One that scales
+    under no lam but 1 (x^2 + x, say) keeps the scan of every c < -c, and so
+    does any stack it is part of."""
 
     ctx: FieldCtx
     monomials: Sequence[tuple[int, int]]
@@ -248,36 +285,99 @@ def _first_collision(row: np.ndarray, c: int):
     return (c, int(first[row[x2]]), x2)
 
 
-def _homogeneous(ctx: FieldCtx, f_tabs: np.ndarray) -> bool:
-    """True iff every row has f(g x) = g^2 f(x) for all x, g generating F_p^*,
-    and so f(lam x) = lam^2 f(x) for every lam in F_p^*."""
-    gx, g2x = ctx.prime_scalings
-    return bool((f_tabs[:, gx] == g2x[f_tabs]).all())
+@functools.lru_cache(maxsize=None)
+def _product_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(log, exp) for products by two lookups and no remainder: log[0] = 2M,
+    M = order - 1, else log[x] = log_g x, and exp[i] = g^i below 2M and 0
+    from there on, so exp[log x + log y] = x y for any x and any y != 0."""
+    M = ctx.order - 1
+    log = ctx.log_table.copy()
+    log[0] = 2 * M
+    exp = np.concatenate([ctx.exp_table, ctx.exp_table, np.zeros(M, dtype=np.int64)])
+    log.setflags(write=False)
+    exp.setflags(write=False)
+    return log, exp
+
+
+def _scaling_order(ctx: FieldCtx, f_tabs: np.ndarray) -> int:
+    """The order e of the largest subgroup G of F^* under which every row of
+    a (k, order) stack scales: for each lam in G, a mu of the row's own with
+    f(lam x) = mu f(x) for all x.  mu is read off the row's first x0 with
+    f(x0) != 0 (any mu serves a row that vanishes).
+
+    G is cyclic, so e is found prime by prime: for each prime l of order - 1
+    it takes the generators g^((order-1)/l^j), j = 1, 2, ..., for as long
+    as they pass a screen on SCALING_SCREEN_POINTS points of every row.  A
+    screen passes whatever the full test passes, so only the generator of
+    the final G is tested on every point; should that fail, e is found again
+    with the full test at each step."""
+    M = ctx.order - 1
+    log, exp = _product_tables(ctx)
+    primes = prime_factors(M)
+    powers = [l**j for l in primes for j in range(1, M.bit_length()) if M % l**j == 0]
+    shifts = np.array([M // h for h in powers])
+    rows = np.arange(len(f_tabs))
+
+    def scaling(shifts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Which lam = g^s, s in shifts, pass the test at the points xs."""
+        fx, fy = f_tabs[:, xs], f_tabs[:, exp[log[xs] + shifts[:, None]]]
+        x0 = (fx != 0).argmax(axis=1)
+        log_mu = (log[fy[rows, :, x0]] - log[fx[rows, x0]][:, None]) % M
+        return (fy == exp[log[fx][:, None] + log_mu[:, :, None]]).all(axis=(0, 2))
+
+    def order(passed: np.ndarray) -> int:
+        ok, e = dict(zip(powers, passed.tolist())), 1
+        for l in primes:
+            k = 1
+            while ok.get(k * l):
+                k *= l
+            e *= k
+        return e
+
+    every = np.arange(ctx.order)
+    e = order(scaling(shifts, np.arange(1, ctx.order, -(-M // SCALING_SCREEN_POINTS))))
+    if e == 1 or scaling(np.array([M // e]), every)[0]:
+        return e
+    return order(scaling(shifts, every))
+
+
+@functools.lru_cache(maxsize=None)
+def _coset_minima(ctx: FieldCtx, h: int) -> np.ndarray:
+    """The least element of each coset of the subgroup of order h of F^*,
+    ascending: c = g^i lies in coset i mod (order-1)/h."""
+    cosets = (ctx.order - 1) // h
+    minima = np.full(cosets, ctx.order, dtype=np.int64)
+    np.minimum.at(minima, ctx.log_table[1:] % cosets, np.arange(1, ctx.order))
+    minima.sort()
+    minima.setflags(write=False)
+    return minima
 
 
 def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
     """For each row of a (k, order) stack of value tables, (c, x1, x2) for
     the lowest c whose difference map does not permute, or None.
 
-    The directions are one of each pair {c, -c}, or one of each class
-    {lam c} when every row is homogeneous (`_homogeneous`); the least of a
-    class has leading digit 1, so either set holds the lowest bad direction.
+    D_{-c}(x) = -D_c(x - c), and if the stack scales under a subgroup of F^*
+    of order e (`_scaling_order`), D_{lam c}(lam x) = mu D_c(x) for each lam
+    in it.  So the bad directions of a row form a union of cosets of the
+    subgroup of order lcm(e, 2), and only the least element of each coset
+    (`_coset_minima`) is evaluated, in ascending order: the lowest bad
+    direction is one of them.  The first block runs over the minima of the
+    pairs {c, -c}; only if some row is still undecided after it is e found,
+    on those rows, and the scan goes on over the minima above that block.
+
     Blocks of directions double in width from ceil(8 / k), so that early
     witnesses cost little and a stack of one starts at 8, up to
     BRUTE_BLOCK_ENTRIES values.  Each block is evaluated for every row still
     undecided, as many rows at a time as keep block x rows x order within
     BRUTE_BLOCK_ENTRIES, and a row drops out at its first bad direction."""
-    n, p = ctx.order, ctx.p
-    # the directions whose leading base-p digit is below `top`: one of each
-    # pair {c, -c} for top = (p + 1) / 2, one of each class {lam c} for 2;
-    # for p = 3 the two are the same set
-    top = 2 if p > 3 and _homogeneous(ctx, f_tabs) else (p + 1) // 2
-    cs = np.concatenate([np.arange(p**k, top * p**k) for k in range(ctx.degree)])
+    n = ctx.order
+    cs = _coset_minima(ctx, 2)
     widest = max(1, BRUTE_BLOCK_ENTRIES // n)
     found = [None] * len(f_tabs)
     live = list(range(len(f_tabs)))  # the rows of f_tabs still undecided
     differences = ctx.shifted_differences(f_tabs)
-    lo, width = 0, -(-8 // len(f_tabs))
+    lo, width, scaled = 0, -(-8 // len(f_tabs)), False
     while lo < len(cs) and live:
         block = cs[lo:lo + min(width, widest)]
         lo, width = lo + len(block), 2 * width
@@ -302,6 +402,10 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
             live = [row for row in live if found[row] is None]
             if live:
                 differences = ctx.shifted_differences(f_tabs[live])
+        if live and lo < len(cs) and not scaled:
+            scaled = True
+            cs = _coset_minima(ctx, math.lcm(2, _scaling_order(ctx, f_tabs[live])))
+            lo = int(np.searchsorted(cs, block[-1], side="right"))
     return found
 
 
@@ -310,14 +414,16 @@ def is_planar_bruteforce(f: PlanarCandidate | MonomialSum,
                          batch: Batch | None = None) -> VerificationReport:
     """Exact verdict for a candidate or any MonomialSum: checks bijectivity
     of every difference map by hit counts.  A candidate of `batch` reads its
-    witness from the batch's one kernel run."""
+    witness from the batch's one kernel run, re-checked there with all the
+    batch's witnesses."""
     started = time.perf_counter()
     ctx = f.ctx
     if ctx.order > brute_cap:
         raise ValueError(f"field order {ctx.order} exceeds brute-force cap {brute_cap}")
     witness = (_bad_direction(ctx, f.f_table()[None])[0] if batch is None
                else batch.witness(f))
-    return _verdict("bruteforce", f, ctx, started, witness)
+    return _verdict("bruteforce", f, ctx, started, witness,
+                    rechecked=batch is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +595,9 @@ def _fq_values(ctx: FieldCtx, ells: Sequence[LinearizedPoly]):
 class Batch:
     """Candidates of one field checked together.  The first brute-force call
     on any of them runs the kernel once on the stack of all their value
-    tables, the first criterion call runs one masked core over all of them,
-    and every call reads its candidate's row.  The ell tables both read are
+    tables and re-checks all the witnesses it finds at once
+    (`_check_witnesses`), the first criterion call runs one masked core over
+    all of them, and every call reads its candidate's row.  The ell tables both read are
     made as one stack and cached on each polynomial, where a reduction oracle
     finds them too."""
 
@@ -506,7 +613,9 @@ class Batch:
 
     @functools.cached_property
     def _witnesses(self) -> list:
-        return _bad_direction(self.cands[0].ctx, f_tables(self.cands))
+        found = _bad_direction(self.cands[0].ctx, f_tables(self.cands))
+        _check_witnesses(self.cands, found)
+        return found
 
     @functools.cached_property
     def _criteria(self) -> list[bool]:

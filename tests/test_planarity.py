@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,12 @@ import pytest
 
 import ffplanar
 from ffplanar import field, planarity
-from ffplanar.families import CubicCoeffs, cubic_theorem_predicate, example1_construct
+from ffplanar.families import (
+    CubicCoeffs,
+    MonomialFamilyParams,
+    cubic_theorem_predicate,
+    example1_construct,
+)
 from ffplanar.field import new_ctx
 from ffplanar.linpoly import LinearizedPoly, Subspace, compose_formal, fp_nullspace
 from ffplanar.planarity import (
@@ -220,10 +226,11 @@ def _lowest_collision(ctx, f):
 
 @pytest.mark.parametrize("shape", [(5, 1, 3), (7, 1, 2)])
 def test_witness_direction_is_lowest(shape):
-    # rank, and brute force on a candidate, skip the directions whose leading
-    # digit is not 1 (for p > 3 that is more than the +-c pairs), brute force
-    # on a sum of monomials that is not homogeneous skips c > -c; neither may
-    # move the lowest non-permuting direction, nor brute force its witness pair
+    # rank skips the directions whose leading digit is not 1; brute force
+    # skips all but the least of each coset of the group generated by -1 and
+    # its input's scaling group (on a sum of monomials that scales under no
+    # lam but 1, only the c > -c); neither may move the lowest non-permuting
+    # direction, nor brute force its witness pair
     ctx = new_ctx(*shape)
     rng = np.random.default_rng(ctx.order)
     do_exps = [ctx.p**i + ctx.p**j for i in range(ctx.degree) for j in range(i + 1)]
@@ -246,13 +253,25 @@ def test_witness_direction_is_lowest(shape):
         assert is_planar_bruteforce(MonomialSum(ctx, mono)).witness == want
 
 
+def _orbit_minima(ctx, h):
+    """Reference for _coset_minima: the least element of each orbit
+    {lam c : lam^h = 1}, ascending, from every product."""
+    group = np.array([lam for lam in range(1, ctx.order) if ctx.pow(lam, h) == 1])
+    cs = np.arange(1, ctx.order)
+    return sorted(set(ctx.mul_vec(group[:, None], cs).min(axis=0).tolist()))
+
+
 def test_scans_visit_one_direction_per_class(monkeypatch):
-    # on planar x^2 every class {lam c}, lam in F_p^*, is visited once:
-    # (order-1)/(p-1) brute-force directions (rows of the hit-count matrix;
-    # on F_3^7 that is (order-1)/2) and as many rank directions (matrices
-    # tested one by one in narrow blocks, or in a stack by the batched
-    # eliminator).  x^2 + x is planar too but not homogeneous, so brute
-    # force visits one direction of each pair {c, -c}, (order-1)/2 in all
+    # brute force visits the first block of the pair minima {c, -c}, then one
+    # direction per coset of the stack's scaling group (rows of the hit-count
+    # matrix).  x^2 scales under all of F^*, so planar x^2 visits only the 8
+    # directions of its first block, and a stack of 5 the 2 of its own.  A
+    # planar q25 binomial member scales under the 16 lam with lam^16 = 1 and
+    # visits its first block and the coset minima above it; x^2 + x scales
+    # under no lam but 1 and visits one direction of each pair {c, -c},
+    # (order-1)/2 in all.  Rank visits one direction per class {lam c}, lam
+    # in F_p^* (matrices tested one by one in narrow blocks, or in a stack
+    # by the batched eliminator)
     rows, directions = [], []
     bincount = np.bincount
     nullspace, singular = planarity.fp_nullspace, planarity.fp_singular
@@ -273,15 +292,20 @@ def test_scans_visit_one_direction_per_class(monkeypatch):
     monkeypatch.setattr(planarity, "fp_nullspace", counting_nullspace)
     monkeypatch.setattr(planarity, "fp_singular", counting_singular)
     for ctx in (F625, new_ctx(3, 1, 7)):
-        classes = (ctx.order - 1) // (ctx.p - 1)
         rows.clear()
         assert is_planar_bruteforce(square_candidate(ctx)).planar
-        assert sum(rows) == ctx.order * classes
+        assert sum(rows) == 8 * ctx.order
         # and once per stack row, however the stack is split
         rows.clear()
         stack = np.stack([square_candidate(ctx).f_table()] * 5)
         assert planarity._bad_direction(ctx, stack) == [None] * 5
-        assert sum(rows) == 5 * ctx.order * classes
+        assert sum(rows) == 5 * 2 * ctx.order
+    member = MonomialFamilyParams(F625, 1, 1, 2).candidate()
+    first = _orbit_minima(F625, 2)[7]
+    beyond = [c for c in _orbit_minima(F625, 16) if c > first]
+    rows.clear()
+    assert is_planar_bruteforce(member).planar
+    assert sum(rows) == F625.order * (8 + len(beyond))
     rows.clear()
     assert is_planar_bruteforce(MonomialSum(F625, [(1, 2), (1, 1)])).planar
     assert sum(rows) == F625.order * (F625.order - 1) // 2
@@ -289,6 +313,53 @@ def test_scans_visit_one_direction_per_class(monkeypatch):
         directions.clear()
         assert is_planar_rank(square_candidate(ctx)).planar
         assert sum(directions) == (ctx.order - 1) // (ctx.p - 1)
+
+
+def _scaling_reference(ctx, f_tabs):
+    """Reference for _scaling_order: how many lam in F^* have, on every row,
+    one mu with f(lam x) = mu f(x) for all x, tried one lam at a time."""
+    xs = np.arange(ctx.order)
+    count = 0
+    for lam in range(1, ctx.order):
+        moved = f_tabs[:, ctx.mul_vec(lam, xs)]
+        ok = True
+        for f, g in zip(f_tabs, moved):
+            nonzero = f != 0
+            ratios = set(ctx.mul_vec(g[nonzero], ctx.inv_vec(f[nonzero])).tolist())
+            ok = ok and (g[~nonzero] == 0).all() and len(ratios) <= 1
+        count += ok
+    return count
+
+
+@pytest.mark.parametrize("pmn", [(3, 1, 4), (5, 1, 2), (7, 1, 2), (5, 2, 2)],
+                         ids=["F_3^4", "F_5^2", "F_7^2", "F_625"])
+def test_scaling_order_and_coset_minima_match_references(pmn):
+    ctx = new_ctx(*pmn)
+    p, M = ctx.p, ctx.order - 1
+    cands = f_tables(list(_random_candidates(ctx, 8)))
+    square = square_candidate(ctx).f_table()
+    plus_x = MonomialSum(ctx, [(1, 2), (1, 1)]).f_table()
+    # x^2 with f(0) = 1: the screen reads only nonzero points, so only the
+    # full test sees it; lam scales it iff lam^2 = 1.  Moved at a nonzero
+    # point instead, it scales under no lam but 1
+    at_zero, at_point = square.copy(), square.copy()
+    at_zero[0] = 1
+    at_point[M // 3] = ctx.add(int(at_point[M // 3]), 1)
+    stacks = {
+        "candidates": cands, "one candidate": cands[1:2], "x^2": square[None],
+        "x^(p+1)": MonomialSum(ctx, [(1, p + 1)]).f_table()[None],
+        "zero": np.zeros((1, ctx.order), dtype=np.int64),
+        "x^2 + x": plus_x[None], "with x^2 + x": np.vstack([cands, plus_x]),
+        "x^2 moved at 0": at_zero[None], "x^2 moved at a point": at_point[None],
+    }
+    want = {name: _scaling_reference(ctx, tabs) for name, tabs in stacks.items()}
+    got = {name: planarity._scaling_order(ctx, tabs) for name, tabs in stacks.items()}
+    assert got == want
+    assert want["x^2"] == want["zero"] == M
+    assert want["x^2 moved at 0"] == 2 and want["x^2 + x"] == 1
+    assert want["candidates"] % (p - 1) == 0
+    for h in (h for h in range(1, M + 1) if M % h == 0):
+        assert planarity._coset_minima(ctx, h).tolist() == _orbit_minima(ctx, h)
 
 
 @pytest.mark.parametrize("entries", [planarity.BRUTE_BLOCK_ENTRIES, 1 << 12],
@@ -344,9 +415,10 @@ def _pair_scan_reference(ctx, f_tabs):
 @pytest.mark.parametrize("pmn", [(5, 2, 2), (5, 1, 5), (7, 1, 3), (3, 2, 3)],
                          ids=["F_625", "F_5^5", "F_7^3", "F_3^6"])
 def test_bruteforce_matches_pair_scan_reference(pmn):
-    # a homogeneous stack scans one direction per class {lam c}, a stack with
-    # one row that is not scans every c < -c; both must give the witnesses of
-    # a scan of every c < -c, row by row
+    # a stack of candidates scans one direction per coset of a group that
+    # holds F_p^*, a stack with one row that scales under no lam but 1 scans
+    # every c < -c; both must give the witnesses of a scan of every c < -c,
+    # row by row
     ctx = new_ctx(*pmn)
     p = ctx.p
     cands = [*_random_candidates(ctx, 10), square_candidate(ctx),
@@ -355,25 +427,24 @@ def test_bruteforce_matches_pair_scan_reference(pmn):
     if ctx.n == 2:
         cands.insert(7, perm_example_candidate(ctx))
     tabs = f_tables(cands)
-    # f(x) = x^(p+1), homogeneous, and planar on an odd degree
+    # f(x) = x^(p+1), which scales under all of F^*, planar on an odd degree
     tabs = np.vstack([tabs, MonomialSum(ctx, [(1, p + 1)]).f_table()])
-    # x^2 + x is planar but not homogeneous; x^2 with delta = 2 added at one
-    # point is not homogeneous either, and D_1 still permutes there (delta =
-    # f(x0+c) - 2 f(x0) + f(x0-c) = 2 c^2 at c = 1) but D_2 does not, so a
-    # scan of one direction per class would miss its lowest bad direction
+    # x^2 + x is planar but scales under no lam but 1; nor does x^2 with
+    # delta = 2 added at one point, where D_1 still permutes (delta = f(x0+c)
+    # - 2 f(x0) + f(x0-c) = 2 c^2 at c = 1) but some D_c does not, so the
+    # one direction of x^2's group, c = 1, would call it planar
     plus_x = MonomialSum(ctx, [(1, 2), (1, 1)]).f_table()
     broken = square_candidate(ctx).f_table()
     broken[7] = ctx.add(int(broken[7]), 2)
     stacks = [(tabs, True), (np.vstack([tabs[:6], plus_x, tabs[6:]]), False),
               (np.vstack([broken, tabs]), False)]
-    for stack, homogeneous in stacks:
-        if p > 3:
-            assert planarity._homogeneous(ctx, stack) == homogeneous
+    for stack, scales in stacks:
+        e = planarity._scaling_order(ctx, stack)
+        assert e % (p - 1) == 0 if scales else e == 1
         got = planarity._bad_direction(ctx, stack)
         assert got == _pair_scan_reference(ctx, stack)
         assert {w is None for w in got} == {True, False}
-    if p > 3:
-        assert planarity._bad_direction(ctx, broken[None])[0][0] == 2
+    assert planarity._bad_direction(ctx, broken[None])[0][0] > 1
 
 
 def _pinned_bruteforce_reports():
@@ -578,13 +649,41 @@ def test_invalid_witness_raises_under_python_O():
                 route(cand)
             except RuntimeError:
                 print(route.__name__)
+        # and a batch's one re-check of all its witnesses
+        batch = planarity.Batch([cand, planarity.PlanarCandidate(ctx, 1, cand.ell)])
+        try:
+            planarity.is_planar_bruteforce(batch.cands[1], batch=batch)
+        except RuntimeError:
+            print("Batch")
     """)
     src = str(Path(ffplanar.__file__).resolve().parents[1])
     res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["is_planar_bruteforce", "is_planar_rank",
-                                  "is_planar_reduction"]
+                                  "is_planar_reduction", "Batch"]
+
+
+@pytest.mark.parametrize("pmn", [(3, 1, 5), (5, 2, 2), (7, 1, 3), (3, 1, 7),
+                                 (5, 1, 5), (3, 1, 8)],
+                         ids=["F_3^5", "F_625", "F_7^3", "F_3^7", "F_5^5", "F_3^8"])
+def test_batched_recheck_matches_check_witness(pmn):
+    # the pinned stacks: every witness the kernel finds passes the batched
+    # re-check, as it passes check_witness; a witness with c = 0, with x1 =
+    # x2, or with x2 moved off its collision raises, naming that witness
+    ctx = new_ctx(*pmn)
+    cands = list(_random_candidates(ctx, 12)) + [square_candidate(ctx)]
+    found = planarity._bad_direction(ctx, f_tables(cands))
+    assert {w is None for w in found} == {True, False}
+    assert all(check_witness(cand, ctx, w) for cand, w in zip(cands, found) if w)
+    planarity._check_witnesses(cands, found)
+    i = max(i for i, w in enumerate(found) if w)
+    c, x1, x2 = found[i]
+    moved = next(x for x in range(x2 + 1, ctx.order)
+                 if not check_witness(cands[i], ctx, (c, x1, x)))
+    for bad in [(0, x1, x2), (c, x1, x1), (c, x1, moved)]:
+        with pytest.raises(RuntimeError, match=re.escape(f"invalid witness {bad}")):
+            planarity._check_witnesses(cands, found[:i] + [bad] + found[i + 1:])
 
 
 def test_reduction_skipped_u_never_vanish():
