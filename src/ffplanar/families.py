@@ -39,12 +39,18 @@ class _QuadraticBinomial:
         if not 0 < self.k < self.ctx.m:
             raise ValueError("exponent k must satisfy 0 < k < m")
 
-    def ell(self) -> LinearizedPoly:
+    def _coeffs(self) -> list[int]:
+        """ell's coefficients: b^(p^k) at x^(p^(m+k)) and c^(p^k) at
+        x^(p^k), two distinct slots of the d = 2m since 0 < k < m."""
         ctx, k = self.ctx, self.k
         pk = ctx.p**k
-        return LinearizedPoly.monomial(
-            ctx, ctx.pow(self.b, pk), (ctx.m + k) % ctx.degree
-        ) + LinearizedPoly.monomial(ctx, ctx.pow(self.c, pk), k)
+        coeffs = [0] * ctx.degree
+        coeffs[ctx.m + k] = ctx.pow(self.b, pk)
+        coeffs[k] = ctx.pow(self.c, pk)
+        return coeffs
+
+    def ell(self) -> LinearizedPoly:
+        return LinearizedPoly(self.ctx, tuple(self._coeffs()))
 
     def candidate(self) -> PlanarCandidate:
         return PlanarCandidate(self.ctx, _normalized_a(self.ctx), self.ell())
@@ -87,11 +93,12 @@ class NbcFamilyParams(_QuadraticBinomial):
         if self.ctx.rel_norm(self.b) != self.ctx.rel_norm(self.c):
             raise ValueError("family requires N(b) = N(c)")
 
-    def ell(self) -> LinearizedPoly:
-        ctx = self.ctx
-        corr_hi = LinearizedPoly.monomial(ctx, ctx.mul(self.c0, self.b), ctx.m)
-        corr_lo = LinearizedPoly.monomial(ctx, ctx.mul(self.c0, self.c), 0)
-        return super().ell() - corr_hi - corr_lo
+    def _coeffs(self) -> list[int]:
+        # minus c0 b at x^q and c0 c at x, slots m and 0, apart from k and m + k
+        ctx, coeffs = self.ctx, super()._coeffs()
+        coeffs[ctx.m] = ctx.neg(ctx.mul(self.c0, self.b))
+        coeffs[0] = ctx.neg(ctx.mul(self.c0, self.c))
+        return coeffs
 
 
 def _power_equation_solutions(ctx: FieldCtx, e: int, rhs: int) -> list[int]:

@@ -20,8 +20,12 @@ The difference rows f(x + c) - f(x) that brute force counts read the same
 planes, with x + c taken from sums of the high and the low halves of the
 digits, kept in two tables while these stay small.
 
-The relative trace and norm, the absolute trace of F_q and their tables are
-one fold over an element's conjugates, run with the scalar or the vector ops.
+The relative trace, the absolute trace of F_q and their tables are one sum
+over an element's conjugates, run with the scalar or the vector ops.  The
+relative norm, the product of the same conjugates, is the one power
+a^((q^n - 1)/(q - 1)).
+In table mode elements print from two cached lists of digit strings, one
+for each half of the digits.
 Subfield elements are 0 and the powers of one generator power, in both modes,
 so listing F_{q^level} costs q^level multiplications, not a field walk.
 
@@ -340,7 +344,32 @@ class FieldCtx:
         return self.from_digits(ds)
 
     def format_element(self, a: int) -> str:
-        return ",".join(map(str, self.digits(a)))
+        """The base-p digits of a, least significant first, comma-separated;
+        read from `_digit_strings` when it is kept."""
+        strings = self._digit_strings
+        if strings is None:
+            return ",".join(map(str, self.digits(a)))
+        split, low, high = strings
+        hi, lo = divmod(a, split)
+        return low[lo] + high[hi]
+
+    @functools.cached_property
+    def _digit_strings(self) -> tuple[int, list[str], list[str]] | None:
+        """(split, low, high) for format_element in table mode, split =
+        p^ceil(d/2): low[v] is the digit string of v < split, and high[v]
+        that of v * split, its d - ceil(d/2) digits each after a comma.
+        Neither list is order-sized; a prime field (d = 1) and polynomial
+        mode keep none and join the digits."""
+        if not self.table_mode or self.degree == 1:
+            return None
+        h = -(-self.degree // 2)
+
+        def strings(count, lead):
+            # little-endian digits: the first digit varies fastest
+            return [lead + ",".join(map(str, ds[::-1]))
+                    for ds in itertools.product(range(self.p), repeat=count)]
+
+        return self.p**h, strings(h, ""), strings(self.degree - h, ",")
 
     def to_json(self) -> dict:
         return {"p": self.p, "m": self.m, "n": self.n, "modulus": list(self.modulus)}
@@ -409,22 +438,27 @@ class FieldCtx:
         """a^(p^e), with e reduced mod m*n."""
         return self.pow(a, self.p ** (e % self.degree))
 
-    def _conjugate_fold(self, a, e: int, count: int, frob, combine):
-        """a combined with its next count - 1 conjugates a^(p^e), a^(p^2e),
-        ...; frob and combine are the scalar or the vector ops, to match a."""
+    def _conjugate_sum(self, a, e: int, count: int, frob, add):
+        """a plus its next count - 1 conjugates a^(p^e), a^(p^2e), ...: the
+        traces; frob and add are the scalar or the vector ops, to match a."""
         acc = cur = a
         for _ in range(count - 1):
             cur = frob(cur, e)
-            acc = combine(acc, cur)
+            acc = add(acc, cur)
         return acc
 
     def rel_trace(self, a: int) -> int:
         """Trace from F_{q^n} down to F_q."""
-        return self._conjugate_fold(a, self.m, self.n, self.frobenius, self.add)
+        return self._conjugate_sum(a, self.m, self.n, self.frobenius, self.add)
+
+    @functools.cached_property
+    def _norm_exponent(self) -> int:
+        return (self.order - 1) // (self.q - 1)
 
     def rel_norm(self, a: int) -> int:
-        """Norm from F_{q^n} down to F_q."""
-        return self._conjugate_fold(a, self.m, self.n, self.frobenius, self.mul)
+        """Norm from F_{q^n} down to F_q: the product of a's n conjugates
+        a^(q^i), which is the one power a^(1 + q + ... + q^(n-1))."""
+        return self.pow(a, self._norm_exponent)
 
     def in_subfield(self, a: int, level: int = 1) -> bool:
         """Membership in F_{q^level}, tested as a^(q^level) = a."""
@@ -444,7 +478,7 @@ class FieldCtx:
 
     def subfield_abs_trace(self, a: int) -> int:
         """Trace from F_q to F_p of a subfield element, as an int in [0, p)."""
-        return self._conjugate_fold(a, 1, self.m, self.frobenius, self.add)
+        return self._conjugate_sum(a, 1, self.m, self.frobenius, self.add)
 
     def elements(self) -> range:
         return range(self.order)
@@ -515,9 +549,9 @@ class FieldCtx:
 
     def shifted_differences(self, f_tabs: np.ndarray):
         """For a (k, order) stack of value tables, the function mapping
-        directions cs and a slice `rows` of the stack to the (rows, len(cs),
-        order) array of f(x + c) - f(x): [i, j, x] for f = f_tabs[rows][i],
-        c = cs[j] and every x.
+        directions cs and `rows` of the stack (a slice or an index array) to
+        the (rows, len(cs), order) array of f(x + c) - f(x): [i, j, x] for
+        f = f_tabs[rows][i], c = cs[j] and every x.
 
         With split = p^ceil(d/2), x + c is the digitwise sum of the high
         halves of x and c plus that of their low halves.  Each block of
@@ -548,7 +582,7 @@ class FieldCtx:
                 return (self._plane_add((cs - c_lo)[:, None], highs),
                         self._plane_add(c_lo[:, None], lows))
 
-        def differences(cs: np.ndarray, rows: slice) -> np.ndarray:
+        def differences(cs: np.ndarray, rows) -> np.ndarray:
             hi_rows, lo_rows = half_sums(cs)
             hi_rows = hi_rows + offsets[rows]
             shifted = (hi_rows[:, :, :, None] + lo_rows[:, None, :]).reshape(
@@ -604,7 +638,10 @@ class FieldCtx:
     def add_vec(self, a, b):
         tab = self.add_matrix
         if tab is not None:
-            return tab[a, b].astype(np.int64)
+            # on a stack of value tables one take from the flat table is
+            # about twice as fast as tab[a, b]
+            flat = np.asarray(a, dtype=np.int64) * self.order + b
+            return tab.ravel().take(flat).astype(np.int64)
         return self._plane_add(a, b)
 
     def neg_vec(self, a):
@@ -640,19 +677,25 @@ class FieldCtx:
     @functools.cached_property
     def trace_table(self) -> np.ndarray:
         """rel_trace of every element, as an index array."""
-        return self._conjugate_fold(np.arange(self.order, dtype=np.int64),
-                                    self.m, self.n, self.frob_vec, self.add_vec)
+        return self._conjugate_sum(np.arange(self.order, dtype=np.int64),
+                                   self.m, self.n, self.frob_vec, self.add_vec)
 
     @functools.cached_property
     def norm_table(self) -> np.ndarray:
-        """rel_norm of every element, as an index array."""
-        return self._conjugate_fold(np.arange(self.order, dtype=np.int64),
-                                    self.m, self.n, self.frob_vec, self.mul_vec)
+        """rel_norm of every element, as an index array: one pow_vec."""
+        return self.pow_vec(np.arange(self.order, dtype=np.int64), self._norm_exponent)
 
     @functools.cached_property
     def square_table(self) -> np.ndarray:
         self._need_tables()
         return self.mul_vec(np.arange(self.order), np.arange(self.order))
+
+    @functools.cached_property
+    def subfield_mask(self) -> np.ndarray:
+        """True at the elements of F_q, as a bool array over all elements."""
+        out = np.zeros(self.order, dtype=bool)
+        out[self.subfield_elements()] = True
+        return out
 
     @functools.cached_property
     def subfield_eta_table(self) -> np.ndarray:
@@ -666,8 +709,8 @@ class FieldCtx:
     @functools.cached_property
     def subfield_abs_trace_table(self) -> np.ndarray:
         """subfield_abs_trace of every element; valid only at subfield indices."""
-        return self._conjugate_fold(np.arange(self.order, dtype=np.int64),
-                                    1, self.m, self.frob_vec, self.add_vec)
+        return self._conjugate_sum(np.arange(self.order, dtype=np.int64),
+                                   1, self.m, self.frob_vec, self.add_vec)
 
     # -- misc ----------------------------------------------------------------
 

@@ -120,25 +120,53 @@ def _basis_conjugates(ctx: FieldCtx) -> tuple[tuple[int, ...], ...]:
                  for j in range(ctx.degree))
 
 
-def value_tables(ctx: FieldCtx, images) -> np.ndarray:
+def value_tables(ctx: FieldCtx, digits) -> np.ndarray:
     """(k, order) value tables of the k F_p-linear maps whose basis images
-    ell(p^j) are the rows of images; ValueError above the table cap.
-    ell(sum_j c_j p^j) = sum_j c_j ell(p^j), so each is the span table of
-    its row."""
+    ell(p^j) have the digit rows digits[i, j]; ValueError above the table
+    cap.  ell(sum_j c_j p^j) = sum_j c_j ell(p^j), so each is the span table
+    of its images."""
     ctx._need_tables()
-    return span_table(ctx, digit_rows(ctx, images))
+    return span_table(ctx, digits)
+
+
+@functools.lru_cache(maxsize=16)
+def _image_map(ctx: FieldCtx) -> np.ndarray:
+    """The (d*d, d*d) matrix over F_p that takes the digits of a map's d
+    coefficients, one coefficient after another, to the digits of its d
+    basis images: ell(p^j) = sum_t c_t (p^j)^(p^t) and c -> c v is F_p-linear,
+    so row t*d + s holds the digits of p^s (p^j)^(p^t) in columns j*d to
+    j*d + d - 1."""
+    d = ctx.degree
+    conj = np.array(_basis_conjugates(ctx))  # [j, t]
+    prods = ctx.mul_vec(ctx.p ** np.arange(d)[:, None], conj.T[:, None, :])  # [t, s, j]
+    out = digit_rows(ctx, prods).reshape(d * d, d * d)
+    out.setflags(write=False)
+    return out
 
 
 def fill_values(ells) -> None:
     """Cache `LinearizedPoly.values` on each polynomial (all on one field)
     that has no table yet, the missing tables made as one stack; ValueError
-    above the table cap."""
+    above the table cap.
+
+    Their basis images come from one vector pass too, with no scalar field
+    op: the digits of the k maps' images are the digits of their (k, d)
+    coefficients times `_image_map`, mod p.  `LinearizedPoly.images` is
+    cached from them where it is missing."""
     todo = [ell for ell in ells if "values" not in vars(ell)]
-    if todo:
-        tabs = value_tables(todo[0].ctx, [ell.images for ell in todo])
-        tabs.flags.writeable = False
-        for ell, tab in zip(todo, tabs):
-            vars(ell)["values"] = tab  # where functools.cached_property keeps it
+    if not todo:
+        return
+    ctx = todo[0].ctx
+    d = ctx.degree
+    coeffs = digit_rows(ctx, [ell.coeffs for ell in todo]).reshape(len(todo), d * d)
+    digits = (coeffs @ _image_map(ctx) % ctx.p).reshape(len(todo), d, d)
+    tabs = value_tables(ctx, digits)
+    tabs.flags.writeable = False
+    images = (digits @ ctx.p ** np.arange(d)).tolist()
+    # where functools.cached_property keeps them
+    for ell, row, tab in zip(todo, images, tabs):
+        vars(ell).setdefault("images", tuple(row))
+        vars(ell)["values"] = tab
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +323,10 @@ class LinearizedPoly:
     @functools.cached_property
     def values(self) -> np.ndarray:
         """Read-only table of ell at every element index, cached on the
-        polynomial (`fill_values` caches a stack of them at once);
+        polynomial by `fill_values`, which makes a stack of them at once;
         ValueError above the table cap."""
-        vals = value_tables(self.ctx, [self.images])[0]
-        vals.flags.writeable = False
-        return vals
+        fill_values([self])
+        return vars(self)["values"]
 
     def eval_vec(self, xs: np.ndarray) -> np.ndarray:
         """ell at each index in xs, read from `values`."""

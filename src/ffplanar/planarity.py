@@ -45,10 +45,13 @@ negations, split once per stack: per plane, one gather at x + c, one add and
 one reduce lookup give the canonical index, and a hit count per row decides.
 Blocks double in width from ceil(8 / k) directions on a stack of k up to
 BRUTE_BLOCK_ENTRIES values (one row on a bigger field); each block runs on
-every candidate still undecided, and a candidate leaves the stack with the
-witness read off its first bad row.  The first block takes the least of
-each pair {c, -c}; the scaling group is found only for the candidates still
-undecided after it, so most non-planar inputs never pay for it.
+every candidate still undecided, passed to the kernel as an index array
+into the stack, which is split into digit planes once.  A candidate leaves
+the stack at its first bad row, and one collision pass per block reads the
+witnesses of all the candidates that block decided off their first bad rows.
+The first block takes the least of each pair {c, -c}; the scaling group is
+found only for the candidates still undecided after it, so most non-planar
+inputs never pay for it.
 
 A quadratic-extension criterion (n = 2) decides planarity from the values
 ell(u)^2 - N(u) on the subspace where ell lands in F_q, or, when Tr(a) = 0,
@@ -58,10 +61,13 @@ at once, over the pairs (u, ell(u)) of every row.
 Brute force (through f_table), the reduction and the criterion all read ell
 from its value table `LinearizedPoly.values`, built once per polynomial, so
 a filter and an oracle run on one candidate share it; a batch makes the
-missing tables of all its ell as one stack (`linpoly.fill_values`).  Above
+missing tables of all its ell as one stack, their basis images ell(p^k)
+included, by one vector pass with no scalar field op (`linpoly.fill_values`),
+and f_tables takes the trace part once per distinct a.  Above
 CRITERION_TABLE_MAX elements the reduction and the criterion read the d
-images ell(p^k) instead, which costs them the size of the F_q-valued
-subspace, not of the field.
+images instead, which costs them the size of the F_q-valued subspace, not
+of the field.  The criterion takes N(u) = u^(q+1) of its own u, so it never
+builds an order-sized norm table.
 """
 
 from __future__ import annotations
@@ -187,9 +193,12 @@ def f_tables(cands: Sequence[PlanarCandidate]) -> np.ndarray:
     fill_values([cand.ell for cand in cands])
     ell_sq = np.array([cand.ell.values for cand in cands])[:, ctx.square_table]
     xs = np.arange(ctx.order, dtype=np.int64)
-    a = np.array([cand.a for cand in cands], dtype=np.int64)[:, None]
+    # the trace part once per distinct a
+    index = {}
+    row = [index.setdefault(cand.a, len(index)) for cand in cands]
+    a = np.array(list(index), dtype=np.int64)[:, None]
     t = ctx.trace_table[ctx.mul_vec(a, ctx.pow_vec(xs, ctx.q + 1))]
-    return ctx.add_vec(t, ell_sq)
+    return ctx.add_vec(t[row], ell_sq)
 
 
 def check_witness(f, ctx: FieldCtx, witness) -> bool:
@@ -275,14 +284,22 @@ class MonomialSum:
 # Brute force on value tables.
 # ---------------------------------------------------------------------------
 
-def _first_collision(row: np.ndarray, c: int):
-    """(c, x1, x2) for the c-difference values row: x2 the lowest x whose
-    value an earlier x takes too, x1 the first x taking it."""
-    xs = np.arange(len(row))
-    first = np.full(len(row), len(row))
-    np.minimum.at(first, row, xs)
-    x2 = int(np.flatnonzero(first[row] != xs)[0])
-    return (c, int(first[row[x2]]), x2)
+def _first_collisions(diffs: np.ndarray, cs: np.ndarray) -> list:
+    """(c, x1, x2) for each row of a (k, order) array of difference values,
+    taken in direction c = cs[i] and known to repeat a value: x2 the lowest
+    x whose value an earlier x takes too, x1 the first x taking it.  One
+    np.minimum.at over all rows finds the first flat position of every
+    value, row i's values offset into bins i*order .. i*order + order - 1."""
+    k, n = diffs.shape
+    pos = np.arange(k * n)
+    starts = pos[::n]
+    bins = (diffs + starts[:, None]).ravel()
+    first = pos + k * n  # above every position
+    np.minimum.at(first, bins, pos)
+    firsts = first[bins]
+    at = (firsts != pos).reshape(k, n).argmax(axis=1) + starts  # x2 + i*order
+    return list(zip(cs.tolist(), (firsts[at] - starts).tolist(),
+                    (at - starts).tolist()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -370,39 +387,43 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
     witnesses cost little and a stack of one starts at 8, up to
     BRUTE_BLOCK_ENTRIES values.  Each block is evaluated for every row still
     undecided, as many rows at a time as keep block x rows x order within
-    BRUTE_BLOCK_ENTRIES, and a row drops out at its first bad direction."""
+    BRUTE_BLOCK_ENTRIES, and a row drops out at its first bad direction.
+    The rows are read from the stack by index, so that it is split into
+    digit planes once, and the witnesses of all the rows a block decides
+    come from one `_first_collisions` pass."""
     n = ctx.order
     cs = _coset_minima(ctx, 2)
     widest = max(1, BRUTE_BLOCK_ENTRIES // n)
     found = [None] * len(f_tabs)
-    live = list(range(len(f_tabs)))  # the rows of f_tabs still undecided
+    live = np.arange(len(f_tabs))  # the rows of f_tabs still undecided
     differences = ctx.shifted_differences(f_tabs)
     lo, width, scaled = 0, -(-8 // len(f_tabs)), False
-    while lo < len(cs) and live:
+    while lo < len(cs) and len(live):
         block = cs[lo:lo + min(width, widest)]
         lo, width = lo + len(block), 2 * width
         step = max(1, BRUTE_BLOCK_ENTRIES // (len(block) * n))
         decided = False
         for start in range(0, len(live), step):
+            rows = live[start:start + step]
             # diffs[r, i, x] = f_r(x + block[i]) - f_r(x), then offset so that
-            # pair j = r * len(block) + i counts hits in bins j*n .. j*n + n - 1
-            diffs = differences(block, slice(start, start + step))
-            pairs = diffs.shape[0] * len(block)
-            diffs += np.arange(0, pairs * n, n).reshape(-1, len(block), 1)
-            counts = np.bincount(diffs.ravel(), minlength=pairs * n)
-            bad = np.flatnonzero(counts.reshape(pairs, n).max(axis=1) > 1)
-            # bad pairs ascend, so a row's first one is its lowest direction
-            for j in bad.tolist():
-                r, i = divmod(j, len(block))
-                row = live[start + r]
-                if found[row] is None:
-                    found[row] = _first_collision(diffs[r, i] - j * n, int(block[i]))
-                    decided = True
+            # pair (r, i) counts hits in its own bins of width n.  While every
+            # row is live, a slice reads views of the stack, not copies
+            diffs = differences(block, slice(start, start + step)
+                                if len(live) == len(f_tabs) else rows)
+            counts = np.bincount((diffs + np.arange(0, diffs.size, n).reshape(
+                diffs.shape[:2] + (1,))).ravel(), minlength=diffs.size)
+            bad = counts.reshape(diffs.shape).max(axis=2) > 1
+            hit = np.flatnonzero(bad.any(axis=1))
+            if len(hit):
+                # a row's first bad direction is its lowest
+                i = bad[hit].argmax(axis=1)
+                witnesses = _first_collisions(diffs[hit, i], block[i])
+                for row, witness in zip(rows[hit].tolist(), witnesses):
+                    found[row] = witness
+                decided = True
         if decided:
-            live = [row for row in live if found[row] is None]
-            if live:
-                differences = ctx.shifted_differences(f_tabs[live])
-        if live and lo < len(cs) and not scaled:
+            live = np.flatnonzero([witness is None for witness in found])
+        if len(live) and lo < len(cs) and not scaled:
             scaled = True
             cs = _coset_minima(ctx, math.lcm(2, _scaling_order(ctx, f_tabs[live])))
             lo = int(np.searchsorted(cs, block[-1], side="right"))
@@ -540,7 +561,8 @@ def _quadratic_criteria(cands: Sequence[PlanarCandidate]) -> list[bool]:
     ctx = cands[0].ctx
     if ctx.n != 2:
         raise ValueError("the quadratic criterion requires a degree-2 tower")
-    tr_a = [ctx.rel_trace(cand.a) for cand in cands]
+    traces = {a: ctx.rel_trace(a) for a in {cand.a for cand in cands}}
+    tr_a = [traces[cand.a] for cand in cands]
     verdicts = [tr == 0 and cand.ell.is_permutation() for cand, tr in zip(cands, tr_a)]
     live = [i for i, tr in enumerate(tr_a) if tr]
     if not live:
@@ -549,9 +571,11 @@ def _quadratic_criteria(cands: Sequence[PlanarCandidate]) -> list[bool]:
     rows, us, lu = _fq_values(ctx, [cands[i].ell for i in live])
     # ell / Tr(a) lies in F_q exactly where ell does, and (ell / Tr(a))^2 -
     # N(u) times the nonzero square Tr(a)^2 of F_q, ell^2 - Tr(a)^2 N(u), has
-    # the same character
-    tr_sq = np.array([ctx.mul(tr_a[i], tr_a[i]) for i in live], dtype=np.int64)
-    w = ctx.sub_vec(ctx.mul_vec(lu, lu), ctx.mul_vec(tr_sq[rows], ctx.norm_table[us]))
+    # the same character.  N(u) = u^(q+1) is taken of these u alone, so that
+    # no order-sized norm table is built
+    tr = np.array([tr_a[i] for i in live], dtype=np.int64)[rows]
+    norms = ctx.pow_vec(us, ctx.q + 1)
+    w = ctx.sub_vec(ctx.mul_vec(lu, lu), ctx.mul_vec(ctx.mul_vec(tr, tr), norms))
     bad = set(rows[ctx.subfield_eta_table[w] != 1].tolist())
     for r, i in enumerate(live):
         verdicts[i] = r not in bad
@@ -571,7 +595,7 @@ def _fq_values(ctx: FieldCtx, ells: Sequence[LinearizedPoly]):
     if ctx.order <= CRITERION_TABLE_MAX:
         fill_values(ells)
         tabs = np.array([ell.values for ell in ells])
-        in_fq = ctx.pow_vec(tabs, ctx.q) == tabs
+        in_fq = ctx.subfield_mask[tabs]
         in_fq[:, 0] = False
         rows, us = np.nonzero(in_fq)
         return rows, us, tabs[rows, us]

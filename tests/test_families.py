@@ -62,6 +62,16 @@ def test_monomial_family_ell_shape():
         assert ell(x) == F625.pow(inner, pk)
 
 
+def test_nbc_family_ell_shape():
+    # ell(x) = (b x^q + c x)^(p^k) - c0 (b x^q + c x) at every x
+    neg1 = F81.neg(1)
+    for b, c, c0 in ((1, neg1, 5), (1, 1, 0), (1, neg1, 77)):
+        ell = NbcFamilyParams(F81, 1, b, c, c0).ell()
+        for x in F81.elements():
+            inner = F81.add(F81.mul(b, F81.frobenius(x, 2)), F81.mul(c, x))
+            assert ell(x) == F81.sub(F81.pow(inner, 3), F81.mul(c0, inner))
+
+
 def test_monomial_predicate_false_when_pk_3_mod_4():
     # q = 9, k = 1: p^k = 3 mod 4 fails the congruence condition
     count = 0

@@ -228,7 +228,7 @@ def test_vector_ops_match_scalar_ops_f81():
         assert int(tr[i]) == F81.rel_trace(x)
         assert int(nm[i]) == F81.rel_norm(x)
         assert int(fr[i]) == F81.frobenius(x, 2)
-    # the conjugate-fold tables against the scalar folds at every element;
+    # the trace and norm tables against the scalar forms at every element;
     # F_3^8 adds digit planes above ADD_TABLE_CAP
     for ctx in (F81, new_ctx(3, 2, 3), new_ctx(3, 2, 4)):
         xs = range(ctx.order)
@@ -381,3 +381,48 @@ def test_field_invariants_detect_swapped_exp_entries():
     broken.exp_table = broken.exp_table.copy()
     broken.exp_table[[3, 4]] = broken.exp_table[[4, 3]]
     assert not field_invariants_hold(broken)
+
+
+def _conjugate_product(ctx, a):
+    """N(a) as the product of a's n conjugates a^(q^i), by scalar ops."""
+    acc = 1
+    for i in range(ctx.n):
+        acc = ctx.mul(acc, ctx.frobenius(a, i * ctx.m))
+    return acc
+
+
+@pytest.mark.parametrize("ctx", [F81, F27, F625], ids=["F_81", "F_27", "F_625"])
+def test_norm_is_the_conjugate_product_everywhere(ctx):
+    # rel_norm and norm_table are one power a^((q^n - 1)/(q - 1))
+    want = [_conjugate_product(ctx, x) for x in ctx.elements()]
+    assert [ctx.rel_norm(x) for x in ctx.elements()] == want
+    assert ctx.norm_table.tolist() == want
+
+
+def test_norm_is_the_conjugate_product_in_polynomial_mode():
+    ctx = FieldCtx(3, 2, 3, table_cap=1)  # F_3^6 over F_9, no tables
+    assert not ctx.table_mode
+    rng = np.random.default_rng(6)
+    for x in [0, 1] + rng.integers(0, ctx.order, 40).tolist():
+        assert ctx.rel_norm(x) == _conjugate_product(ctx, x)
+
+
+@pytest.mark.parametrize("ctx", [F625, new_ctx(3, 1, 7), new_ctx(7, 1, 1)],
+                         ids=["F_625", "F_3^7", "F_7"])
+def test_format_element_is_the_digit_join_everywhere(ctx):
+    # two half-digit string lists in table mode; odd degree splits unevenly
+    want = [",".join(map(str, ctx.digits(x))) for x in ctx.elements()]
+    assert [ctx.format_element(x) for x in ctx.elements()] == want
+    if ctx.degree > 1:
+        split, low, high = ctx._digit_strings
+        assert len(low) == split == ctx.p ** -(-ctx.degree // 2)
+        assert len(low) * len(high) == ctx.order
+
+
+def test_format_element_in_polynomial_mode():
+    ctx = FieldCtx(5, 1, 4, table_cap=1)
+    assert ctx._digit_strings is None
+    rng = np.random.default_rng(7)
+    for x in [0, ctx.order - 1] + rng.integers(0, ctx.order, 40).tolist():
+        assert ctx.format_element(x) == ",".join(map(str, ctx.digits(x)))
+        assert ctx.parse_element(ctx.format_element(x)) == x

@@ -10,7 +10,9 @@ from ffplanar.linpoly import (
     all_subspaces,
     annihilator_coeffs,
     compose_formal,
+    digit_rows,
     eval_formal,
+    fill_values,
     fp_nullspace,
     fp_rank,
     fp_rref,
@@ -18,6 +20,7 @@ from ffplanar.linpoly import (
     full_field_annihilator,
     image_poly_coeffs,
     image_poly_for_subspace,
+    value_tables,
 )
 from ffplanar.planarity import PlanarCandidate, criterion_quadratic
 
@@ -374,3 +377,52 @@ def test_fp_singular_matches_nullspace():
     want = [bool(fp_nullspace(m, p)) for m in mats]
     assert want == [i % 2 == 0 for i in range(64)]
     assert fp_singular(mats, p).tolist() == want
+
+
+def _scalar_images(ell):
+    """ell(p^j) = sum_t c_t (p^j)^(p^t), j < d, by scalar field ops."""
+    ctx, out = ell.ctx, []
+    for j in range(ctx.degree):
+        acc = 0
+        for t, c in enumerate(ell.coeffs):
+            acc = ctx.add(acc, ctx.mul(c, ctx.frobenius(ctx.p**j, t)))
+        out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("pmn", [(3, 1, 5), (5, 2, 2), (7, 1, 3), (3, 1, 7),
+                                 (5, 1, 5), (3, 1, 8), (257, 1, 1)],
+                         ids=["F_3^5", "F_625", "F_7^3", "F_3^7", "F_5^5", "F_3^8",
+                              "F_257"])
+def test_fill_values_matches_scalar_images(pmn):
+    # one vector pass makes the images and the tables of a whole stack, dense
+    # and sparse ells mixed; each row matches the scalar images, the table
+    # built from them alone, and ell at sampled points
+    ctx = new_ctx(*pmn)
+    rng = np.random.default_rng(ctx.order + 1)
+    ells = [random_poly(ctx, rng) for _ in range(4)]
+    ells += [LinearizedPoly.monomial(ctx, int(rng.integers(1, ctx.order)), t)
+             for t in rng.integers(0, ctx.degree, 3).tolist()]
+    ells += [LinearizedPoly.zero(ctx), LinearizedPoly.identity(ctx)]
+    fill_values(ells)
+    xs = rng.integers(0, ctx.order, 50).tolist()
+    for ell in ells:
+        want = _scalar_images(ell)
+        assert vars(ell)["images"] == want and ell.images == want
+        assert all(type(v) is int for v in ell.images)
+        assert not ell.values.flags.writeable
+        assert np.array_equal(ell.values, value_tables(ctx, digit_rows(ctx, [want]))[0])
+        assert [int(ell.values[x]) for x in xs] == [ell(x) for x in xs]
+
+
+def test_fill_values_keeps_what_is_cached():
+    # a table already made is not made again, and images already computed
+    # stay the same object
+    ctx = new_ctx(5, 2, 2)
+    rng = np.random.default_rng(3)
+    done, fresh, imaged = (random_poly(ctx, rng) for _ in range(3))
+    table = done.values
+    images = imaged.images
+    fill_values([done, fresh, imaged])
+    assert done.values is table and imaged.images is images
+    assert fresh.images == _scalar_images(fresh)

@@ -14,6 +14,7 @@ import pytest
 
 import ffplanar
 from ffplanar import field, planarity
+from ffplanar.config import DEFAULT_TABLE_CAP
 from ffplanar.families import (
     CubicCoeffs,
     MonomialFamilyParams,
@@ -391,6 +392,47 @@ def test_bruteforce_stack_matches_one_candidate_calls(entries, monkeypatch):
             [(rep.planar, rep.witness) for rep in alone]
 
 
+def _first_collision(row, c):
+    """(c, x1, x2) for one row of c-difference values: x2 the lowest x whose
+    value an earlier x takes too, x1 the first x taking it."""
+    xs = np.arange(len(row))
+    first = np.full(len(row), len(row))
+    np.minimum.at(first, row, xs)
+    x2 = int(np.flatnonzero(first[row] != xs)[0])
+    return (c, int(first[row[x2]]), x2)
+
+
+@pytest.mark.parametrize("pmn", [(5, 2, 2), (3, 1, 7), (7, 1, 3)],
+                         ids=["F_625", "F_3^7", "F_7^3"])
+def test_batched_collisions_match_one_row_at_a_time(pmn, monkeypatch):
+    # a stack of planar and non-planar rows: the one collision pass of each
+    # block gives every newly bad row the witness its own difference row
+    # gives, and a random array with repeats matches row by row too
+    ctx = new_ctx(*pmn)
+    cands = [*_random_candidates(ctx, 14), square_candidate(ctx)]
+    cands.insert(5, cands.pop())
+    f_tabs = f_tables(cands)
+    passes = []
+    first_collisions = planarity._first_collisions
+    monkeypatch.setattr(planarity, "_first_collisions",
+                        lambda diffs, cs: passes.append(len(diffs))
+                        or first_collisions(diffs, cs))
+    found = planarity._bad_direction(ctx, f_tabs)
+    assert {w is None for w in found} == {True, False}
+    assert sum(passes) == sum(w is not None for w in found) > len(passes)
+    xs = np.arange(ctx.order)
+    for f, witness in zip(f_tabs, found):
+        if witness is not None:
+            c = witness[0]
+            row = ctx.sub_vec(f[ctx.add_vec(xs, c)], f)
+            assert witness == _first_collision(row, c)
+    rng = np.random.default_rng(ctx.order)
+    diffs = rng.integers(0, ctx.order, (9, ctx.order))
+    cs = rng.integers(1, ctx.order, 9)
+    assert first_collisions(diffs, cs) == \
+        [_first_collision(row, c) for row, c in zip(diffs, cs.tolist())]
+
+
 def _pair_scan_reference(ctx, f_tabs):
     """Reference for _bad_direction over every direction c < -c, ascending:
     per row, the lowest c whose difference map does not permute, with x2 the
@@ -640,7 +682,7 @@ def test_invalid_witness_raises_under_python_O():
         assert sys.flags.optimize
         ctx = new_ctx(3, 1, 2)
         cand = planarity.PlanarCandidate(ctx, 1, LinearizedPoly.zero(ctx))
-        planarity._first_collision = lambda row, c: (c, 0, 0)
+        planarity._first_collisions = lambda diffs, cs: [(c, 0, 0) for c in cs.tolist()]
         planarity.fp_nullspace = lambda mat, p: [[0] * len(mat[0])]
         planarity._vanishing_point = lambda cand: (1, 0, 0)
         for route in (planarity.is_planar_bruteforce, planarity.is_planar_rank,
@@ -869,3 +911,23 @@ def test_report_witness_consistency_enforced():
         VerificationReport(False, "bruteforce", None, 0.0)
     with pytest.raises(ValueError):
         VerificationReport(True, "bruteforce", (1, 0, 1), 0.0)
+
+
+def test_criterion_builds_no_norm_table_on_a_big_tower():
+    # F_7^6 lies above CRITERION_TABLE_MAX: N(u) is taken of the criterion's
+    # own u, so a first call on a fresh context makes no order-sized norm
+    # table, and the verdicts are the kernel reference's
+    ctx = field.FieldCtx(7, 3, 2, DEFAULT_TABLE_CAP)
+    rng = np.random.default_rng(8)
+    cands = []
+    for i in range(12):
+        a = 0
+        while ctx.rel_trace(a) == 0:
+            a = int(rng.integers(1, ctx.order))
+        ell = LinearizedPoly.monomial(ctx, int(rng.integers(1, ctx.order)),
+                                      int(rng.integers(0, ctx.degree)))
+        cands.append(PlanarCandidate(ctx, a, ell))
+    got = [criterion_quadratic(cand) for cand in cands]
+    assert "norm_table" not in vars(ctx)
+    assert got == [reference_criterion(cand) for cand in cands]
+    assert set(got) == {True, False}
