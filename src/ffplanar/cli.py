@@ -168,11 +168,15 @@ def _candidate_from_args(args, config: Config) -> PlanarCandidate:
         print("verify needs --candidate or all of --p --m --n", file=sys.stderr)
         raise SystemExit(EX_USAGE)
     ctx = new_ctx(args.p, args.m, args.n, config.table_cap)
-    ell = ELL_PRESETS[args.ell_preset](ctx)
+    # each --ell-coeff T=DIGITS adds to the coefficient of x^(p^(T mod m*n))
+    coeffs = list(ELL_PRESETS[args.ell_preset](ctx).coeffs)
     for spec in args.ell_coeff:
         t, _, digits = spec.partition("=")
-        ell = ell + LinearizedPoly.monomial(ctx, ctx.parse_element(digits), int(t))
-    return PlanarCandidate(ctx, ctx.parse_element(args.a), ell)
+        coeff = ctx.parse_element(digits)
+        t = int(t) % ctx.degree
+        coeffs[t] = ctx.add(coeffs[t], coeff)
+    return PlanarCandidate(ctx, ctx.parse_element(args.a),
+                           LinearizedPoly(ctx, tuple(coeffs)))
 
 
 def _emit(records: list[dict], fmt: str, out) -> None:

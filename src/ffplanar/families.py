@@ -8,7 +8,7 @@ predicates themselves only evaluate the closed conditions in the field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .field import FieldCtx
 from .linpoly import LinearizedPoly
@@ -58,11 +58,20 @@ class _QuadraticBinomial:
 
 @dataclass(frozen=True)
 class MonomialFamilyParams(_QuadraticBinomial):
-    """Norm-inequal family: ell(x) = (b x^q + c x)^(p^k), N(b) != N(c)."""
+    """Norm-inequal family: ell(x) = (b x^q + c x)^(p^k), N(b) != N(c).
+
+    `norms` is (N(b), N(c)), taken here unless the caller has them already
+    (a scan's decode, which skips equal norms), and read again by
+    theorem_monomial_predicate."""
+
+    norms: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.ctx.rel_norm(self.b) == self.ctx.rel_norm(self.c):
+        if self.norms is None:
+            object.__setattr__(self, "norms", (self.ctx.rel_norm(self.b),
+                                               self.ctx.rel_norm(self.c)))
+        if self.norms[0] == self.norms[1]:
             raise ValueError("family requires N(b) != N(c)")
 
 
@@ -74,7 +83,7 @@ def theorem_monomial_predicate(params: MonomialFamilyParams) -> bool:
     if pk % 4 != 1 or ctx.m != 2 * k:
         return False
     lhs = ctx.pow(ctx.rel_norm(ctx.sub(b, ctx.frobenius(c, ctx.m))), (pk + 1) // 2)
-    diff = ctx.sub(ctx.rel_norm(b), ctx.rel_norm(c))
+    diff = ctx.sub(*params.norms)
     rhs = ctx.neg(ctx.pow(diff, pk + 1))
     return lhs == rhs
 

@@ -13,9 +13,15 @@ agree elementwise.
 Scalar operations read the numpy tables the vector operations use, through
 memoryviews made on first use: mul, inv and pow read the exp/log tables in
 table mode, and add, neg and sub read the addition and negation tables when
-the field has at most ADD_TABLE_CAP elements.  Otherwise add and neg run
-digit by digit, and mul, inv and pow by polynomial arithmetic.  Above
-ADD_TABLE_CAP, vector addition works on one plane of a few digits at a time.
+the field has at most ADD_TABLE_CAP (1024) elements.  Above that, in table
+mode, add and sub read the Zech table Z[k] = log(1 + g^k), g^i + g^j =
+g^(i + Z(j - i)), and neg is -g^i = g^(i + (order-1)/2); Z is one gather
+from the exp and log tables, made on first use.  In polynomial mode add and
+neg run digit by digit, and mul, inv and pow by polynomial arithmetic.
+`log_sum` evaluates a sum of monomials at one point in table mode with no
+field addition: each term is one exponent, and the terms are summed as
+logarithms through Z.  Above ADD_TABLE_CAP, vector addition works on one
+plane of a few digits at a time.
 The difference rows f(x + c) - f(x) that brute force counts read the same
 planes, with x + c taken from sums of the high and the low halves of the
 digits, kept in two tables while these stay small.
@@ -380,6 +386,11 @@ class FieldCtx:
         tab = self._add_view
         if tab is not None:
             return tab[a, b]
+        if self.table_mode:
+            if a == 0 or b == 0:
+                return a or b
+            log = self._log_view
+            return self._zech_add(log[a], log[b])
         p, out, w = self.p, 0, 1
         for _ in range(self.degree):
             out += (a % p + b % p) % p * w
@@ -392,6 +403,11 @@ class FieldCtx:
         tab = self._neg_view
         if tab is not None:
             return tab[a]
+        if self.table_mode:
+            if a == 0:
+                return 0
+            half = (self.order - 1) // 2  # -1 = g^half
+            return self._exp_view[(self._log_view[a] + half) % (self.order - 1)]
         p, out, w = self.p, 0, 1
         for _ in range(self.degree):
             out += (-a % p) * w
@@ -403,7 +419,37 @@ class FieldCtx:
         tab = self._add_view
         if tab is not None:
             return tab[a, self._neg_view[b]]
+        if self.table_mode:
+            if b == 0:
+                return a
+            if a == 0:
+                return self.neg(b)
+            log = self._log_view
+            return self._zech_add(log[a], log[b] + (self.order - 1) // 2)
         return self.add(a, self.neg(b))
+
+    def _zech_add(self, i: int, j: int) -> int:
+        """g^i + g^j, by g^i (1 + g^(j - i)) = g^(i + Z(j - i))."""
+        M = self.order - 1
+        z = self._zech_view[(j - i) % M]
+        return 0 if z < 0 else self._exp_view[(i + z) % M]
+
+    def log_sum(self, terms, x: int) -> int:
+        """sum of c x^e at a nonzero x in table mode, for the terms given as
+        pairs (log c, e mod (order - 1)) of nonzero c: each term is one
+        exponent g^(log c + e log x), and the terms are summed as logs
+        through the Zech table, with -1 standing for a zero sum."""
+        M = self.order - 1
+        lx, zech = self._log_view[x], self._zech_view
+        acc = -1
+        for lc, e in terms:
+            t = (lc + e * lx) % M
+            if acc < 0:
+                acc = t
+            else:
+                z = zech[(t - acc) % M]
+                acc = -1 if z < 0 else (acc + z) % M
+        return 0 if acc < 0 else self._exp_view[acc]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -538,6 +584,12 @@ class FieldCtx:
         return out
 
     @functools.cached_property
+    def _neg_planes(self) -> np.ndarray:
+        """The digit planes of -x for every x, so that shifted_differences
+        reads -f in one gather."""
+        return self._add_planes[0].take(self._neg_table, axis=1)
+
+    @functools.cached_property
     def _half_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """(hi, lo) for shifted_differences: with split = p^ceil(d/2),
         lo[u, v] is the digitwise sum of u and v below split, and hi[u, v]
@@ -564,8 +616,10 @@ class FieldCtx:
         into digit planes once, so each plane costs one gather at x + c, one
         add and one reduce lookup."""
         planes, reduce, base = self._add_planes
-        f_planes = planes[:, f_tabs].reshape(len(planes), -1)
-        neg_planes = planes[:, self._neg_table[f_tabs]][:, :, None, :]
+        flat = f_tabs.ravel()
+        f_planes = planes.take(flat, axis=1)
+        neg_planes = self._neg_planes.take(flat, axis=1).reshape(
+            len(planes), len(f_tabs), 1, -1)
         offsets = np.arange(0, f_tabs.size, self.order)[:, None, None]
         split = self.p ** -(-self.degree // 2)
         if split * split <= HALF_TABLE_CAP:
@@ -620,12 +674,28 @@ class FieldCtx:
 
     @functools.cached_property
     def _add_view(self) -> memoryview | None:
-        tab = self.add_matrix
-        return None if tab is None else memoryview(tab)
+        return None if self.order > ADD_TABLE_CAP else memoryview(self.add_matrix)
 
     @functools.cached_property
     def _neg_view(self) -> memoryview | None:
-        return None if self.add_matrix is None else memoryview(self._neg_table)
+        return None if self.order > ADD_TABLE_CAP else memoryview(self._neg_table)
+
+    @functools.cached_property
+    def zech_table(self) -> np.ndarray:
+        """Z[k] = log(1 + g^k), and -1 at k = (order - 1)/2, where 1 + g^k
+        = -1 + 1 = 0 (Huber, IEEE Trans. Inf. Theory 36, 1990).  Adding 1
+        changes only the constant digit, so 1 + y = y - y%p + (y%p + 1)%p,
+        and Z is one gather from the exp and log tables, with no field
+        addition."""
+        self._need_tables()
+        p, y = self.p, self.exp_table
+        out = self.log_table[y - y % p + (y % p + 1) % p]
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def _zech_view(self) -> memoryview:
+        return memoryview(self.zech_table)
 
     @functools.cached_property
     def _exp_view(self) -> memoryview:

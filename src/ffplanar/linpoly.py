@@ -96,7 +96,7 @@ def fp_singular(mats, p: int) -> np.ndarray:
 def digit_rows(ctx: FieldCtx, elems) -> np.ndarray:
     """The base-p digits of each element index, on a new last axis of
     length m*n."""
-    weights = ctx.p ** np.arange(ctx.degree)
+    weights = _digit_weights(ctx.p, ctx.degree)
     return np.asarray(elems, dtype=np.int64)[..., None] // weights % ctx.p
 
 
@@ -106,10 +106,26 @@ def span_table(ctx: FieldCtx, rows) -> np.ndarray:
     over each half of the rows by digit arithmetic, and one add_vec that sums
     the two.  Leading axes of rows give a stack of tables."""
     p, h = ctx.p, rows.shape[-2] // 2
-    weights = p ** np.arange(ctx.degree)
-    hi, lo = ((np.arange(p ** part.shape[-2])[:, None] // weights[:part.shape[-2]] % p)
-              @ part % p @ weights for part in (rows[..., h:, :], rows[..., :h, :]))
+    weights = _digit_weights(p, ctx.degree)
+    hi, lo = (_digit_matrix(p, part.shape[-2]) @ part % p @ weights
+              for part in (rows[..., h:, :], rows[..., :h, :]))
     return ctx.add_vec(hi[..., :, None], lo[..., None, :]).reshape(*rows.shape[:-2], -1)
+
+
+@functools.lru_cache(maxsize=16)
+def _digit_weights(p: int, k: int) -> np.ndarray:
+    """p^i for i < k."""
+    out = p ** np.arange(k, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _digit_matrix(p: int, k: int) -> np.ndarray:
+    """The (p^k, k) digits of 0 .. p^k - 1, least significant first."""
+    out = np.arange(p**k, dtype=np.int64)[:, None] // _digit_weights(p, k) % p
+    out.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -162,7 +178,7 @@ def fill_values(ells) -> None:
     digits = (coeffs @ _image_map(ctx) % ctx.p).reshape(len(todo), d, d)
     tabs = value_tables(ctx, digits)
     tabs.flags.writeable = False
-    images = (digits @ ctx.p ** np.arange(d)).tolist()
+    images = (digits @ _digit_weights(ctx.p, d)).tolist()
     # where functools.cached_property keeps them
     for ell, row, tab in zip(todo, images, tabs):
         vars(ell).setdefault("images", tuple(row))

@@ -23,10 +23,16 @@ D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
 
 Each route refuses an input over its cap before any work, then runs a search
 that returns a witness (c, x1, x2) or None; `_verdict` times the call,
-re-checks the witness on f and builds the report.  The skipped directions of
-the first two routes are never the least of their coset or class, so both
-still report the lowest non-permuting direction, with the witness a scan of
-every direction would give.
+re-checks the witness on f and builds the report.  Scalar f, which rank's
+basis values and the re-check read, is in table mode a sum of at most
+n + m*n monomials (f is Dembowski-Ostrom): a^(q^k) x^((q+1) q^k) for the
+trace and c_t x^(2 p^t) for ell, kept as (log coefficient, exponent) pairs.
+Each term at x is one exponent, and `FieldCtx.log_sum` adds them through
+the Zech table, so scalar f reads no value table, addition table or digit
+plane; polynomial mode sums the conjugates and ell's terms with scalar ops.
+The skipped directions of the first two routes are never the least of their
+coset or class, so both still report the lowest non-permuting direction,
+with the witness a scan of every direction would give.
 
 Brute force and the criterion work on a stack of candidates of one field.
 A `Batch` holds candidates checked together: the first brute-force or
@@ -63,10 +69,13 @@ from its value table `LinearizedPoly.values`, built once per polynomial, so
 a filter and an oracle run on one candidate share it; a batch makes the
 missing tables of all its ell as one stack, their basis images ell(p^k)
 included, by one vector pass with no scalar field op (`linpoly.fill_values`),
-and f_tables takes the trace part once per distinct a.  Above
-CRITERION_TABLE_MAX elements the reduction and the criterion read the d
-images instead, which costs them the size of the F_q-valued subspace, not
-of the field.  The criterion takes N(u) = u^(q+1) of its own u, so it never
+and f_tables takes the trace part once per distinct a, a x^(q+1) as one
+add of log a to a per-field table of log x^(q+1).  The reduction forms
+a u^q v^(1-q) and a u v^(q-1) over all v by subtracting or adding a
+per-field array of (q-1) log v from log(a u^q) or to log(a u), mod
+order - 1, and one exp lookup each.  Above CRITERION_TABLE_MAX elements
+the reduction and the criterion read the d images instead, which costs
+them the size of the F_q-valued subspace, not of the field.  The criterion takes N(u) = u^(q+1) of its own u, so it never
 builds an order-sized norm table.
 """
 
@@ -134,8 +143,26 @@ class PlanarCandidate:
 
     def __call__(self, x: int) -> int:
         ctx = self.ctx
+        if ctx.table_mode:
+            return ctx.log_sum(self._log_terms, x) if x else 0
         t = ctx.rel_trace(ctx.mul(self.a, ctx.pow(x, ctx.q + 1)))
         return ctx.add(t, self.ell(ctx.mul(x, x)))
+
+    @functools.cached_property
+    def _log_terms(self) -> tuple[tuple[int, int], ...]:
+        """f's monomials in table mode, as `FieldCtx.log_sum` reads them:
+        a^(q^k) x^((q+1) q^k) for k < n, the trace, and c_t x^(2 p^t) for
+        ell's nonzero c_t."""
+        ctx = self.ctx
+        M, log = ctx.order - 1, ctx._log_view
+        terms = []
+        if self.a:
+            la = log[self.a]
+            terms += [(la * ctx.q**k % M, (ctx.q + 1) * ctx.q**k % M)
+                      for k in range(ctx.n)]
+        terms += [(log[c], 2 * ctx.p**t % M)
+                  for t, c in enumerate(self.ell.coeffs) if c]
+        return tuple(terms)
 
     def f_table(self) -> np.ndarray:
         return f_tables([self])[0]
@@ -192,13 +219,26 @@ def f_tables(cands: Sequence[PlanarCandidate]) -> np.ndarray:
     # order-sized array is made
     fill_values([cand.ell for cand in cands])
     ell_sq = np.array([cand.ell.values for cand in cands])[:, ctx.square_table]
-    xs = np.arange(ctx.order, dtype=np.int64)
-    # the trace part once per distinct a
+    # the trace part once per distinct a, a x^(q+1) by one add of logs;
+    # Tr(0) = 0 where a = 0 or x = 0
     index = {}
     row = [index.setdefault(cand.a, len(index)) for cand in cands]
-    a = np.array(list(index), dtype=np.int64)[:, None]
-    t = ctx.trace_table[ctx.mul_vec(a, ctx.pow_vec(xs, ctx.q + 1))]
+    a = np.array(list(index), dtype=np.int64)
+    t = ctx.trace_table[ctx.exp_table[(ctx.log_table[a][:, None] + _log_powers_q_plus_1(ctx))
+                                      % (ctx.order - 1)]]
+    t[:, 0] = 0
+    t[a == 0] = 0
     return ctx.add_vec(t[row], ell_sq)
+
+
+@functools.lru_cache(maxsize=None)
+def _log_powers_q_plus_1(ctx: FieldCtx) -> np.ndarray:
+    """log x^(q+1) = (q+1) log x mod order - 1 for every x != 0 (0 at x = 0,
+    which has no log), the argument of f's trace part."""
+    out = ctx.log_table * (ctx.q + 1) % (ctx.order - 1)
+    out[0] = 0
+    out.setflags(write=False)
+    return out
 
 
 def check_witness(f, ctx: FieldCtx, witness) -> bool:
@@ -262,10 +302,21 @@ class MonomialSum:
     monomials: Sequence[tuple[int, int]]
 
     def __call__(self, x: int) -> int:
-        ctx, acc = self.ctx, 0
+        ctx = self.ctx
+        if ctx.table_mode and x:
+            return ctx.log_sum(self._log_terms, x)
+        acc = 0
         for coeff, e in self.monomials:
             acc = ctx.add(acc, ctx.mul(coeff, ctx.pow(x, e)))
         return acc
+
+    @functools.cached_property
+    def _log_terms(self) -> tuple[tuple[int, int], ...]:
+        """The monomials with nonzero coefficients, as `FieldCtx.log_sum`
+        reads them at x != 0; x^e = x^(e mod (order - 1)) there, so e = 0
+        and e = order - 1 are both the constant term."""
+        M, log = self.ctx.order - 1, self.ctx._log_view
+        return tuple((log[coeff], e % M) for coeff, e in self.monomials if coeff)
 
     def f_table(self) -> np.ndarray:
         ctx = self.ctx
@@ -395,6 +446,7 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
     cs = _coset_minima(ctx, 2)
     widest = max(1, BRUTE_BLOCK_ENTRIES // n)
     found = [None] * len(f_tabs)
+    undecided = np.ones(len(f_tabs), dtype=bool)
     live = np.arange(len(f_tabs))  # the rows of f_tabs still undecided
     differences = ctx.shifted_differences(f_tabs)
     lo, width, scaled = 0, -(-8 // len(f_tabs)), False
@@ -402,7 +454,6 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
         block = cs[lo:lo + min(width, widest)]
         lo, width = lo + len(block), 2 * width
         step = max(1, BRUTE_BLOCK_ENTRIES // (len(block) * n))
-        decided = False
         for start in range(0, len(live), step):
             rows = live[start:start + step]
             # diffs[r, i, x] = f_r(x + block[i]) - f_r(x), then offset so that
@@ -413,16 +464,15 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
             counts = np.bincount((diffs + np.arange(0, diffs.size, n).reshape(
                 diffs.shape[:2] + (1,))).ravel(), minlength=diffs.size)
             bad = counts.reshape(diffs.shape).max(axis=2) > 1
-            hit = np.flatnonzero(bad.any(axis=1))
+            hit = bad.any(axis=1).nonzero()[0]
             if len(hit):
                 # a row's first bad direction is its lowest
                 i = bad[hit].argmax(axis=1)
                 witnesses = _first_collisions(diffs[hit, i], block[i])
                 for row, witness in zip(rows[hit].tolist(), witnesses):
                     found[row] = witness
-                decided = True
-        if decided:
-            live = np.flatnonzero([witness is None for witness in found])
+                undecided[rows[hit]] = False
+        live = undecided.nonzero()[0]
         if len(live) and lo < len(cs) and not scaled:
             scaled = True
             cs = _coset_minima(ctx, math.lcm(2, _scaling_order(ctx, f_tabs[live])))
@@ -519,23 +569,35 @@ def is_planar_reduction(cand: PlanarCandidate,
     return _verdict("reduction", cand, ctx, started, _vanishing_point(cand))
 
 
+@functools.lru_cache(maxsize=None)
+def _reduction_logs(ctx: FieldCtx) -> np.ndarray:
+    """log v^(q-1) mod order - 1 for v = 1, 2, ..., order - 1 in turn."""
+    out = ctx.log_table[1:] * (ctx.q - 1) % (ctx.order - 1)
+    out.setflags(write=False)
+    return out
+
+
 def _vanishing_point(cand: PlanarCandidate):
     """(v, u/v, 0) for the lowest u, then v, at which the reduced form
-    vanishes, or None."""
+    vanishes, or None.  For each u, a u^q v^(1-q) and a u v^(q-1) over all
+    v are one add of logs mod order - 1 and one exp lookup each."""
     ctx = cand.ctx
-    vs = np.arange(1, ctx.order, dtype=np.int64)
-    v_pow_up = ctx.pow_vec(vs, ctx.q - 1)       # v^(q-1)
-    v_pow_dn = ctx.inv_vec(v_pow_up)            # v^(1-q)
-    tr = ctx.trace_table
     _, us, lus = _fq_values(ctx, [cand.ell])
-    for u, lu in zip(us.tolist(), lus.tolist()):
+    if cand.a == 0:
+        # every trace is Tr(0) = 0, which -2 ell(u) is only where ell(u) = 0
+        zeros = np.flatnonzero(lus == 0)
+        return (1, int(us[zeros[0]]), 0) if len(zeros) else None
+    M, exp, tr = ctx.order - 1, ctx.exp_table, ctx.trace_table
+    up = _reduction_logs(ctx)
+    la, log_u = ctx.log_table[cand.a], ctx.log_table[us]
+    for u, lu, auq, au in zip(us.tolist(), lus.tolist(),
+                              ((la + ctx.q % M * log_u) % M).tolist(),
+                              ((la + log_u) % M).tolist()):
         target = ctx.neg(ctx.mul(2, lu))
-        auq = ctx.mul(cand.a, ctx.frobenius(u, ctx.m))
-        au = ctx.mul(cand.a, u)
-        vals = tr[ctx.add_vec(ctx.mul_vec(auq, v_pow_dn), ctx.mul_vec(au, v_pow_up))]
-        hits = np.nonzero(vals == target)[0]
+        vals = tr[ctx.add_vec(exp[(auq - up) % M], exp[(au + up) % M])]
+        hits = (vals == target).nonzero()[0]
         if len(hits):
-            v = int(vs[hits[0]])
+            v = int(hits[0]) + 1
             return (v, ctx.mul(u, ctx.inv(v)), 0)
     return None
 

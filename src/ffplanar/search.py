@@ -176,9 +176,10 @@ def decode_candidate(job: SearchJob, ctx: FieldCtx, index: int):
         return {"a": fmt(a), "b": fmt(b), "t": t}, cand, None
     if job.family == "binomial":
         c, b = digits
-        if ctx.rel_norm(b) == ctx.rel_norm(c):
+        norms = (ctx.rel_norm(b), ctx.rel_norm(c))
+        if norms[0] == norms[1]:
             return None
-        params = MonomialFamilyParams(ctx, job.k, b, c)
+        params = MonomialFamilyParams(ctx, job.k, b, c, norms=norms)
         return {"b": fmt(b), "c": fmt(c), "k": job.k}, params.candidate(), params
     if job.family == "nbc":
         c0, c, b = digits

@@ -434,3 +434,44 @@ def test_config_validation():
         Config(table_cap=0)
     with pytest.raises(ValueError):
         Config(fmt="xml")
+
+
+def _chained_candidate(p, m, n, a, preset, specs):
+    """The candidate as built by one LinearizedPoly.__add__ per
+    --ell-coeff T=DIGITS, T taken mod m*n."""
+    from ffplanar.field import new_ctx
+    from ffplanar.linpoly import LinearizedPoly
+
+    ctx = new_ctx(p, m, n)
+    ell = cli.ELL_PRESETS[preset](ctx)
+    for spec in specs:
+        t, _, digits = spec.partition("=")
+        ell = ell + LinearizedPoly.monomial(ctx, ctx.parse_element(digits), int(t))
+    return PlanarCandidate(ctx, ctx.parse_element(a), ell)
+
+
+@pytest.mark.parametrize("tower,preset,specs", [
+    ((3, 1, 5), "zero", []),
+    ((3, 1, 5), "identity", ["0=1"]),
+    ((3, 1, 5), "identity", ["0=2", "5=1", "5=1,1", "-1=2,0,1", "12=1"]),  # repeated, wrapped
+    ((5, 2, 2), "example1", ["3=1,2", "-9=2", "1=0", "7=4,4,4,4"]),
+])
+def test_candidate_from_args_sums_repeated_coefficients(tower, preset, specs):
+    p, m, n = tower
+    argv = ["verify", "--p", str(p), "--m", str(m), "--n", str(n), "--a", "1,2",
+            "--ell-preset", preset] + [f"--ell-coeff={spec}" for spec in specs]
+    args = cli._build_parser().parse_args(argv)
+    got = cli._candidate_from_args(args, Config())
+    assert got == _chained_candidate(p, m, n, "1,2", preset, specs)
+
+
+@pytest.mark.parametrize("spec", ["x=1", "1=3", "1=1,1,1,1,1,1", "2=", "=1"])
+def test_candidate_from_args_rejects_what_the_chain_rejects(spec):
+    args = cli._build_parser().parse_args(
+        ["verify", "--p", "3", "--m", "1", "--n", "5", "--ell-coeff", "0=1",
+         "--ell-coeff", spec])
+    with pytest.raises(ValueError) as want:
+        _chained_candidate(3, 1, 5, "0", "zero", ["0=1", spec])
+    with pytest.raises(ValueError) as got:
+        cli._candidate_from_args(args, Config())
+    assert str(got.value) == str(want.value)

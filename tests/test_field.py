@@ -266,7 +266,7 @@ def test_table_scalar_ops_match_digit_and_log_formulas(shape):
 
 def test_plane_addition_above_add_table_cap():
     # F_3^7 has no addition table: add_vec adds digit planes, scalar add
-    # runs its digit loop
+    # reads the Zech table
     ctx = new_ctx(3, 1, 7)
     assert ctx.add_matrix is None
     rng = np.random.default_rng(8)
@@ -426,3 +426,53 @@ def test_format_element_in_polynomial_mode():
     for x in [0, ctx.order - 1] + rng.integers(0, ctx.order, 40).tolist():
         assert ctx.format_element(x) == ",".join(map(str, ctx.digits(x)))
         assert ctx.parse_element(ctx.format_element(x)) == x
+
+
+def _digitwise(ctx, a, b, sign=1):
+    """a + sign * b digit by digit, for index arrays that broadcast."""
+    p, out = ctx.p, 0
+    for i in range(ctx.degree):
+        out = out + (a // p**i % p + sign * (b // p**i % p)) % p * p**i
+    return out
+
+
+def test_zech_table_is_log_of_one_plus():
+    # Z[k] = log(1 + g^k), with -1 where 1 + g^k = 0, at k = (order - 1)/2
+    for ctx in (F9, F625, new_ctx(3, 1, 7), new_ctx(7, 1, 1)):
+        k = np.arange(ctx.order - 1)
+        one_plus = _digitwise(ctx, ctx.exp_table[k], 1)
+        assert ctx.zech_table.tolist() == ctx.log_table[one_plus].tolist()
+        assert ctx.zech_table.tolist().index(-1) == (ctx.order - 1) // 2
+        assert (ctx.zech_table == -1).sum() == 1
+
+
+def test_zech_scalar_ops_on_every_pair_of_f_3_7():
+    # above ADD_TABLE_CAP scalar add, sub and neg read Z: every pair of
+    # F_3^7 against digitwise sums made by vector arithmetic
+    ctx = new_ctx(3, 1, 7)
+    xs = np.arange(ctx.order)
+    bs = range(ctx.order)
+    assert list(map(ctx.neg, bs)) == _digitwise(ctx, 0, xs, -1).tolist()
+    for a in range(ctx.order):
+        row = [a] * ctx.order
+        assert list(map(ctx.add, row, bs)) == _digitwise(ctx, a, xs).tolist()
+        assert list(map(ctx.sub, row, bs)) == _digitwise(ctx, a, xs, -1).tolist()
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 7), (5, 1, 5), (7, 1, 4), (11, 1, 3),
+                                   (3, 2, 4), (3, 1, 10)])
+def test_zech_scalar_ops_match_the_digit_loop(shape):
+    # random pairs, 0 operands and a + (-a), against a polynomial-mode
+    # context of the same field, whose scalar add runs digit by digit
+    ctx = new_ctx(*shape)
+    loop = FieldCtx(*shape, table_cap=1)
+    assert ctx.table_mode and not loop.table_mode and ctx.add_matrix is None
+    rng = np.random.default_rng(ctx.order)
+    xs = [0, 1, ctx.order - 1] + rng.integers(0, ctx.order, 300).tolist()
+    ys = [0, 0, 5] + rng.integers(0, ctx.order, 300).tolist()
+    for a, b in zip(xs + ys + xs, ys + xs + [loop.neg(x) for x in xs]):
+        assert ctx.add(a, b) == loop.add(a, b)
+        assert ctx.sub(a, b) == loop.sub(a, b)
+        assert ctx.neg(a) == loop.neg(a)
+    for a in xs:
+        assert ctx.add(a, ctx.neg(a)) == 0 and ctx.sub(a, a) == 0

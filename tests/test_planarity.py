@@ -22,7 +22,13 @@ from ffplanar.families import (
     example1_construct,
 )
 from ffplanar.field import new_ctx
-from ffplanar.linpoly import LinearizedPoly, Subspace, compose_formal, fp_nullspace
+from ffplanar.linpoly import (
+    LinearizedPoly,
+    Subspace,
+    compose_formal,
+    eval_formal,
+    fp_nullspace,
+)
 from ffplanar.planarity import (
     Batch,
     MonomialSum,
@@ -931,3 +937,99 @@ def test_criterion_builds_no_norm_table_on_a_big_tower():
     assert "norm_table" not in vars(ctx)
     assert got == [reference_criterion(cand) for cand in cands]
     assert set(got) == {True, False}
+
+
+def reference_f(cand, x):
+    """f(x) by the formula Tr(a x^(q+1)) + ell(x^2): rel_trace, a sum of
+    conjugates, and eval_formal."""
+    ctx = cand.ctx
+    t = ctx.rel_trace(ctx.mul(cand.a, ctx.pow(x, ctx.q + 1)))
+    return ctx.add(t, eval_formal(ctx, cand.ell.coeffs, ctx.mul(x, x)))
+
+
+def _candidates_for_evaluation(ctx, rng):
+    """a dense candidate, a = 0, ell = 0, one sparse ell, and on n = 2 a
+    nonzero a with Tr(a) = 0."""
+    dense = tuple(int(v) for v in rng.integers(0, ctx.order, ctx.degree))
+    a = int(rng.integers(1, ctx.order))
+    cands = [PlanarCandidate(ctx, a, LinearizedPoly(ctx, dense)),
+             PlanarCandidate(ctx, 0, LinearizedPoly(ctx, dense)),
+             PlanarCandidate(ctx, a, LinearizedPoly.zero(ctx)),
+             PlanarCandidate(ctx, a, LinearizedPoly.monomial(ctx, 1, ctx.degree - 1)),
+             PlanarCandidate(ctx, 0, LinearizedPoly.zero(ctx))]
+    if ctx.n == 2:
+        traceless = next(x for x in range(2, ctx.order) if ctx.rel_trace(x) == 0)
+        cands.append(PlanarCandidate(ctx, traceless, LinearizedPoly(ctx, dense)))
+    return cands
+
+
+@pytest.mark.parametrize("pmn", [(3, 2, 2), (5, 2, 2), (3, 1, 5), (7, 1, 3), (3, 1, 7)],
+                         ids=["F_81", "F_625", "F_3^5", "F_7^3", "F_3^7"])
+def test_log_domain_f_matches_the_conjugate_formula_everywhere(pmn):
+    # in table mode f is summed from its monomials through the Zech table
+    ctx = new_ctx(*pmn)
+    for cand in _candidates_for_evaluation(ctx, np.random.default_rng(ctx.order)):
+        assert [cand(x) for x in ctx.elements()] == \
+            [reference_f(cand, x) for x in ctx.elements()]
+
+
+@pytest.mark.parametrize("pmn", [(3, 1, 10), (5, 1, 6), (3, 5, 2)],
+                         ids=["F_3^10", "F_5^6", "F_3^10/F_243"])
+def test_log_domain_f_matches_the_conjugate_formula_at_random_points(pmn):
+    ctx = new_ctx(*pmn)
+    rng = np.random.default_rng(ctx.order)
+    xs = [0, 1, ctx.order - 1] + rng.integers(0, ctx.order, 300).tolist()
+    for cand in _candidates_for_evaluation(ctx, rng):
+        assert [cand(x) for x in xs] == [reference_f(cand, x) for x in xs]
+
+
+def test_f_in_polynomial_mode_keeps_the_conjugate_formula():
+    ctx = field.FieldCtx(3, 1, 5, table_cap=1)
+    assert not ctx.table_mode
+    rng = np.random.default_rng(5)
+    for cand in _candidates_for_evaluation(ctx, rng):
+        assert "_log_terms" not in vars(cand)
+        assert [cand(x) for x in ctx.elements()] == \
+            [reference_f(cand, x) for x in ctx.elements()]
+        assert "_log_terms" not in vars(cand)
+
+
+@pytest.mark.parametrize("table_cap", [DEFAULT_TABLE_CAP, 1], ids=["table", "polynomial"])
+def test_monomial_sum_in_the_log_domain(table_cap):
+    # e = 0 is the constant term, which is f(0); e >= order and repeated
+    # exponents reduce mod order - 1 at x != 0; zero coefficients drop out
+    ctx = field.FieldCtx(3, 1, 5, table_cap)
+    rng = np.random.default_rng(7)
+    c = [int(v) for v in rng.integers(1, ctx.order, 6)]
+    f = MonomialSum(ctx, [(c[0], 0), (c[1], 2), (c[2], ctx.order + 3),
+                          (c[3], 2), (0, 7), (c[4], ctx.order - 1), (c[5], 2 * ctx.order)])
+
+    def reference(x):
+        acc = 0
+        for coeff, e in f.monomials:
+            acc = ctx.add(acc, ctx.mul(coeff, ctx.pow(x, e)))
+        return acc
+
+    assert [f(x) for x in ctx.elements()] == [reference(x) for x in ctx.elements()]
+    assert f(0) == c[0]
+    assert MonomialSum(ctx, [(c[0], 0), (ctx.neg(c[0]), ctx.order - 1)])(0) == c[0]
+    cancelling = MonomialSum(ctx, [(c[1], 4), (ctx.neg(c[1]), 4 + ctx.order - 1)])
+    assert {cancelling(x) for x in ctx.elements()} == {0}
+
+
+def test_scalar_f_builds_no_order_sized_table_but_zech():
+    # on a fresh context above ADD_TABLE_CAP, scalar f, the scalar ops and a
+    # rank verdict read the exp, log and Zech tables only
+    ctx = field.FieldCtx(3, 1, 7, DEFAULT_TABLE_CAP)
+    rng = np.random.default_rng(9)
+    cand = PlanarCandidate(ctx, int(rng.integers(1, ctx.order)), LinearizedPoly(
+        ctx, tuple(int(v) for v in rng.integers(0, ctx.order, ctx.degree))))
+    ctx.zech_table
+    values = [cand(x) for x in ctx.elements()]
+    report = is_planar_rank(cand)
+    assert not report.planar and check_witness(cand, ctx, report.witness)
+    assert len(set(values)) > 1
+    built = set(vars(ctx))
+    assert "zech_table" in built
+    assert not {"trace_table", "square_table", "add_matrix", "_add_planes"} & built
+    assert "values" not in vars(cand.ell)

@@ -12,7 +12,8 @@ import pytest
 
 from ffplanar import linpoly, planarity, search
 from ffplanar.config import Config
-from ffplanar.field import new_ctx
+from ffplanar.families import MonomialFamilyParams
+from ffplanar.field import FieldCtx, new_ctx
 from ffplanar.linpoly import LinearizedPoly
 from ffplanar.planarity import PlanarCandidate, criterion_quadratic, is_planar_bruteforce
 from ffplanar.search import (
@@ -486,3 +487,27 @@ def test_cubic_rank_sweep_throughput_floor():
     elapsed = time.perf_counter() - started
     assert result.summary["candidates"] == 27**3
     assert elapsed <= 60.0
+
+
+def test_binomial_decode_and_predicate_take_three_norms(monkeypatch):
+    # decode's skip rule takes N(b) and N(c), the params keep them and the
+    # closed predicate adds N(b - c^q): 3 norms per decoded index
+    ctx = new_ctx(5, 2, 2)
+    job = SearchJob(5, 2, 2, family="binomial", filters=("closed-binomial",), k=1)
+    calls, real = [], FieldCtx.rel_norm
+    monkeypatch.setattr(FieldCtx, "rel_norm",
+                        lambda self, a: calls.append(a) or real(self, a))
+    skipped = 0
+    for raw in range(0, candidate_space(job, ctx), 997):
+        calls.clear()
+        decoded = decode_candidate(job, ctx, raw)
+        if decoded is None:
+            assert len(calls) == 2
+            skipped += 1
+            continue
+        params = decoded[2]
+        assert params.norms == (real(ctx, params.b), real(ctx, params.c))
+        search.theorem_monomial_predicate(params)
+        assert len(calls) == 3
+    monkeypatch.undo()
+    assert skipped and params == MonomialFamilyParams(ctx, 1, params.b, params.c)
