@@ -22,9 +22,10 @@ neg run digit by digit, and mul, inv and pow by polynomial arithmetic.
 field addition: each term is one exponent, and the terms are summed as
 logarithms through Z.  Above ADD_TABLE_CAP, vector addition works on one
 plane of a few digits at a time.
-The difference rows f(x + c) - f(x) that brute force counts read the same
-planes, with x + c taken from sums of the high and the low halves of the
-digits, kept in two tables while these stay small.
+The differences f(y + c/2) - f(y - c/2) that brute force counts read the
+same planes, at points taken from sums of the high and the low halves of
+the digits (two tables, kept while they stay small); an even f is read on
+half the field, its values as pairs {v, -v} through balanced digits.
 
 The relative trace, the absolute trace of F_q and their tables are one sum
 over an element's conjugates, run with the scalar or the vector ops.  The
@@ -71,11 +72,16 @@ TABLE_BLOCK = 1 << 12
 # largest field order: element indices and table entries are int64
 MAX_ORDER = 1 << 62
 # shifted_differences keeps the digitwise sums of every pair of half-digit
-# values while each of its two tables holds at most this many (512 KB): every
+# values while each of its two tables holds at most this many (128 KB): every
 # even degree up to 2^16 elements, odd ones up to F_13^3, F_5^5 and F_3^9.
 # Above (odd degree and a large p, a prime field F_p with p > 256) the tables
 # would hold about p times the order, so each block of directions sums its own
 HALF_TABLE_CAP = 1 << 16
+# shifted_differences keeps the index tables of the blocks of directions it
+# saw last, at most this many bytes of them per field: every block of a
+# batched F_625 scan (about 48 KB), and the first block of one candidate up
+# to F_3^7 (34 KB) but not on F_3^8 (105 KB)
+INDEX_CACHE_BYTES = 1 << 16
 
 
 # prime_factors: trial division below TRIAL_BOUND, then Miller-Rabin with the
@@ -134,6 +140,17 @@ def _rho_factor(n: int) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
+
+
+def _balanced(v: np.ndarray, p: int, count: int, radix: int) -> np.ndarray:
+    """sum of d_i p^i over the first `count` base-`radix` digits of v, each
+    taken mod p as a balanced digit d_i in -(p-1)/2 .. (p-1)/2."""
+    out, w = 0, 1
+    for _ in range(count):
+        digit = v % radix % p
+        out = out + (digit - p * (digit > p // 2)) * w
+        v, w = v // radix, w * p
+    return out
 
 
 def prime_factors(n: int) -> list[int]:
@@ -273,6 +290,8 @@ class FieldCtx:
             self._build_tables()
         self._verify()
         self._cache = {}
+        self._shift_cache = {}
+        self._shift_cache_bytes = 0
 
     # -- construction ------------------------------------------------------
 
@@ -590,70 +609,129 @@ class FieldCtx:
         return self._add_planes[0].take(self._neg_table, axis=1)
 
     @functools.cached_property
+    def _class_reduce(self) -> np.ndarray:
+        """reduce of _add_planes with each digit sum mod p read as a balanced
+        digit, in -(p-1)/2 .. (p-1)/2.  The balanced planes combine, times
+        base, to the one integer V(v) in -(order-1)/2 .. (order-1)/2 with
+        V(-v) = -V(v), so |V| numbers the classes {v, -v} from 0 to
+        (order-1)/2.  On a field of one plane the table holds |V| itself.
+        A plane's |V| is at most (base - 1)/2 < 2^15."""
+        p = self.p
+        planes, reduce, base = self._add_planes
+        out = _balanced(np.arange(len(reduce)), p, round(math.log(base, p)), 2 * p - 1)
+        return (np.abs(out) if len(planes) == 1 else out).astype(np.int16)
+
+    @functools.cached_property
     def _half_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """(hi, lo) for shifted_differences: with split = p^ceil(d/2),
-        lo[u, v] is the digitwise sum of u and v below split, and hi[u, v]
-        that of u * split and v * split."""
+        """(hi, lo) for _shift_tables: with split = p^ceil(d/2), lo[u, v] is
+        the digitwise sum of u and v below split, and hi[u, v] that of
+        u * split and v * split.  Kept while split^2 <= HALF_TABLE_CAP, so
+        the order is at most 2^16 and uint16 holds every index."""
         split = self.p ** -(-self.degree // 2)
         lows, highs = np.arange(split), np.arange(0, self.order, split)
-        return (self._plane_add(highs[:, None], highs),
-                self._plane_add(lows[:, None], lows))
+        return (self._plane_add(highs[:, None], highs).astype(np.uint16),
+                self._plane_add(lows[:, None], lows).astype(np.uint16))
+
+    @functools.cached_property
+    def _symmetric_halves(self) -> tuple[int, tuple, tuple]:
+        """(split, full, half) for _shift_tables, split = p^ceil(d/2).  Each
+        of full and half is (highs, tail): S is the high halves u in `highs`
+        (the element u * split) plus every low half, then high half 0 plus
+        the low halves in `tail`.  full is all of F; half is S = {y : V(y)
+        >= 0} (`_class_reduce`), 0 and one of each pair {y, -y}, (order+1)/2
+        elements: those whose high half has V > 0, then those with high
+        half 0 and V(y) >= 0."""
+        p, d = self.p, self.degree
+        split = p ** -(-d // 2)
+        lows, highs = np.arange(split), np.arange(self.order // split)
+        return (split, (highs, lows[:0]), (highs[_balanced(highs, p, d, p) > 0],
+                                           lows[_balanced(lows, p, d, p) >= 0]))
+
+    def _shift_tables(self, cs: np.ndarray, even: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(y + h, y - h) as (len(cs), |S|) index tables, h = c/2 for c in
+        cs along axis 0, y in S along axis 1 (`_symmetric_halves`: the half
+        field if `even`, else all of it).  y + h is the digitwise sum of the
+        high halves of y and h plus that of their low halves: one broadcast
+        of the block's sums with the high halves of S and with every low
+        half, which S's tail reads too.  The sums come from _half_sums when
+        its tables hold at most HALF_TABLE_CAP entries each, else are made
+        for the block.  Recent blocks are kept in `_shift_cache`, least
+        recently used dropped first, up to INDEX_CACHE_BYTES."""
+        key = (even, cs.tobytes())
+        cache = self._shift_cache
+        if key in cache:
+            cache[key] = tables = cache.pop(key)
+            return tables
+        split, full, half = self._symmetric_halves
+        highs, tail = half if even else full
+        hs = self.mul_vec(cs, (self.p + 1) // 2)
+        tables = []
+        for h in (hs, self._neg_table[hs]):
+            h_hi, h_lo = np.divmod(h, split)
+            if split * split <= HALF_TABLE_CAP:
+                hi, lo = self._half_sums
+                hi, lo = hi[h_hi[:, None], highs], lo[h_lo]
+            else:
+                hi = self._plane_add(h_hi[:, None] * split, highs * split)
+                lo = self._plane_add(h_lo[:, None], np.arange(split))
+            body = (hi[:, :, None] + lo[:, None, :]).reshape(len(cs), -1)
+            tail_sums = (h_hi * split).astype(lo.dtype)[:, None] + lo[:, tail]
+            tables.append(np.concatenate([body, tail_sums], axis=1))
+        tables = tuple(tables)
+        size = 2 * tables[0].nbytes
+        if size <= INDEX_CACHE_BYTES:
+            while cache and self._shift_cache_bytes + size > INDEX_CACHE_BYTES:
+                self._shift_cache_bytes -= 2 * cache.pop(next(iter(cache)))[0].nbytes
+            cache[key] = tables
+            self._shift_cache_bytes += size
+        return tables
 
     def shifted_differences(self, f_tabs: np.ndarray):
-        """For a (k, order) stack of value tables, the function mapping
-        directions cs and `rows` of the stack (a slice or an index array) to
-        the (rows, len(cs), order) array of f(x + c) - f(x): [i, j, x] for
-        f = f_tabs[rows][i], c = cs[j] and every x.
+        """For a (k, order) stack of value tables, (points, differences):
+        differences maps directions cs and `rows` of the stack (a slice or
+        an index array) to the (rows, len(cs), len(points)) array of the
+        classes of E(y) = f(y + h) - f(y - h) = D_c(y - h), h = c/2: [i, j, s]
+        for f = f_tabs[rows][i], c = cs[j] and y = points[s].  D_c permutes
+        F exactly when its row holds len(points) distinct classes.
 
-        With split = p^ceil(d/2), x + c is the digitwise sum of the high
-        halves of x and c plus that of their low halves.  Each block of
-        directions takes the sums of its c with every high half (order / split
-        values) and every low half (split values), and x + c is one broadcast
-        of the two, with no arithmetic on x; the offset of each row in the
-        flattened stack rides on the high sums.  The sums are read from
-        _half_sums when its tables hold at most HALF_TABLE_CAP entries each,
-        else made for the block.  The tables and their negations are split
-        into digit planes once, so each plane costs one gather at x + c, one
-        add and one reduce lookup."""
+        A stack whose every row is even, f(-x) = f(x), has E odd, E(-y) =
+        -E(y).  Its points are 0 and one of each pair {y, -y}, (order+1)/2
+        in all, and the class of a value v is that of the pair {v, -v},
+        |V(v)| in 0 .. (order-1)/2 (`_class_reduce`): E permutes F iff it
+        takes the pairs of its points to distinct pairs.  Any other stack
+        reads every point, and the classes are the values themselves.  The
+        tables and their negations are split into digit planes once; per
+        plane, f at y + h and -f at y - h are one gather each along the
+        table axis from the block's (len(cs), len(points)) index tables
+        (`_shift_tables`), then one add and one reduce lookup, in which a
+        single plane also takes |V|."""
         planes, reduce, base = self._add_planes
-        flat = f_tabs.ravel()
-        f_planes = planes.take(flat, axis=1)
-        neg_planes = self._neg_planes.take(flat, axis=1).reshape(
-            len(planes), len(f_tabs), 1, -1)
-        offsets = np.arange(0, f_tabs.size, self.order)[:, None, None]
-        split = self.p ** -(-self.degree // 2)
-        if split * split <= HALF_TABLE_CAP:
-            hi, lo = self._half_sums
-
-            def half_sums(cs):
-                c_hi, c_lo = np.divmod(cs, split)
-                return hi[c_hi], lo[c_lo]
-        else:
-            lows, highs = np.arange(split), np.arange(0, self.order, split)
-
-            def half_sums(cs):
-                c_lo = cs % split
-                return (self._plane_add((cs - c_lo)[:, None], highs),
-                        self._plane_add(c_lo[:, None], lows))
+        even = bool((f_tabs.take(self._neg_table, axis=1) == f_tabs).all())
+        f_planes = planes.take(f_tabs, axis=1)
+        neg_planes = self._neg_planes.take(f_tabs, axis=1)
+        read = self._class_reduce if even else reduce
+        split, full, half = self._symmetric_halves
+        highs, tail = half if even else full
+        points = np.concatenate([(highs[:, None] * split + np.arange(split)).ravel(),
+                                 tail])
 
         def differences(cs: np.ndarray, rows) -> np.ndarray:
-            hi_rows, lo_rows = half_sums(cs)
-            hi_rows = hi_rows + offsets[rows]
-            shifted = (hi_rows[:, :, :, None] + lo_rows[:, None, :]).reshape(
-                len(hi_rows), len(cs), -1)
+            plus, minus = self._shift_tables(cs, even)
             out = None
             for f_plane, neg_plane in zip(f_planes[::-1], neg_planes[::-1]):
-                sums = f_plane.take(shifted)
-                sums += neg_plane[rows]
-                digits = reduce.take(sums)
+                sums = f_plane[rows].take(plus, axis=1)
+                sums += neg_plane[rows].take(minus, axis=1)
+                digits = read.take(sums)
                 if out is None:
                     out = digits
                 else:
-                    out *= base
+                    out = np.multiply(out, base, dtype=np.int64)
                     out += digits
+            if even and len(planes) > 1:
+                np.abs(out, out=out)
             return out
 
-        return differences
+        return points, differences
 
     @functools.cached_property
     def add_matrix(self) -> np.ndarray | None:

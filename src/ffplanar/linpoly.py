@@ -52,6 +52,25 @@ def fp_rank(rows, p: int) -> int:
     return len(fp_rref(rows, p)[1])
 
 
+def fp_is_singular(rows, p: int) -> bool:
+    """True iff the square matrix `rows` is singular mod p, by forward
+    elimination alone: each step drops a pivot row and the first column,
+    and the first column without a pivot ends it."""
+    mat = [[v % p for v in row] for row in rows]
+    while mat:
+        for k, row in enumerate(mat):
+            if row[0]:
+                break
+        else:
+            return True
+        top = mat.pop(k)
+        inv = pow(top[0], -1, p)
+        top = top[1:]
+        mat = [[(a - f * b) % p for a, b in zip(row[1:], top)]
+               if (f := row[0] * inv % p) else row[1:] for row in mat]
+    return False
+
+
 def fp_nullspace(mat, p: int) -> list[list[int]]:
     """Basis of {v : mat @ v = 0 mod p}, one vector per free column."""
     red, pivots = fp_rref(mat, p)

@@ -3,21 +3,27 @@
 Three independent routes decide whether every difference map
 D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
 
-* bruteforce - evaluates the difference maps and checks bijectivity with a
-  hit count, for any function given as a value table: a candidate, or any
-  polynomial as a MonomialSum; since D_{-c}(x) = -D_c(x - c), D_c and
-  D_{-c} permute together.  If f(lam x) = mu f(x) for all x, then
-  D_{lam c}(lam x) = mu D_c(x), and D_c and D_{lam c} permute together too.
+* bruteforce - evaluates the difference maps and checks bijectivity by the
+  values each one hits, for any function given as a value table: a
+  candidate, or any polynomial as a MonomialSum; since D_{-c}(x) =
+  -D_c(x - c), D_c and D_{-c} permute together.  If f(lam x) = mu f(x) for
+  all x, then D_{lam c}(lam x) = mu D_c(x), and D_c and D_{lam c} permute
+  together too.
   Every candidate, a Dembowski-Ostrom polynomial, scales so under F_p^*
   (mu = lam^2), and many under a larger subgroup of F^* (x^2 under all of
   it).  So brute force evaluates only the least direction of each coset of
-  the subgroup generated by -1 and the stack's scaling group;
+  the subgroup generated by -1 and the stack's scaling group.  Every
+  candidate is even too, f(-x) = f(x), and then E(y) = D_c(y - c/2) is odd:
+  D_c permutes iff y -> {E(y), -E(y)} is injective on 0 and one of each
+  pair {y, -y}, so each direction is evaluated at (order+1)/2 points;
 * rank       - f is a Dembowski-Ostrom polynomial, so f(x+v) - f(x) - f(v) + f(0)
   is a symmetric F_p-bilinear form B(v, x); f is planar iff x -> B(v, x) has
   full rank for every v != 0.  Its matrix is sum_i v_i M_i, column j of M_i
   the digits of B(p^i, p^j), read from f itself (and from M_j for j < i);
   since B(lam v, x) = lam B(v, x) for lam in F_p^*, only one v per class
-  {lam v} is tested, (p^d - 1)/(p - 1) directions in all, a block at a time;
+  {lam v} is tested, (p^d - 1)/(p - 1) directions in all, a block at a time
+  (a narrow block one matrix at a time by forward elimination alone); only
+  the first singular matrix is reduced, for its witness;
 * reduction  - substitutes x = u/v and scans the equivalent two-variable
   nonvanishing condition, skipping u whose ell-value lies outside F_q.
 
@@ -42,19 +48,28 @@ single verify run the same code.  A batch re-checks all its brute-force
 witnesses at once, by vector ops on a and ell's coefficients, in place of
 one scalar check per report.
 
-Brute force forms x + c for a block of directions with no arithmetic on x:
-with split = p^ceil(d/2), x + c is the digitwise sum of the high halves of x
-and c plus that of their low halves, one broadcast of the block's sums with
-every high half and every low half.
-D_c(x) then comes from digit planes of the value tables and their
-negations, split once per stack: per plane, one gather at x + c, one add and
-one reduce lookup give the canonical index, and a hit count per row decides.
+Brute force reads each direction c as E(y) = f(y + h) - f(y - h), h = c/2,
+at points y of a set S (`FieldCtx.shifted_differences`).  On a stack of
+even tables S is 0 and one of each pair {y, -y}, and each value counts as
+its pair {v, -v}: (order+1)/2 values in as many pairs, so D_c permutes iff
+no pair is hit twice.  Any other stack (x^2 + x as a MonomialSum, alone or
+among candidates) reads S = F and the values themselves.  A block's index
+tables of y + h and y - h over S need no arithmetic on y: with split =
+p^ceil(d/2), y + h is the digitwise sum of the high halves of y and h plus
+that of their low halves, one broadcast of the block's sums with the high
+halves of S and every low half, and the tables of the blocks seen last are
+kept per field.  E then comes from digit planes of the value tables and
+their negations, split once per stack: per plane, one gather at y + h and
+one at y - h along the table axis, one add and one reduce lookup give the
+class.  A row has as many values as classes in each direction, so it
+permutes there iff it hits every class.
 Blocks double in width from ceil(8 / k) directions on a stack of k up to
-BRUTE_BLOCK_ENTRIES values (one row on a bigger field); each block runs on
+BRUTE_BLOCK_ENTRIES / order (one row on a bigger field); each block runs on
 every candidate still undecided, passed to the kernel as an index array
 into the stack, which is split into digit planes once.  A candidate leaves
-the stack at its first bad row, and one collision pass per block reads the
-witnesses of all the candidates that block decided off their first bad rows.
+the stack at its first bad direction, and one collision pass per block
+reads the witnesses of all the candidates that block decided off D_c of
+their first bad directions, in x order.
 The first block takes the least of each pair {c, -c}; the scaling group is
 found only for the candidates still undecided after it, so most non-planar
 inputs never pay for it.
@@ -95,6 +110,7 @@ from .linpoly import (
     LinearizedPoly,
     digit_rows,
     fill_values,
+    fp_is_singular,
     fp_nullspace,
     fp_singular,
     span_table,
@@ -109,11 +125,12 @@ NARROW_BLOCK = 16
 # Reading a table already built is faster on F_3^8, level with the kernel on
 # F_11^4 (14 641 elements) and slower from F_13^4 (28 561) up
 CRITERION_TABLE_MAX = 20_000
-# brute force: most difference values (directions x candidates x order) held
-# at once, the cap on the doubling block widths and on the candidates a block
-# runs on together.  The kernel's int64 temporaries then stay within a 2 MB
-# L2 cache: full scans of x^2 on F_3^7, F_5^5 and F_3^8 ran 1.7-2x faster
-# than at 2^19 entries, and F_625 the same (2-vCPU Xeon)
+# brute force: most of directions x candidates x order at once, the cap on
+# the doubling block widths and on the candidates a block runs on together.
+# The kernel's temporaries (about half as many values: even stacks read half
+# the field) then stay within a 2 MB L2 cache: full scans of x^2 on F_3^7,
+# F_5^5 and F_3^8 ran 1.7-2x faster than at 2^19 entries, and F_625 the same
+# (2-vCPU Xeon)
 BRUTE_BLOCK_ENTRIES = 1 << 16
 # brute force: the points of each row on which a scaling x -> lam x is
 # screened before the one full test of the group found
@@ -434,41 +451,50 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
     pairs {c, -c}; only if some row is still undecided after it is e found,
     on those rows, and the scan goes on over the minima above that block.
 
-    Blocks of directions double in width from ceil(8 / k), so that early
-    witnesses cost little and a stack of one starts at 8, up to
-    BRUTE_BLOCK_ENTRIES values.  Each block is evaluated for every row still
-    undecided, as many rows at a time as keep block x rows x order within
-    BRUTE_BLOCK_ENTRIES, and a row drops out at its first bad direction.
-    The rows are read from the stack by index, so that it is split into
-    digit planes once, and the witnesses of all the rows a block decides
-    come from one `_first_collisions` pass."""
-    n = ctx.order
+    Each direction is read in symmetric coordinates
+    (`FieldCtx.shifted_differences`): on an even stack, where every
+    candidate lies, E(y) = D_c(y - c/2) is odd, so it is evaluated at
+    (order+1)/2 points and its values counted by pairs {v, -v}; any other
+    stack is evaluated at every point.  Blocks of directions double in width
+    from ceil(8 / k), so that early witnesses cost little and a stack of one
+    starts at 8, up to BRUTE_BLOCK_ENTRIES / order directions.  Each block
+    is evaluated for every row still undecided, as many rows at a time as
+    keep block x rows x order within BRUTE_BLOCK_ENTRIES, and a row drops
+    out at its first bad direction.  The rows are read from the stack by
+    index, so that it is split into digit planes once, and the witnesses of
+    all the rows a block decides come from one `_first_collisions` pass
+    over D_c of their first bad directions, in x order."""
     cs = _coset_minima(ctx, 2)
-    widest = max(1, BRUTE_BLOCK_ENTRIES // n)
+    widest = max(1, BRUTE_BLOCK_ENTRIES // ctx.order)
     found = [None] * len(f_tabs)
     undecided = np.ones(len(f_tabs), dtype=bool)
     live = np.arange(len(f_tabs))  # the rows of f_tabs still undecided
-    differences = ctx.shifted_differences(f_tabs)
+    points, differences = ctx.shifted_differences(f_tabs)
     lo, width, scaled = 0, -(-8 // len(f_tabs)), False
     while lo < len(cs) and len(live):
         block = cs[lo:lo + min(width, widest)]
         lo, width = lo + len(block), 2 * width
-        step = max(1, BRUTE_BLOCK_ENTRIES // (len(block) * n))
+        step = max(1, BRUTE_BLOCK_ENTRIES // (len(block) * ctx.order))
         for start in range(0, len(live), step):
             rows = live[start:start + step]
-            # diffs[r, i, x] = f_r(x + block[i]) - f_r(x), then offset so that
-            # pair (r, i) counts hits in its own bins of width n.  While every
-            # row is live, a slice reads views of the stack, not copies
-            diffs = differences(block, slice(start, start + step)
-                                if len(live) == len(f_tabs) else rows)
-            counts = np.bincount((diffs + np.arange(0, diffs.size, n).reshape(
-                diffs.shape[:2] + (1,))).ravel(), minlength=diffs.size)
-            bad = counts.reshape(diffs.shape).max(axis=2) > 1
+            # classes[r, i, s] is the class of row r's E at points[s] in
+            # direction block[i], offset so that pair (r, i) marks the bins
+            # it hits among its own, one per point: it permutes iff it hits
+            # them all.  While every row is live, a slice reads views of the
+            # stack, not copies
+            classes = differences(block, slice(start, start + step)
+                                  if len(live) == len(f_tabs) else rows)
+            hits = np.zeros(classes.size, dtype=bool)
+            hits[(classes + np.arange(0, classes.size, len(points)).reshape(
+                classes.shape[:2] + (1,))).ravel()] = True
+            bad = ~hits.reshape(classes.shape).all(axis=2)
             hit = bad.any(axis=1).nonzero()[0]
             if len(hit):
-                # a row's first bad direction is its lowest
-                i = bad[hit].argmax(axis=1)
-                witnesses = _first_collisions(diffs[hit, i], block[i])
+                # a row's first bad direction is its lowest; its witness
+                # comes from D_c in x order
+                c = block[bad[hit].argmax(axis=1)]
+                diffs = _difference_rows(ctx, f_tabs[rows[hit]], c)
+                witnesses = _first_collisions(diffs, c)
                 for row, witness in zip(rows[hit].tolist(), witnesses):
                     found[row] = witness
                 undecided[rows[hit]] = False
@@ -480,13 +506,20 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
     return found
 
 
+def _difference_rows(ctx: FieldCtx, f_tabs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """D_c(x) = f(x + c) - f(x) for every x, row i of a (k, order) stack of
+    value tables taken in direction cs[i]."""
+    shifted = ctx.add_vec(cs[:, None], np.arange(ctx.order))
+    return ctx.sub_vec(f_tabs[np.arange(len(cs))[:, None], shifted], f_tabs)
+
+
 def is_planar_bruteforce(f: PlanarCandidate | MonomialSum,
                          brute_cap: int = DEFAULT_BRUTE_CAP,
                          batch: Batch | None = None) -> VerificationReport:
     """Exact verdict for a candidate or any MonomialSum: checks bijectivity
-    of every difference map by hit counts.  A candidate of `batch` reads its
-    witness from the batch's one kernel run, re-checked there with all the
-    batch's witnesses."""
+    of every difference map by the values it hits.  A candidate of `batch`
+    reads its witness from the batch's one kernel run, re-checked there with
+    all the batch's witnesses."""
     started = time.perf_counter()
     ctx = f.ctx
     if ctx.order > brute_cap:
@@ -538,17 +571,21 @@ def _singular_direction(ctx: FieldCtx, f):
         for lo in range(lead, 2 * lead, RANK_BLOCK):
             hi = min(lo + RANK_BLOCK, 2 * lead)
             if hi - lo < NARROW_BLOCK:
+                # one matrix at a time, each by forward elimination alone
                 tried = ((v, combination(v)) for v in range(lo, hi))
+                singular = next(((v, mat) for v, mat in tried if fp_is_singular(mat, p)),
+                                None)
             else:
                 # the block's M_v^T, and one elimination of them all
                 digits = np.arange(lo, hi)[:, None] // p ** np.arange(k + 1) % p
                 mats = (digits @ np.reshape(cols, (k + 1, -1)) % p).reshape(-1, d, d)
-                tried = [(lo + int(i), mats[i].T.tolist())
-                         for i in np.flatnonzero(fp_singular(mats, p))[:1]]
-            for v, mat in tried:
-                null = fp_nullspace(mat, p)
-                if null:
-                    return (v, ctx.from_digits(null[0]), 0)
+                found = np.flatnonzero(fp_singular(mats, p))
+                singular = (lo + int(found[0]), mats[found[0]].T.tolist()) if len(found) else None
+            if singular is not None:
+                # the reduced row echelon form is unique, and so is the
+                # first nullspace vector read off it
+                v, mat = singular
+                return (v, ctx.from_digits(fp_nullspace(mat, p)[0]), 0)
     return None
 
 

@@ -283,22 +283,48 @@ def test_plane_addition_above_add_table_cap():
     assert both == ctx.add(int(a[0]), int(c)) and both.dtype == np.int64
 
 
+def _pair_class(ctx, v):
+    """Reference for the class of {v, -v}: |V(v)|, v's digits read in
+    -(p-1)/2 .. (p-1)/2."""
+    p, out, w = ctx.p, 0, 1
+    for _ in range(ctx.degree):
+        digit = v % p
+        out = out + (digit - p * (digit > p // 2)) * w
+        v, w = v // p, w * p
+    return abs(out)
+
+
 @pytest.mark.parametrize("shape", [(7, 1, 1), (3, 1, 5), (5, 2, 2), (3, 1, 7),
                                    (257, 1, 1), (17, 1, 3)])
 def test_shifted_differences_match_vector_ops(shape):
     # prime fields, odd and even degrees, one digit plane and two (F_3^7);
     # on F_257 and F_17^3 the half-digit sums exceed HALF_TABLE_CAP and are
     # made per call.  A stack of three tables, read in part, as a scan reads
-    # a slice of the rows still undecided
+    # a slice of the rows still undecided: at every point as drawn, and made
+    # even, at 0 and one point of each pair {y, -y}, with each value read as
+    # its pair {v, -v}
     ctx = new_ctx(*shape)
     rng = np.random.default_rng(ctx.order)
-    fs = rng.integers(0, ctx.order, size=(3, ctx.order))
+    drawn = rng.integers(0, ctx.order, size=(3, ctx.order))
     cs = np.sort(rng.choice(np.arange(1, ctx.order), size=min(ctx.order - 1, 40),
                             replace=False))
     xs = np.arange(ctx.order)
     shifted = ctx.add_vec(cs[:, None], xs[None, :])
-    want = [ctx.sub_vec(f[shifted], f[None, :]).tolist() for f in fs[1:]]
-    assert ctx.shifted_differences(fs)(cs, slice(1, 3)).tolist() == want
+    halves = ctx.mul_vec(cs, (ctx.p + 1) // 2)
+    assert ctx.add_vec(halves, halves).tolist() == cs.tolist()
+    for fs, even in [(drawn, False), (drawn[:, np.minimum(xs, ctx.neg_vec(xs))], True)]:
+        points, differences = ctx.shifted_differences(fs)
+        # D_c(x) = f(x + c) - f(x), then read at x = y - c/2
+        want = np.array([ctx.sub_vec(f[shifted], f[None, :]) for f in fs[1:]])
+        want = np.take_along_axis(want, ctx.sub_vec(points, halves[:, None])[None], axis=2)
+        if even:
+            assert len(points) == (ctx.order + 1) // 2
+            both = set(points.tolist()) | set(ctx.neg_vec(points).tolist())
+            assert both == set(xs.tolist())
+            want = _pair_class(ctx, want)
+        else:
+            assert sorted(points.tolist()) == xs.tolist()
+        assert differences(cs, slice(1, 3)).tolist() == want.tolist()
 
 
 def test_scalar_tables_made_on_first_use():

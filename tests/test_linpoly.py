@@ -13,6 +13,7 @@ from ffplanar.linpoly import (
     digit_rows,
     eval_formal,
     fill_values,
+    fp_is_singular,
     fp_nullspace,
     fp_rank,
     fp_rref,
@@ -377,6 +378,24 @@ def test_fp_singular_matches_nullspace():
     want = [bool(fp_nullspace(m, p)) for m in mats]
     assert want == [i % 2 == 0 for i in range(64)]
     assert fp_singular(mats, p).tolist() == want
+
+
+def test_fp_is_singular_matches_rank():
+    # forward elimination stops at the first column without a pivot; it must
+    # agree with the full rank on random matrices (with unreduced entries, as
+    # the rank route passes them) and on ones made singular on purpose
+    rng = np.random.default_rng(37)
+    for p in (3, 5, 7):
+        for d in range(1, 8):
+            mats = rng.integers(0, p, size=(60, d, d))
+            mats[1::4, -1] = mats[1::4, 0]
+            mats[2::4, -1] = mats[2::4, 0] * int(rng.integers(2, p)) + p
+            mats[3::4, :, d // 2] = 0
+            mats[::5] += p * rng.integers(0, 4, size=mats[::5].shape)
+            for mat in [*mats, np.zeros((d, d), dtype=np.int64), np.eye(d, dtype=np.int64)]:
+                rows = [tuple(int(v) for v in row) for row in mat]
+                assert fp_is_singular(rows, p) == (fp_rank(rows, p) < d)
+            assert {fp_is_singular(m.tolist(), p) for m in mats} == {True, False}
 
 
 def _scalar_images(ell):

@@ -270,52 +270,59 @@ def _orbit_minima(ctx, h):
 
 def test_scans_visit_one_direction_per_class(monkeypatch):
     # brute force visits the first block of the pair minima {c, -c}, then one
-    # direction per coset of the stack's scaling group (rows of the hit-count
-    # matrix).  x^2 scales under all of F^*, so planar x^2 visits only the 8
-    # directions of its first block, and a stack of 5 the 2 of its own.  A
-    # planar q25 binomial member scales under the 16 lam with lam^16 = 1 and
-    # visits its first block and the coset minima above it; x^2 + x scales
-    # under no lam but 1 and visits one direction of each pair {c, -c},
-    # (order-1)/2 in all.  Rank visits one direction per class {lam c}, lam
-    # in F_p^* (matrices tested one by one in narrow blocks, or in a stack
-    # by the batched eliminator)
-    rows, directions = [], []
-    bincount = np.bincount
-    nullspace, singular = planarity.fp_nullspace, planarity.fp_singular
+    # direction per coset of the stack's scaling group, and evaluates
+    # (order+1)/2 values in each on an even stack, order on any other.  x^2 scales under all of F^*, so planar x^2 visits only
+    # the 8 directions of its first block, and a stack of 5 the 2 of its own.
+    # A planar q25 binomial member scales under the 16 lam with lam^16 = 1
+    # and visits its first block and the coset minima above it; x^2 + x is
+    # not even, scales under no lam but 1 and visits one direction of each
+    # pair {c, -c}, (order-1)/2 in all.  Rank visits one direction per class
+    # {lam c}, lam in F_p^* (matrices tested one by one in narrow blocks, or
+    # in a stack by the batched eliminator)
+    values, directions = [], []
+    shifted_differences = field.FieldCtx.shifted_differences
+    one, singular = planarity.fp_is_singular, planarity.fp_singular
 
-    def counting_bincount(x, minlength=0):
-        rows.append(minlength)
-        return bincount(x, minlength=minlength)
+    def counting_differences(ctx, f_tabs):
+        points, differences = shifted_differences(ctx, f_tabs)
 
-    def counting_nullspace(mat, p):
+        def counted(cs, rows):
+            out = differences(cs, rows)
+            values.append(out.size)
+            return out
+
+        return points, counted
+
+    def counting_one(mat, p):
         directions.append(1)
-        return nullspace(mat, p)
+        return one(mat, p)
 
     def counting_singular(mats, p):
         directions.append(len(mats))
         return singular(mats, p)
 
-    monkeypatch.setattr(np, "bincount", counting_bincount)
-    monkeypatch.setattr(planarity, "fp_nullspace", counting_nullspace)
+    monkeypatch.setattr(field.FieldCtx, "shifted_differences", counting_differences)
+    monkeypatch.setattr(planarity, "fp_is_singular", counting_one)
     monkeypatch.setattr(planarity, "fp_singular", counting_singular)
     for ctx in (F625, new_ctx(3, 1, 7)):
-        rows.clear()
+        half = (ctx.order + 1) // 2
+        values.clear()
         assert is_planar_bruteforce(square_candidate(ctx)).planar
-        assert sum(rows) == 8 * ctx.order
+        assert sum(values) == 8 * half
         # and once per stack row, however the stack is split
-        rows.clear()
+        values.clear()
         stack = np.stack([square_candidate(ctx).f_table()] * 5)
         assert planarity._bad_direction(ctx, stack) == [None] * 5
-        assert sum(rows) == 5 * 2 * ctx.order
+        assert sum(values) == 5 * 2 * half
     member = MonomialFamilyParams(F625, 1, 1, 2).candidate()
     first = _orbit_minima(F625, 2)[7]
     beyond = [c for c in _orbit_minima(F625, 16) if c > first]
-    rows.clear()
+    values.clear()
     assert is_planar_bruteforce(member).planar
-    assert sum(rows) == F625.order * (8 + len(beyond))
-    rows.clear()
+    assert sum(values) == (F625.order + 1) // 2 * (8 + len(beyond))
+    values.clear()
     assert is_planar_bruteforce(MonomialSum(F625, [(1, 2), (1, 1)])).planar
-    assert sum(rows) == F625.order * (F625.order - 1) // 2
+    assert sum(values) == F625.order * (F625.order - 1) // 2
     for ctx in (F625, new_ctx(5, 1, 3), new_ctx(7, 1, 2)):
         directions.clear()
         assert is_planar_rank(square_candidate(ctx)).planar
@@ -460,13 +467,16 @@ def _pair_scan_reference(ctx, f_tabs):
     return found
 
 
-@pytest.mark.parametrize("pmn", [(5, 2, 2), (5, 1, 5), (7, 1, 3), (3, 2, 3)],
-                         ids=["F_625", "F_5^5", "F_7^3", "F_3^6"])
+@pytest.mark.parametrize("pmn", [(5, 2, 2), (5, 1, 5), (7, 1, 3), (3, 2, 3),
+                                 (3, 1, 7), (3, 1, 8)],
+                         ids=["F_625", "F_5^5", "F_7^3", "F_3^6", "F_3^7", "F_3^8"])
 def test_bruteforce_matches_pair_scan_reference(pmn):
     # a stack of candidates scans one direction per coset of a group that
     # holds F_p^*, a stack with one row that scales under no lam but 1 scans
     # every c < -c; both must give the witnesses of a scan of every c < -c,
-    # row by row
+    # row by row.  A stack of even rows reads half the field, on one digit
+    # plane or two (F_3^7, F_3^8); one with a row that is not even reads all
+    # of it
     ctx = new_ctx(*pmn)
     p = ctx.p
     cands = [*_random_candidates(ctx, 10), square_candidate(ctx),
@@ -485,13 +495,15 @@ def test_bruteforce_matches_pair_scan_reference(pmn):
     broken = square_candidate(ctx).f_table()
     broken[7] = ctx.add(int(broken[7]), 2)
     stacks = [(tabs, True), (np.vstack([tabs[:6], plus_x, tabs[6:]]), False),
-              (np.vstack([broken, tabs]), False)]
+              (np.vstack([broken, tabs]), False), (plus_x[None], False)]
     for stack, scales in stacks:
         e = planarity._scaling_order(ctx, stack)
         assert e % (p - 1) == 0 if scales else e == 1
+        points, _ = ctx.shifted_differences(stack)
+        assert len(points) == ((ctx.order + 1) // 2 if scales else ctx.order)
         got = planarity._bad_direction(ctx, stack)
         assert got == _pair_scan_reference(ctx, stack)
-        assert {w is None for w in got} == {True, False}
+        assert {w is None for w in got} == ({True} if len(stack) == 1 else {True, False})
     assert planarity._bad_direction(ctx, broken[None])[0][0] > 1
 
 
@@ -533,9 +545,21 @@ def test_bruteforce_witnesses_pinned(entries, half_cap, monkeypatch):
     # sha256 of the verdicts and witnesses of the brute-force kernel that
     # gathered x + c from add_matrix or the digit planes and found witnesses
     # with np.unique; every later kernel must report the same, however its
-    # blocks of directions are split and wherever its half-digit sums come from
+    # blocks of directions are split, wherever its half-digit sums come from
+    # and whether a block's index tables are kept or made again
     monkeypatch.setattr(planarity, "BRUTE_BLOCK_ENTRIES", entries)
     monkeypatch.setattr(field, "HALF_TABLE_CAP", half_cap)
+    if not half_cap:
+        # every block's tables made from its own half sums: contexts are
+        # shared between tests, so what earlier calls kept is dropped
+        shift_tables = field.FieldCtx._shift_tables
+
+        def uncached(ctx, cs, even):
+            ctx._shift_cache.clear()
+            ctx._shift_cache_bytes = 0
+            return shift_tables(ctx, cs, even)
+
+        monkeypatch.setattr(field.FieldCtx, "_shift_tables", uncached)
     reports = _pinned_bruteforce_reports()
     assert {planar for planar, _ in reports} == {True, False}
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
