@@ -19,13 +19,21 @@ D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
 * rank       - f is a Dembowski-Ostrom polynomial, so f(x+v) - f(x) - f(v) + f(0)
   is a symmetric F_p-bilinear form B(v, x); f is planar iff x -> B(v, x) has
   full rank for every v != 0.  Its matrix is sum_i v_i M_i, column j of M_i
-  the digits of B(p^i, p^j), read from f itself (and from M_j for j < i);
-  since B(lam v, x) = lam B(v, x) for lam in F_p^*, only one v per class
-  {lam v} is tested, (p^d - 1)/(p - 1) directions in all, a block at a time
-  (a narrow block one matrix at a time by forward elimination alone); only
-  the first singular matrix is reduced, for its witness;
+  the digits of B(p^i, p^j), read from f itself (and from M_j for j < i).
+  If f(lam x) = mu f(x), then B(lam v, lam x) = mu B(v, x), and M_v and
+  M_{lam v} are singular together.  f scales so under every lam with
+  lam^(e_i - e_0) = 1 over its monomials' exponents e_i, a subgroup of
+  order e = gcd(order - 1, e_i - e_0) that holds F_p^*; only the least v
+  of each of its cosets is tested, a block at a time (a narrow block one
+  matrix at a time by forward elimination alone), and M_k is built only
+  while some such v lies at or above p^k: planar x^2 tests v = 1 alone.
+  Where e = p - 1, and outside table mode, that is every v whose top
+  digit is 1, (p^d - 1)/(p - 1) directions.  Only the first singular
+  matrix is reduced, for its witness;
 * reduction  - substitutes x = u/v and scans the equivalent two-variable
-  nonvanishing condition, skipping u whose ell-value lies outside F_q.
+  nonvanishing condition, skipping u whose ell-value lies outside F_q; it
+  reads v only through v^(q-1), so only the least v of each coset of
+  F_q^* is tried, (order - 1)/(q - 1) of them per u.
 
 Each route refuses an input over its cap before any work, then runs a search
 that returns a witness (c, x1, x2) or None; `_verdict` times the call,
@@ -36,9 +44,9 @@ trace and c_t x^(2 p^t) for ell, kept as (log coefficient, exponent) pairs.
 Each term at x is one exponent, and `FieldCtx.log_sum` adds them through
 the Zech table, so scalar f reads no value table, addition table or digit
 plane; polynomial mode sums the conjugates and ell's terms with scalar ops.
-The skipped directions of the first two routes are never the least of their
-coset or class, so both still report the lowest non-permuting direction,
-with the witness a scan of every direction would give.
+The directions and v the three scans skip are never the least of their
+coset, so each still reports the lowest non-permuting direction (the
+lowest vanishing v), with the witness a scan of every one would give.
 
 Brute force and the criterion work on a stack of candidates of one field.
 A `Batch` holds candidates checked together: the first brute-force or
@@ -69,7 +77,11 @@ every candidate still undecided, passed to the kernel as an index array
 into the stack, which is split into digit planes once.  A candidate leaves
 the stack at its first bad direction, and one collision pass per block
 reads the witnesses of all the candidates that block decided off D_c of
-their first bad directions, in x order.
+their first bad directions, in x order, on x <= p^(d-1) alone: where D_c
+is F_p-affine, as on every candidate, and not injective, its kernel holds
+a w with top digit 1 at some position t, and x = p^t and x - w < x take
+one value.  A row with no repeat there (a table that is not affine) is
+read again over the whole field.
 The first block takes the least of each pair {c, -c}; the scaling group is
 found only for the candidates still undecided after it, so most non-planar
 inputs never pay for it.
@@ -353,21 +365,24 @@ class MonomialSum:
 # ---------------------------------------------------------------------------
 
 def _first_collisions(diffs: np.ndarray, cs: np.ndarray) -> list:
-    """(c, x1, x2) for each row of a (k, order) array of difference values,
-    taken in direction c = cs[i] and known to repeat a value: x2 the lowest
-    x whose value an earlier x takes too, x1 the first x taking it.  One
-    np.minimum.at over all rows finds the first flat position of every
-    value, row i's values offset into bins i*order .. i*order + order - 1."""
+    """(c, x1, x2) for each row of a (k, n) array of difference values at
+    x < n, taken in direction c = cs[i]: x2 the lowest x whose value an
+    earlier x takes too, x1 the first x taking it; None for a row with no
+    repeat.  One np.minimum.at over all rows finds the first flat position
+    of every value, row i's values offset into bins i*span .. i*span +
+    span - 1, span one above the largest value."""
     k, n = diffs.shape
+    span = int(diffs.max()) + 1
     pos = np.arange(k * n)
     starts = pos[::n]
-    bins = (diffs + starts[:, None]).ravel()
-    first = pos + k * n  # above every position
+    bins = (diffs + np.arange(0, k * span, span)[:, None]).ravel()
+    first = np.full(k * span, k * n)  # above every position
     np.minimum.at(first, bins, pos)
     firsts = first[bins]
-    at = (firsts != pos).reshape(k, n).argmax(axis=1) + starts  # x2 + i*order
-    return list(zip(cs.tolist(), (firsts[at] - starts).tolist(),
-                    (at - starts).tolist()))
+    at = (firsts != pos).reshape(k, n).argmax(axis=1) + starts  # x2 + i*n
+    return [(c, x1, x2) if x1 != x2 else None
+            for c, x1, x2 in zip(cs.tolist(), (firsts[at] - starts).tolist(),
+                                 (at - starts).tolist())]
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,17 +410,16 @@ def _scaling_order(ctx: FieldCtx, f_tabs: np.ndarray) -> int:
     as they pass a screen on SCALING_SCREEN_POINTS points of every row.  A
     screen passes whatever the full test passes, so only the generator of
     the final G is tested on every point; should that fail, e is found again
-    with the full test at each step."""
+    with the full test at each step.  What depends on the field alone is
+    made once per field (`_scaling_plan`, `_scaled_points`)."""
     M = ctx.order - 1
     log, exp = _product_tables(ctx)
-    primes = prime_factors(M)
-    powers = [l**j for l in primes for j in range(1, M.bit_length()) if M % l**j == 0]
-    shifts = np.array([M // h for h in powers])
+    primes, powers, shifts, screen, screened = _scaling_plan(ctx)
     rows = np.arange(len(f_tabs))
 
-    def scaling(shifts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Which lam = g^s, s in shifts, pass the test at the points xs."""
-        fx, fy = f_tabs[:, xs], f_tabs[:, exp[log[xs] + shifts[:, None]]]
+    def scaling(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Which lam pass the test at the points xs, ys[i] holding lam_i xs."""
+        fx, fy = f_tabs[:, xs], f_tabs[:, ys]
         x0 = (fx != 0).argmax(axis=1)
         log_mu = (log[fy[rows, :, x0]] - log[fx[rows, x0]][:, None]) % M
         return (fy == exp[log[fx][:, None] + log_mu[:, :, None]]).all(axis=(0, 2))
@@ -420,10 +434,36 @@ def _scaling_order(ctx: FieldCtx, f_tabs: np.ndarray) -> int:
         return e
 
     every = np.arange(ctx.order)
-    e = order(scaling(shifts, np.arange(1, ctx.order, -(-M // SCALING_SCREEN_POINTS))))
-    if e == 1 or scaling(np.array([M // e]), every)[0]:
+    e = order(scaling(screen, screened))
+    if e == 1 or scaling(every, _scaled_points(ctx, M // e)[None])[0]:
         return e
-    return order(scaling(shifts, every))
+    return order(scaling(every, exp[log[every] + shifts[:, None]]))
+
+
+@functools.lru_cache(maxsize=None)
+def _scaling_plan(ctx: FieldCtx) -> tuple:
+    """`_scaling_order`'s per-field constants: the primes l of order - 1,
+    its prime powers h = l^j, the shifts (order-1)/h, and the screen's points
+    xs with the images g^shift xs of each shift, one row per shift."""
+    M = ctx.order - 1
+    log, exp = _product_tables(ctx)
+    primes = prime_factors(M)
+    powers = [l**j for l in primes for j in range(1, M.bit_length()) if M % l**j == 0]
+    shifts = np.array([M // h for h in powers])
+    screen = np.arange(1, ctx.order, -(-M // SCALING_SCREEN_POINTS))
+    screened = exp[log[screen] + shifts[:, None]]
+    for a in (shifts, screen, screened):
+        a.setflags(write=False)
+    return primes, powers, shifts, screen, screened
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_points(ctx: FieldCtx, shift: int) -> np.ndarray:
+    """lam x for every x, lam = g^shift."""
+    log, exp = _product_tables(ctx)
+    out = exp[log[np.arange(ctx.order)] + shift]
+    out.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -462,8 +502,8 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
     keep block x rows x order within BRUTE_BLOCK_ENTRIES, and a row drops
     out at its first bad direction.  The rows are read from the stack by
     index, so that it is split into digit planes once, and the witnesses of
-    all the rows a block decides come from one `_first_collisions` pass
-    over D_c of their first bad directions, in x order."""
+    all the rows a block decides come from one `_witnesses` pass over D_c
+    of their first bad directions, in x order."""
     cs = _coset_minima(ctx, 2)
     widest = max(1, BRUTE_BLOCK_ENTRIES // ctx.order)
     found = [None] * len(f_tabs)
@@ -493,8 +533,7 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
                 # a row's first bad direction is its lowest; its witness
                 # comes from D_c in x order
                 c = block[bad[hit].argmax(axis=1)]
-                diffs = _difference_rows(ctx, f_tabs[rows[hit]], c)
-                witnesses = _first_collisions(diffs, c)
+                witnesses = _witnesses(ctx, f_tabs[rows[hit]], c)
                 for row, witness in zip(rows[hit].tolist(), witnesses):
                     found[row] = witness
                 undecided[rows[hit]] = False
@@ -506,11 +545,32 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
     return found
 
 
-def _difference_rows(ctx: FieldCtx, f_tabs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """D_c(x) = f(x + c) - f(x) for every x, row i of a (k, order) stack of
-    value tables taken in direction cs[i]."""
-    shifted = ctx.add_vec(cs[:, None], np.arange(ctx.order))
-    return ctx.sub_vec(f_tabs[np.arange(len(cs))[:, None], shifted], f_tabs)
+def _witnesses(ctx: FieldCtx, f_tabs: np.ndarray, cs: np.ndarray) -> list:
+    """(c, x1, x2) for each row of a (k, order) stack of value tables whose
+    difference map does not permute in direction c = cs[i]: the first
+    collision of D_c in x order, read off x <= p^(d-1).
+
+    That prefix holds it whenever D_c is F_p-affine, as it is for every
+    candidate: its linear part has a kernel vector w, scaled to top digit 1
+    at some position t, and then x = p^t and x - w < x take one value.  A
+    row with no repeat in the prefix (only a table that is not affine) is
+    read again over the whole field."""
+    found = _first_collisions(_difference_rows(ctx, f_tabs, cs, ctx.order // ctx.p + 1), cs)
+    missed = [i for i, w in enumerate(found) if w is None]
+    if missed:
+        again = _first_collisions(_difference_rows(ctx, f_tabs[missed], cs[missed], ctx.order),
+                                  cs[missed])
+        for i, w in zip(missed, again):
+            found[i] = w
+    return found
+
+
+def _difference_rows(ctx: FieldCtx, f_tabs: np.ndarray, cs: np.ndarray,
+                     count: int) -> np.ndarray:
+    """D_c(x) = f(x + c) - f(x) for x < count, row i of a (k, order) stack
+    of value tables taken in direction cs[i]."""
+    shifted = ctx.add_vec(cs[:, None], np.arange(count))
+    return ctx.sub_vec(f_tabs[np.arange(len(cs))[:, None], shifted], f_tabs[:, :count])
 
 
 def is_planar_bruteforce(f: PlanarCandidate | MonomialSum,
@@ -547,11 +607,52 @@ def is_planar_rank(cand: PlanarCandidate,
         raise ValueError(f"{directions} rank directions exceed brute-force cap {brute_cap}")
     seen = {}  # f at every point read so far; the witness check reads f(0) again
     f = lambda x: seen[x] if x in seen else seen.setdefault(x, cand(x))
-    return _verdict("rank", f, ctx, started, _singular_direction(ctx, f))
+    witness = _singular_direction(ctx, f, _rank_directions(ctx, _monomial_scaling(cand)))
+    return _verdict("rank", f, ctx, started, witness)
 
 
-def _singular_direction(ctx: FieldCtx, f):
-    """(v, x0, 0) for the first v whose M_v is singular, or None."""
+def _monomial_scaling(cand: PlanarCandidate) -> int:
+    """The order e of a subgroup of F^* under which f scales, read off its
+    monomials x^(e_i): f(lam x) = lam^(e_0) f(x) wherever every lam^(e_i -
+    e_0) = 1, so e = gcd(order - 1, e_i - e_0).  Every term is listed, the
+    trace's even where they cancel (Tr(a) = 0), which can only make the
+    group smaller.  p - 1 divides e (every e_i is 2 mod p - 1).  Outside
+    table mode, F_p^*: e = p - 1."""
+    ctx = cand.ctx
+    if not ctx.table_mode:
+        return ctx.p - 1
+    terms = cand._log_terms
+    g = ctx.order - 1
+    for _, e in terms:
+        g = math.gcd(g, e - terms[0][1])
+    return g
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_directions(ctx: FieldCtx, e: int) -> tuple:
+    """Rank's directions with top digit at position k, for k = 0, 1, ...,
+    ascending: the least v of each coset of the subgroup of F^* of order e,
+    p - 1 dividing e.  Each such v has top digit 1, so they lie in [p^k,
+    2 p^k), all of it when e = p - 1 (the classes {lam v : lam in F_p^*}),
+    kept as ranges then; the tuple ends at the last k that holds one."""
+    p, d = ctx.p, ctx.degree
+    if e == p - 1:
+        return tuple(range(p**k, 2 * p**k) for k in range(d))
+    minima = _coset_minima(ctx, e)
+    by_k = np.split(minima, np.searchsorted(minima, [p**k for k in range(1, d)]))
+    while not len(by_k[-1]):
+        by_k.pop()
+    return tuple(by_k)
+
+
+def _singular_direction(ctx: FieldCtx, f, directions):
+    """(v, x0, 0) for the first v of `directions` (`_rank_directions`) whose
+    M_v is singular, or None.
+
+    B(lam v, lam x) = mu B(v, x) where f(lam x) = mu f(x), so M_v and
+    M_{lam v} are singular together, the singular v form a union of cosets,
+    and the lowest singular v is the least of its coset: scanning the least
+    of each finds it, with the M_v and x0 a scan of every v gives."""
     p, d = ctx.p, ctx.degree
     B = lambda x, y: ctx.digits(ctx.sub(ctx.add(f(x + y), f(0)), ctx.add(f(x), f(y))))
     # cols[k][j]: B(p^k, p^j), column j of M_k and row j of M_k^T; M_k is built
@@ -565,22 +666,23 @@ def _singular_direction(ctx: FieldCtx, f):
                 acc = [[a + vi * b for a, b in zip(x, y)] for x, y in zip(acc, c_i)]
         return list(zip(*acc))
 
-    for k in range(d):
+    for k, vs in enumerate(directions):
         lead = p**k
         cols.append([c[k] for c in cols] + [B(lead, p**j) for j in range(k, d)])
-        for lo in range(lead, 2 * lead, RANK_BLOCK):
-            hi = min(lo + RANK_BLOCK, 2 * lead)
-            if hi - lo < NARROW_BLOCK:
+        for i in range(0, len(vs), RANK_BLOCK):
+            block = vs[i:i + RANK_BLOCK]
+            if len(block) < NARROW_BLOCK:
                 # one matrix at a time, each by forward elimination alone
-                tried = ((v, combination(v)) for v in range(lo, hi))
+                tried = ((int(v), combination(int(v))) for v in block)
                 singular = next(((v, mat) for v, mat in tried if fp_is_singular(mat, p)),
                                 None)
             else:
                 # the block's M_v^T, and one elimination of them all
-                digits = np.arange(lo, hi)[:, None] // p ** np.arange(k + 1) % p
+                v = np.arange(block.start, block.stop) if isinstance(block, range) else block
+                digits = v[:, None] // p ** np.arange(k + 1) % p
                 mats = (digits @ np.reshape(cols, (k + 1, -1)) % p).reshape(-1, d, d)
                 found = np.flatnonzero(fp_singular(mats, p))
-                singular = (lo + int(found[0]), mats[found[0]].T.tolist()) if len(found) else None
+                singular = (int(v[found[0]]), mats[found[0]].T.tolist()) if len(found) else None
             if singular is not None:
                 # the reduced row echelon form is unique, and so is the
                 # first nullspace vector read off it
@@ -607,17 +709,22 @@ def is_planar_reduction(cand: PlanarCandidate,
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction_logs(ctx: FieldCtx) -> np.ndarray:
-    """log v^(q-1) mod order - 1 for v = 1, 2, ..., order - 1 in turn."""
-    out = ctx.log_table[1:] * (ctx.q - 1) % (ctx.order - 1)
+def _reduction_logs(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(vs, log v^(q-1) mod order - 1): vs the least v of each coset of
+    F_q^*, ascending, the only v the reduction tries."""
+    vs = _coset_minima(ctx, ctx.q - 1)
+    out = ctx.log_table[vs] * (ctx.q - 1) % (ctx.order - 1)
     out.setflags(write=False)
-    return out
+    return vs, out
 
 
 def _vanishing_point(cand: PlanarCandidate):
     """(v, u/v, 0) for the lowest u, then v, at which the reduced form
-    vanishes, or None.  For each u, a u^q v^(1-q) and a u v^(q-1) over all
-    v are one add of logs mod order - 1 and one exp lookup each."""
+    vanishes, or None.  The form reads v only through v^(q-1), which is one
+    value on each coset of F_q^*, so the lowest v at which it vanishes is
+    the least of its coset, and only those are tried (`_reduction_logs`).
+    For each u, a u^q v^(1-q) and a u v^(q-1) over them are one add of logs
+    mod order - 1 and one exp lookup each."""
     ctx = cand.ctx
     _, us, lus = _fq_values(ctx, [cand.ell])
     if cand.a == 0:
@@ -625,7 +732,7 @@ def _vanishing_point(cand: PlanarCandidate):
         zeros = np.flatnonzero(lus == 0)
         return (1, int(us[zeros[0]]), 0) if len(zeros) else None
     M, exp, tr = ctx.order - 1, ctx.exp_table, ctx.trace_table
-    up = _reduction_logs(ctx)
+    vs, up = _reduction_logs(ctx)
     la, log_u = ctx.log_table[cand.a], ctx.log_table[us]
     for u, lu, auq, au in zip(us.tolist(), lus.tolist(),
                               ((la + ctx.q % M * log_u) % M).tolist(),
@@ -634,7 +741,7 @@ def _vanishing_point(cand: PlanarCandidate):
         vals = tr[ctx.add_vec(exp[(auq - up) % M], exp[(au + up) % M])]
         hits = (vals == target).nonzero()[0]
         if len(hits):
-            v = int(hits[0]) + 1
+            v = int(vs[hits[0]])
             return (v, ctx.mul(u, ctx.inv(v)), 0)
     return None
 

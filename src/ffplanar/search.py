@@ -61,6 +61,8 @@ ORACLES = ("bruteforce", "rank", "reduction")
 # each closed predicate takes its own family's parameters
 FILTERS = {"criterion-n2": None, "closed-binomial": "binomial",
            "closed-nbc": "nbc", "closed-cubic": "cubic"}
+# the encoder json.dumps(obj, sort_keys=True) would build on every call
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def splitmix64(x: int) -> int:
@@ -130,14 +132,11 @@ class Finding:
     flagged: bool
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "index": self.index, "params": self.params,
-                "filters": self.filters, "oracle": self.oracle,
-                "witness": self.witness, "flagged": self.flagged,
-            },
-            sort_keys=True,
-        )
+        return _ENCODER.encode({
+            "index": self.index, "params": self.params,
+            "filters": self.filters, "oracle": self.oracle,
+            "witness": self.witness, "flagged": self.flagged,
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +341,6 @@ def run(job: SearchJob, config: Config | None = None, workers: int = 1,
         if out is not None:
             out.write(f.to_json_line() + "\n")
     if out is not None:
-        out.write(json.dumps({"summary": counts}, sort_keys=True) + "\n")
+        out.write(_ENCODER.encode({"summary": counts}) + "\n")
     return RunResult(counts)
 

@@ -20,6 +20,7 @@ from ffplanar.families import (
     MonomialFamilyParams,
     cubic_theorem_predicate,
     example1_construct,
+    theorem_monomial_predicate,
 )
 from ffplanar.field import new_ctx
 from ffplanar.linpoly import (
@@ -276,9 +277,12 @@ def test_scans_visit_one_direction_per_class(monkeypatch):
     # A planar q25 binomial member scales under the 16 lam with lam^16 = 1
     # and visits its first block and the coset minima above it; x^2 + x is
     # not even, scales under no lam but 1 and visits one direction of each
-    # pair {c, -c}, (order-1)/2 in all.  Rank visits one direction per class
-    # {lam c}, lam in F_p^* (matrices tested one by one in narrow blocks, or
-    # in a stack by the batched eliminator)
+    # pair {c, -c}, (order-1)/2 in all.  Rank visits one direction per coset
+    # of the group read off f's monomials (matrices tested one by one in
+    # narrow blocks, or in a stack by the batched eliminator): planar x^2
+    # only v = 1, the member the 39 minima of the 16 lam with lam^16 = 1.
+    # In polynomial mode rank visits one direction per class {lam c}, lam
+    # in F_p^*, (order-1)/(p-1) in all
     values, directions = [], []
     shifted_differences = field.FieldCtx.shifted_differences
     one, singular = planarity.fp_is_singular, planarity.fp_singular
@@ -323,10 +327,17 @@ def test_scans_visit_one_direction_per_class(monkeypatch):
     values.clear()
     assert is_planar_bruteforce(MonomialSum(F625, [(1, 2), (1, 1)])).planar
     assert sum(values) == F625.order * (F625.order - 1) // 2
-    for ctx in (F625, new_ctx(5, 1, 3), new_ctx(7, 1, 2)):
+    for pmn in ((5, 2, 2), (5, 1, 3), (7, 1, 2)):
+        directions.clear()
+        assert is_planar_rank(square_candidate(new_ctx(*pmn))).planar
+        assert sum(directions) == 1
+        ctx = new_ctx(*pmn, table_cap=1)
         directions.clear()
         assert is_planar_rank(square_candidate(ctx)).planar
         assert sum(directions) == (ctx.order - 1) // (ctx.p - 1)
+    directions.clear()
+    assert is_planar_rank(member).planar
+    assert sum(directions) == len(_orbit_minima(F625, 16)) == 39
 
 
 def _scaling_reference(ctx, f_tabs):
@@ -507,6 +518,51 @@ def test_bruteforce_matches_pair_scan_reference(pmn):
     assert planarity._bad_direction(ctx, broken[None])[0][0] > 1
 
 
+@pytest.mark.parametrize("pmn", [(3, 1, 5), (3, 2, 3), (3, 1, 7), (5, 2, 2), (5, 1, 5),
+                                 (7, 1, 3), (3, 4, 2), (5, 2, 3), (7, 1, 5)],
+                         ids=["F_3^5", "F_9^3", "F_3^7", "F_625", "F_5^5", "F_7^3",
+                              "F_81^2", "F_25^3", "F_7^5"])
+def test_prefix_witnesses_match_the_whole_field(pmn, monkeypatch):
+    # each decided row's witness is read off D_c on x <= p^(d-1); the first
+    # collision over the whole field is the same, and on candidates (their
+    # D_c are F_p-affine) no row falls back to it
+    ctx = new_ctx(*pmn)
+    f_tabs = f_tables(list(_random_candidates(ctx, 8)))
+    widths = []
+    first_collisions = planarity._first_collisions
+    monkeypatch.setattr(planarity, "_first_collisions",
+                        lambda diffs, cs: widths.append(diffs.shape[1])
+                        or first_collisions(diffs, cs))
+    found = planarity._bad_direction(ctx, f_tabs)
+    assert set(widths) == {ctx.order // ctx.p + 1}
+    rows = [i for i, w in enumerate(found) if w is not None]
+    assert rows
+    cs = np.array([found[i][0] for i in rows])
+    whole = planarity._difference_rows(ctx, f_tabs[rows], cs, ctx.order)
+    assert [found[i] for i in rows] == first_collisions(whole, cs)
+    if pmn == (5, 2, 2):
+        # the pinned count: 126 = p^(d-1) + 1 points per decided row
+        assert widths[0] == 126
+
+
+def test_prefix_witness_falls_back_on_a_table_that_is_not_affine(monkeypatch):
+    # x^2 moved at the top element: D_c changes only at x = order - 1 and
+    # x = order - 1 - c, both above p^(d-1), so the prefix of the first bad
+    # direction holds no repeat and the witness comes from the whole field
+    ctx = F625
+    broken = square_candidate(ctx).f_table()
+    broken[-1] = ctx.add(int(broken[-1]), 1)
+    widths = []
+    first_collisions = planarity._first_collisions
+    monkeypatch.setattr(planarity, "_first_collisions",
+                        lambda diffs, cs: widths.append(diffs.shape[1])
+                        or first_collisions(diffs, cs))
+    found = planarity._bad_direction(ctx, broken[None])
+    assert widths == [ctx.order // ctx.p + 1, ctx.order]
+    assert found == _pair_scan_reference(ctx, broken[None])
+    assert found[0][2] > ctx.order // ctx.p
+
+
 def _pinned_bruteforce_reports():
     """(planar, witness) of brute force on seeded inputs: random candidates
     and x^2 on towers either side of ADD_TABLE_CAP, the general polynomials
@@ -680,6 +736,120 @@ def test_rank_matches_reference_on_planar_fixtures():
     for cand in fixtures:
         rep = is_planar_rank(cand)
         assert rep.planar and reference_rank(cand) == (True, None)
+
+
+def _planar_binomial_members(ctx, count):
+    """Planar members of the q25 binomial family, drawn by a seeded rng."""
+    rng = np.random.default_rng(25)
+    out = []
+    while len(out) < count:
+        b, c = (int(v) for v in rng.integers(0, ctx.order, 2))
+        if ctx.rel_norm(b) != ctx.rel_norm(c):
+            params = MonomialFamilyParams(ctx, 1, b, c)
+            if theorem_monomial_predicate(params):
+                out.append(params.candidate())
+    return out
+
+
+def _scaling_inputs(ctx, count):
+    """Candidates whose monomials scale under groups of every size: random
+    ones, rows with Tr(a) = 0 (their trace terms cancel, yet are listed) and
+    one ell monomial, a = 0 with one ell monomial, and x^2."""
+    rng = np.random.default_rng(ctx.order + 2)
+    cands = list(_random_candidates(ctx, count))
+    zero_trace = [a for a in range(1, ctx.order) if ctx.rel_trace(a) == 0]
+    for _ in range(count // 2):
+        t = int(rng.integers(0, ctx.degree))
+        ell = LinearizedPoly.monomial(ctx, int(rng.integers(1, ctx.order)), t)
+        cands.append(PlanarCandidate(ctx, zero_trace[int(rng.integers(len(zero_trace)))], ell))
+        cands.append(PlanarCandidate(ctx, 0, ell))
+    return cands + [square_candidate(ctx)]
+
+
+@pytest.mark.parametrize("table_cap", [None, 1], ids=["table", "polynomial"])
+@pytest.mark.parametrize("pmn", [(3, 1, 5), (5, 2, 2), (7, 1, 3), (3, 2, 3)],
+                         ids=["F_3^5", "F_625", "F_7^3", "F_9^3"])
+def test_rank_over_coset_minima_matches_every_class(pmn, table_cap):
+    # rank tests the least v of each coset of the group read off f's
+    # monomials; a scan of every class {lam v : lam in F_p^*} gives the
+    # same verdict and witness.  Polynomial mode takes every class
+    ctx = new_ctx(*pmn, table_cap=table_cap)
+    cands = _scaling_inputs(ctx, 12)
+    if pmn == (5, 2, 2):
+        cands += _planar_binomial_members(ctx, 3)
+    groups = [planarity._monomial_scaling(cand) for cand in cands]
+    assert all(e % (ctx.p - 1) == 0 and (ctx.order - 1) % e == 0 for e in groups)
+    if table_cap:
+        assert set(groups) == {ctx.p - 1}
+    else:
+        # x^2 scales under all of F^*
+        assert ctx.order - 1 in groups and min(groups) < ctx.order - 1
+    for cand in cands:
+        rep = is_planar_rank(cand)
+        assert (rep.planar, rep.witness) == reference_rank(cand)
+    assert {rep.planar for rep in map(is_planar_rank, cands)} == {True, False}
+
+
+def test_rank_directions_are_the_class_minima_on_f_p_star():
+    # the group F_p^* (every random non-planar input, every F_27 cubic)
+    # keeps the class list {v : top digit 1} as ranges, as does polynomial
+    # mode; a larger group keeps its coset minima, split by top digit
+    for pmn in [(3, 1, 5), (5, 2, 2), (3, 1, 3)]:
+        ctx = new_ctx(*pmn)
+        p, d = ctx.p, ctx.degree
+        assert planarity._rank_directions(ctx, p - 1) == \
+            tuple(range(p**k, 2 * p**k) for k in range(d))
+        for e in (e for e in range(p, ctx.order) if (ctx.order - 1) % e == 0
+                  and e % (p - 1) == 0):
+            by_k = planarity._rank_directions(ctx, e)
+            flat = [int(v) for vs in by_k for v in vs]
+            assert flat == _orbit_minima(ctx, e)
+            assert all(p**k <= v < 2 * p**k for k, vs in enumerate(by_k) for v in vs)
+            assert len(by_k[-1])
+    cubic = CubicCoeffs(F27, 1, ((1, 2, 0),)).candidate()
+    assert planarity._monomial_scaling(cubic) == 2
+    assert planarity._monomial_scaling(square_candidate(new_ctx(3, 1, 5, table_cap=1))) == 2
+
+
+def reference_reduction(cand):
+    """The reduction over every v: (v, u/v, 0) at the lowest u, then v, at
+    which Tr(a u^q v^(1-q) + a u v^(q-1)) + 2 ell(u) = 0, by vector field
+    ops, over the u with ell(u) in F_q (no other u can vanish,
+    test_reduction_skipped_u_never_vanish)."""
+    ctx = cand.ctx
+    vs = np.arange(1, ctx.order)
+    up = ctx.pow_vec(vs, ctx.q - 1)
+    down = ctx.inv_vec(up)
+    values = cand.ell.values
+    for u in range(1, ctx.order):
+        lu = int(values[u])
+        if not ctx.in_subfield(lu):
+            continue
+        t = ctx.add_vec(ctx.mul_vec(ctx.mul(cand.a, ctx.frobenius(u, ctx.m)), down),
+                        ctx.mul_vec(ctx.mul(cand.a, u), up))
+        hits = np.flatnonzero(ctx.add_vec(ctx.trace_table[t], ctx.mul(2, lu)) == 0)
+        if len(hits):
+            v = int(vs[hits[0]])
+            return (v, ctx.mul(u, ctx.inv(v)), 0)
+    return None
+
+
+@pytest.mark.parametrize("pmn", [(3, 1, 5), (3, 2, 3), (3, 1, 7), (5, 2, 2),
+                                 (5, 1, 5), (7, 1, 3), (3, 4, 2)],
+                         ids=["F_3^5", "F_9^3", "F_3^7", "F_625", "F_5^5", "F_7^3",
+                              "F_81^2"])
+def test_reduction_over_coset_minima_matches_every_v(pmn):
+    # the reduction tries the least v of each coset of F_q^*; a scan of
+    # every v finds the same lowest (u, v)
+    ctx = new_ctx(*pmn)
+    cands = list(_random_candidates(ctx, 10)) + [square_candidate(ctx)]
+    if pmn == (5, 2, 2):
+        cands.append(example1_construct(ctx))
+    vs, _ = planarity._reduction_logs(ctx)
+    assert len(vs) == (ctx.order - 1) // (ctx.q - 1)
+    found = [planarity._vanishing_point(cand) for cand in cands]
+    assert found == [reference_reduction(cand) for cand in cands]
+    assert {w is None for w in found} == {True, False}
 
 
 def test_rank_scales_to_f_3_10():
