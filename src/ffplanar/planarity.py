@@ -11,11 +11,11 @@ D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
   together too.
   Every candidate, a Dembowski-Ostrom polynomial, scales so under F_p^*
   (mu = lam^2), and many under a larger subgroup of F^* (x^2 under all of
-  it).  So brute force evaluates only the least direction of each coset of
-  the subgroup generated by -1 and the stack's scaling group.  Every
-  candidate is even too, f(-x) = f(x), and then E(y) = D_c(y - c/2) is odd:
-  D_c permutes iff y -> {E(y), -E(y)} is injective on 0 and one of each
-  pair {y, -y}, so each direction is evaluated at (order+1)/2 points;
+  it), read off f's monomials as rank reads it.  So brute force evaluates
+  only the least direction of each coset of the group it generates with -1.
+  Every candidate is even too, f(-x) = f(x), and then E(y) = D_c(y - c/2)
+  is odd: D_c permutes iff y -> {E(y), -E(y)} is injective on 0 and one of
+  each pair {y, -y}, so each direction is evaluated at (order+1)/2 points;
 * rank       - f is a Dembowski-Ostrom polynomial, so f(x+v) - f(x) - f(v) + f(0)
   is a symmetric F_p-bilinear form B(v, x); f is planar iff x -> B(v, x) has
   full rank for every v != 0.  Its matrix is sum_i v_i M_i, column j of M_i
@@ -52,9 +52,8 @@ Brute force and the criterion work on a stack of candidates of one field.
 A `Batch` holds candidates checked together: the first brute-force or
 criterion call on one of them runs for all of them, and later calls read
 their row.  Without a batch a call is a stack of one, so a scan batch and a
-single verify run the same code.  A batch re-checks all its brute-force
-witnesses at once, by vector ops on a and ell's coefficients, in place of
-one scalar check per report.
+single verify run the same code, and every witness, batched or not, is
+re-checked by `_verdict`.
 
 Brute force reads each direction c as E(y) = f(y + h) - f(y - h), h = c/2,
 at points y of a set S (`FieldCtx.shifted_differences`).  On a stack of
@@ -82,9 +81,10 @@ is F_p-affine, as on every candidate, and not injective, its kernel holds
 a w with top digit 1 at some position t, and x = p^t and x - w < x take
 one value.  A row with no repeat there (a table that is not affine) is
 read again over the whole field.
-The first block takes the least of each pair {c, -c}; the scaling group is
-found only for the candidates still undecided after it, so most non-planar
-inputs never pay for it.
+The first block takes the least of each pair {c, -c}.  Only the candidates
+still undecided after it take a scaling group: the gcd of the orders their
+monomials give (`_monomial_scaling`), kept if its generator scales every
+point of their tables (`_scales`), else the scan keeps the pairs.
 
 A quadratic-extension criterion (n = 2) decides planarity from the values
 ell(u)^2 - N(u) on the subspace where ell lands in F_q, or, when Tr(a) = 0,
@@ -117,7 +117,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_BRUTE_CAP, check_shape
-from .field import FieldCtx, ctx_from_json, prime_factors
+from .field import FieldCtx, ctx_from_json
 from .linpoly import (
     LinearizedPoly,
     digit_rows,
@@ -144,9 +144,6 @@ CRITERION_TABLE_MAX = 20_000
 # F_5^5 and F_3^8 ran 1.7-2x faster than at 2^19 entries, and F_625 the same
 # (2-vCPU Xeon)
 BRUTE_BLOCK_ENTRIES = 1 << 16
-# brute force: the points of each row on which a scaling x -> lam x is
-# screened before the one full test of the group found
-SCALING_SCREEN_POINTS = 8
 
 # the JSON shape of a candidate, which PlanarCandidate.from_json checks
 CANDIDATE_SHAPE = {
@@ -280,44 +277,14 @@ def check_witness(f, ctx: FieldCtx, witness) -> bool:
     return d1 == d2
 
 
-def _verdict(method: str, f, ctx: FieldCtx, started: float, witness,
-             rechecked: bool = False) -> VerificationReport:
+def _verdict(method: str, f, ctx: FieldCtx, started: float, witness) -> VerificationReport:
     """The report of a route whose search began at `started` and found
     `witness`, or None; a witness is re-checked on f first, by a raise, so
-    that the check also runs under python -O, unless it was `rechecked`
-    already (a batch re-checks all its witnesses at once)."""
+    that the check also runs under python -O."""
     ms = (time.perf_counter() - started) * 1e3
-    if witness is not None and not rechecked and not check_witness(f, ctx, witness):
+    if witness is not None and not check_witness(f, ctx, witness):
         raise RuntimeError(f"{method} produced an invalid witness {witness}")
     return VerificationReport(witness is None, method, witness, ms)
-
-
-def _check_witnesses(cands: Sequence[PlanarCandidate], witnesses) -> None:
-    """check_witness for every witness of a stack of candidates at once,
-    raising as `_verdict` does at the first invalid one.  f at x1 + c, x1,
-    x2 + c and x2 is evaluated from each a and ell's coefficients by vector
-    ops, the trace as a sum of conjugates, so no value table that the kernel
-    read is read again."""
-    ctx = cands[0].ctx
-    rows = [i for i, w in enumerate(witnesses) if w is not None]
-    if not rows:
-        return
-    c, x1, x2 = np.array([witnesses[i] for i in rows], dtype=np.int64).T
-    xs = np.stack([ctx.add_vec(x1, c), x1, ctx.add_vec(x2, c), x2], axis=1)
-    a = np.array([cands[i].a for i in rows], dtype=np.int64)[:, None]
-    coeffs = np.array([cands[i].ell.coeffs for i in rows], dtype=np.int64)
-    t = ctx.mul_vec(a, ctx.pow_vec(xs, ctx.q + 1))
-    f = t
-    for k in range(1, ctx.n):
-        f = ctx.add_vec(f, ctx.frob_vec(t, k * ctx.m))
-    sq = ctx.mul_vec(xs, xs)
-    for k in range(ctx.degree):
-        f = ctx.add_vec(f, ctx.mul_vec(coeffs[:, k, None], ctx.frob_vec(sq, k)))
-    d = ctx.sub_vec(f[:, 0::2], f[:, 1::2])  # D_c(x1), D_c(x2)
-    valid = (c != 0) & (x1 != x2) & (d[:, 0] == d[:, 1])
-    if not valid.all():
-        bad = witnesses[rows[int(np.argmin(valid))]]
-        raise RuntimeError(f"bruteforce produced an invalid witness {bad}")
 
 
 @dataclass(frozen=True)
@@ -399,69 +366,25 @@ def _product_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     return log, exp
 
 
-def _scaling_order(ctx: FieldCtx, f_tabs: np.ndarray) -> int:
-    """The order e of the largest subgroup G of F^* under which every row of
-    a (k, order) stack scales: for each lam in G, a mu of the row's own with
-    f(lam x) = mu f(x) for all x.  mu is read off the row's first x0 with
-    f(x0) != 0 (any mu serves a row that vanishes).
-
-    G is cyclic, so e is found prime by prime: for each prime l of order - 1
-    it takes the generators g^((order-1)/l^j), j = 1, 2, ..., for as long
-    as they pass a screen on SCALING_SCREEN_POINTS points of every row.  A
-    screen passes whatever the full test passes, so only the generator of
-    the final G is tested on every point; should that fail, e is found again
-    with the full test at each step.  What depends on the field alone is
-    made once per field (`_scaling_plan`, `_scaled_points`)."""
+def _scales(ctx: FieldCtx, f_tabs: np.ndarray, e: int) -> bool:
+    """Whether every row of a (k, order) stack has f(lam x) = mu f(x) at every
+    x, lam = g^((order-1)/e) the generator of the subgroup of order e > 1 and
+    mu the row's own, read off its first x0 with f(x0) != 0 (any mu serves a
+    row that vanishes); then each lam of that group scales it."""
     M = ctx.order - 1
     log, exp = _product_tables(ctx)
-    primes, powers, shifts, screen, screened = _scaling_plan(ctx)
+    moved = f_tabs[:, _scaled_points(ctx, e)]
     rows = np.arange(len(f_tabs))
-
-    def scaling(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Which lam pass the test at the points xs, ys[i] holding lam_i xs."""
-        fx, fy = f_tabs[:, xs], f_tabs[:, ys]
-        x0 = (fx != 0).argmax(axis=1)
-        log_mu = (log[fy[rows, :, x0]] - log[fx[rows, x0]][:, None]) % M
-        return (fy == exp[log[fx][:, None] + log_mu[:, :, None]]).all(axis=(0, 2))
-
-    def order(passed: np.ndarray) -> int:
-        ok, e = dict(zip(powers, passed.tolist())), 1
-        for l in primes:
-            k = 1
-            while ok.get(k * l):
-                k *= l
-            e *= k
-        return e
-
-    every = np.arange(ctx.order)
-    e = order(scaling(screen, screened))
-    if e == 1 or scaling(every, _scaled_points(ctx, M // e)[None])[0]:
-        return e
-    return order(scaling(every, exp[log[every] + shifts[:, None]]))
+    x0 = (f_tabs != 0).argmax(axis=1)
+    log_mu = (log[moved[rows, x0]] - log[f_tabs[rows, x0]]) % M
+    return bool((moved == exp[log[f_tabs] + log_mu[:, None]]).all())
 
 
 @functools.lru_cache(maxsize=None)
-def _scaling_plan(ctx: FieldCtx) -> tuple:
-    """`_scaling_order`'s per-field constants: the primes l of order - 1,
-    its prime powers h = l^j, the shifts (order-1)/h, and the screen's points
-    xs with the images g^shift xs of each shift, one row per shift."""
-    M = ctx.order - 1
+def _scaled_points(ctx: FieldCtx, e: int) -> np.ndarray:
+    """lam x for every x, lam = g^((order-1)/e), e > 1."""
     log, exp = _product_tables(ctx)
-    primes = prime_factors(M)
-    powers = [l**j for l in primes for j in range(1, M.bit_length()) if M % l**j == 0]
-    shifts = np.array([M // h for h in powers])
-    screen = np.arange(1, ctx.order, -(-M // SCALING_SCREEN_POINTS))
-    screened = exp[log[screen] + shifts[:, None]]
-    for a in (shifts, screen, screened):
-        a.setflags(write=False)
-    return primes, powers, shifts, screen, screened
-
-
-@functools.lru_cache(maxsize=None)
-def _scaled_points(ctx: FieldCtx, shift: int) -> np.ndarray:
-    """lam x for every x, lam = g^shift."""
-    log, exp = _product_tables(ctx)
-    out = exp[log[np.arange(ctx.order)] + shift]
+    out = exp[log[np.arange(ctx.order)] + (ctx.order - 1) // e]
     out.setflags(write=False)
     return out
 
@@ -478,18 +401,18 @@ def _coset_minima(ctx: FieldCtx, h: int) -> np.ndarray:
     return minima
 
 
-def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
+def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray, fs: Sequence) -> list:
     """For each row of a (k, order) stack of value tables, (c, x1, x2) for
     the lowest c whose difference map does not permute, or None.
 
     D_{-c}(x) = -D_c(x - c), and if the stack scales under a subgroup of F^*
-    of order e (`_scaling_order`), D_{lam c}(lam x) = mu D_c(x) for each lam
-    in it.  So the bad directions of a row form a union of cosets of the
-    subgroup of order lcm(e, 2), and only the least element of each coset
-    (`_coset_minima`) is evaluated, in ascending order: the lowest bad
-    direction is one of them.  The first block runs over the minima of the
-    pairs {c, -c}; only if some row is still undecided after it is e found,
-    on those rows, and the scan goes on over the minima above that block.
+    of order e, D_{lam c}(lam x) = mu D_c(x) for each lam in it.  So the bad
+    directions of a row form a union of cosets of the subgroup of order
+    lcm(e, 2), and only the least element of each coset (`_coset_minima`) is
+    evaluated, in ascending order: the lowest bad direction is one of them.
+    The first block runs over the pairs {c, -c}; then e is the gcd of
+    `_monomial_scaling` over the functions `fs` of the rows still undecided,
+    and the scan goes on over its minima if e > 2 and `_scales` holds.
 
     Each direction is read in symmetric coordinates
     (`FieldCtx.shifted_differences`): on an even stack, where every
@@ -540,8 +463,10 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray) -> list:
         live = undecided.nonzero()[0]
         if len(live) and lo < len(cs) and not scaled:
             scaled = True
-            cs = _coset_minima(ctx, math.lcm(2, _scaling_order(ctx, f_tabs[live])))
-            lo = int(np.searchsorted(cs, block[-1], side="right"))
+            e = math.gcd(*(_monomial_scaling(fs[i]) for i in live.tolist()))
+            if e > 2 and _scales(ctx, f_tabs[live], e):
+                cs = _coset_minima(ctx, math.lcm(2, e))
+                lo = int(np.searchsorted(cs, block[-1], side="right"))
     return found
 
 
@@ -578,16 +503,14 @@ def is_planar_bruteforce(f: PlanarCandidate | MonomialSum,
                          batch: Batch | None = None) -> VerificationReport:
     """Exact verdict for a candidate or any MonomialSum: checks bijectivity
     of every difference map by the values it hits.  A candidate of `batch`
-    reads its witness from the batch's one kernel run, re-checked there with
-    all the batch's witnesses."""
+    reads its witness from the batch's one kernel run."""
     started = time.perf_counter()
     ctx = f.ctx
     if ctx.order > brute_cap:
         raise ValueError(f"field order {ctx.order} exceeds brute-force cap {brute_cap}")
-    witness = (_bad_direction(ctx, f.f_table()[None])[0] if batch is None
+    witness = (_bad_direction(ctx, f.f_table()[None], [f])[0] if batch is None
                else batch.witness(f))
-    return _verdict("bruteforce", f, ctx, started, witness,
-                    rechecked=batch is not None)
+    return _verdict("bruteforce", f, ctx, started, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -611,13 +534,13 @@ def is_planar_rank(cand: PlanarCandidate,
     return _verdict("rank", f, ctx, started, witness)
 
 
-def _monomial_scaling(cand: PlanarCandidate) -> int:
+def _monomial_scaling(cand: PlanarCandidate | MonomialSum) -> int:
     """The order e of a subgroup of F^* under which f scales, read off its
     monomials x^(e_i): f(lam x) = lam^(e_0) f(x) wherever every lam^(e_i -
     e_0) = 1, so e = gcd(order - 1, e_i - e_0).  Every term is listed, the
     trace's even where they cancel (Tr(a) = 0), which can only make the
-    group smaller.  p - 1 divides e (every e_i is 2 mod p - 1).  Outside
-    table mode, F_p^*: e = p - 1."""
+    group smaller.  For a candidate p - 1 divides e (every e_i is 2 mod
+    p - 1).  Outside table mode, F_p^*: e = p - 1."""
     ctx = cand.ctx
     if not ctx.table_mode:
         return ctx.p - 1
@@ -825,11 +748,10 @@ def _fq_values(ctx: FieldCtx, ells: Sequence[LinearizedPoly]):
 class Batch:
     """Candidates of one field checked together.  The first brute-force call
     on any of them runs the kernel once on the stack of all their value
-    tables and re-checks all the witnesses it finds at once
-    (`_check_witnesses`), the first criterion call runs one masked core over
-    all of them, and every call reads its candidate's row.  The ell tables both read are
-    made as one stack and cached on each polynomial, where a reduction oracle
-    finds them too."""
+    tables, the first criterion call runs one masked core over all of them,
+    and every call reads its candidate's row, whose witness `_verdict`
+    re-checks.  The ell tables both read are made as one stack and cached on
+    each polynomial, where a reduction oracle finds them too."""
 
     def __init__(self, cands: Sequence[PlanarCandidate]):
         self.cands = list(cands)
@@ -843,9 +765,7 @@ class Batch:
 
     @functools.cached_property
     def _witnesses(self) -> list:
-        found = _bad_direction(self.cands[0].ctx, f_tables(self.cands))
-        _check_witnesses(self.cands, found)
-        return found
+        return _bad_direction(self.cands[0].ctx, f_tables(self.cands), self.cands)
 
     @functools.cached_property
     def _criteria(self) -> list[bool]:

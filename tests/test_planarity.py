@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -316,7 +317,7 @@ def test_scans_visit_one_direction_per_class(monkeypatch):
         # and once per stack row, however the stack is split
         values.clear()
         stack = np.stack([square_candidate(ctx).f_table()] * 5)
-        assert planarity._bad_direction(ctx, stack) == [None] * 5
+        assert planarity._bad_direction(ctx, stack, [square_candidate(ctx)] * 5) == [None] * 5
         assert sum(values) == 5 * 2 * half
     member = MonomialFamilyParams(F625, 1, 1, 2).candidate()
     first = _orbit_minima(F625, 2)[7]
@@ -341,7 +342,7 @@ def test_scans_visit_one_direction_per_class(monkeypatch):
 
 
 def _scaling_reference(ctx, f_tabs):
-    """Reference for _scaling_order: how many lam in F^* have, on every row,
+    """Reference for _scales: how many lam in F^* have, on every row,
     one mu with f(lam x) = mu f(x) for all x, tried one lam at a time."""
     xs = np.arange(ctx.order)
     count = 0
@@ -359,14 +360,18 @@ def _scaling_reference(ctx, f_tabs):
 @pytest.mark.parametrize("pmn", [(3, 1, 4), (5, 1, 2), (7, 1, 2), (5, 2, 2)],
                          ids=["F_3^4", "F_5^2", "F_7^2", "F_625"])
 def test_scaling_order_and_coset_minima_match_references(pmn):
+    # a claim of the subgroup of order e passes the table test iff that
+    # group lies in the one the reference counts, iff e divides its order;
+    # the group read off the monomials is always such a subgroup
     ctx = new_ctx(*pmn)
     p, M = ctx.p, ctx.order - 1
-    cands = f_tables(list(_random_candidates(ctx, 8)))
+    random = list(_random_candidates(ctx, 8))
+    cands = f_tables(random)
     square = square_candidate(ctx).f_table()
     plus_x = MonomialSum(ctx, [(1, 2), (1, 1)]).f_table()
-    # x^2 with f(0) = 1: the screen reads only nonzero points, so only the
-    # full test sees it; lam scales it iff lam^2 = 1.  Moved at a nonzero
-    # point instead, it scales under no lam but 1
+    # x^2 with f(0) = 1: lam scales it iff lam^2 = 1, which only the test at
+    # x = 0 sees.  Moved at a nonzero point instead, it scales under no lam
+    # but 1
     at_zero, at_point = square.copy(), square.copy()
     at_zero[0] = 1
     at_point[M // 3] = ctx.add(int(at_point[M // 3]), 1)
@@ -378,12 +383,20 @@ def test_scaling_order_and_coset_minima_match_references(pmn):
         "x^2 moved at 0": at_zero[None], "x^2 moved at a point": at_point[None],
     }
     want = {name: _scaling_reference(ctx, tabs) for name, tabs in stacks.items()}
-    got = {name: planarity._scaling_order(ctx, tabs) for name, tabs in stacks.items()}
-    assert got == want
     assert want["x^2"] == want["zero"] == M
     assert want["x^2 moved at 0"] == 2 and want["x^2 + x"] == 1
     assert want["candidates"] % (p - 1) == 0
-    for h in (h for h in range(1, M + 1) if M % h == 0):
+    claims = {"candidates": math.gcd(*map(planarity._monomial_scaling, random)),
+              "x^2": planarity._monomial_scaling(square_candidate(ctx)),
+              "x^(p+1)": planarity._monomial_scaling(MonomialSum(ctx, [(1, p + 1)])),
+              "x^2 + x": planarity._monomial_scaling(MonomialSum(ctx, [(1, 2), (1, 1)]))}
+    assert claims["x^2"] == claims["x^(p+1)"] == M and claims["x^2 + x"] == 1
+    assert all(want[name] % e == 0 for name, e in claims.items())
+    divisors = [h for h in range(1, M + 1) if M % h == 0]
+    for name, tabs in stacks.items():
+        got = [e for e in divisors[1:] if planarity._scales(ctx, tabs, e)]
+        assert got == [e for e in divisors[1:] if want[name] % e == 0], name
+    for h in divisors:
         assert planarity._coset_minima(ctx, h).tolist() == _orbit_minima(ctx, h)
 
 
@@ -406,8 +419,8 @@ def test_bruteforce_stack_matches_one_candidate_calls(entries, monkeypatch):
         kernel_runs = []
         bad_direction = planarity._bad_direction
         monkeypatch.setattr(planarity, "_bad_direction",
-                            lambda ctx, f_tabs: kernel_runs.append(len(f_tabs))
-                            or bad_direction(ctx, f_tabs))
+                            lambda ctx, f_tabs, fs: kernel_runs.append(len(f_tabs))
+                            or bad_direction(ctx, f_tabs, fs))
         batch = Batch(fresh)
         stacked = [is_planar_bruteforce(cand, batch=batch) for cand in fresh]
         monkeypatch.setattr(planarity, "_bad_direction", bad_direction)
@@ -441,7 +454,7 @@ def test_batched_collisions_match_one_row_at_a_time(pmn, monkeypatch):
     monkeypatch.setattr(planarity, "_first_collisions",
                         lambda diffs, cs: passes.append(len(diffs))
                         or first_collisions(diffs, cs))
-    found = planarity._bad_direction(ctx, f_tabs)
+    found = planarity._bad_direction(ctx, f_tabs, cands)
     assert {w is None for w in found} == {True, False}
     assert sum(passes) == sum(w is not None for w in found) > len(passes)
     xs = np.arange(ctx.order)
@@ -495,27 +508,72 @@ def test_bruteforce_matches_pair_scan_reference(pmn):
     cands.insert(4, cands.pop())
     if ctx.n == 2:
         cands.insert(7, perm_example_candidate(ctx))
-    tabs = f_tables(cands)
     # f(x) = x^(p+1), which scales under all of F^*, planar on an odd degree
-    tabs = np.vstack([tabs, MonomialSum(ctx, [(1, p + 1)]).f_table()])
+    fs = cands + [MonomialSum(ctx, [(1, p + 1)])]
+    tabs = np.vstack([f_tables(cands), fs[-1].f_table()])
     # x^2 + x is planar but scales under no lam but 1; nor does x^2 with
     # delta = 2 added at one point, where D_1 still permutes (delta = f(x0+c)
     # - 2 f(x0) + f(x0-c) = 2 c^2 at c = 1) but some D_c does not, so the
     # one direction of x^2's group, c = 1, would call it planar
-    plus_x = MonomialSum(ctx, [(1, 2), (1, 1)]).f_table()
+    plus_x_f = MonomialSum(ctx, [(1, 2), (1, 1)])
+    plus_x = plus_x_f.f_table()
     broken = square_candidate(ctx).f_table()
     broken[7] = ctx.add(int(broken[7]), 2)
-    stacks = [(tabs, True), (np.vstack([tabs[:6], plus_x, tabs[6:]]), False),
-              (np.vstack([broken, tabs]), False), (plus_x[None], False)]
-    for stack, scales in stacks:
-        e = planarity._scaling_order(ctx, stack)
-        assert e % (p - 1) == 0 if scales else e == 1
+    stacks = [(tabs, fs, True),
+              (np.vstack([tabs[:6], plus_x, tabs[6:]]), fs[:6] + [plus_x_f] + fs[6:], False),
+              (np.vstack([broken, tabs]), [square_candidate(ctx)] + fs, False),
+              (plus_x[None], [plus_x_f], False)]
+    for stack, stack_fs, even in stacks:
+        # the candidates scale under the group their monomials give, broken
+        # claims x^2's and fails the table test, and x^2 + x claims none
+        e = math.gcd(*map(planarity._monomial_scaling, stack_fs))
+        assert e % (p - 1) == 0 if e > 1 else plus_x_f in stack_fs
+        assert e <= 2 or planarity._scales(ctx, stack, e) == even
         points, _ = ctx.shifted_differences(stack)
-        assert len(points) == ((ctx.order + 1) // 2 if scales else ctx.order)
-        got = planarity._bad_direction(ctx, stack)
+        assert len(points) == ((ctx.order + 1) // 2 if even else ctx.order)
+        got = planarity._bad_direction(ctx, stack, stack_fs)
         assert got == _pair_scan_reference(ctx, stack)
         assert {w is None for w in got} == ({True} if len(stack) == 1 else {True, False})
-    assert planarity._bad_direction(ctx, broken[None])[0][0] > 1
+    assert planarity._bad_direction(ctx, broken[None], [square_candidate(ctx)])[0][0] > 1
+
+
+@pytest.mark.parametrize("pmn", [(5, 2, 2), (3, 1, 6), (7, 1, 3), (5, 1, 4)],
+                         ids=["F_625", "F_3^6", "F_7^3", "F_5^4"])
+def test_corrupted_scaling_claim_keeps_the_pair_scan(pmn, monkeypatch):
+    # rows that claim x^2's group, all of F^*, but hold other tables: x^2
+    # moved at one point (broken), x^2 moved at 0, x^2 + x, and the random
+    # candidate whose first bad direction comes last, which a scan of x^2's
+    # one coset would call planar.  Alone or among true x^2 rows, every row
+    # gets the verdict and witness of a scan of every c < -c, and the table
+    # test rejects the claim exactly where such a row is still undecided
+    # after the first block
+    ctx = new_ctx(*pmn)
+    square = MonomialSum(ctx, [(1, 2)])
+    true = square.f_table()
+    broken, at_zero = true.copy(), true.copy()
+    broken[7] = ctx.add(int(broken[7]), 2)
+    at_zero[0] = 1
+    plus_x = MonomialSum(ctx, [(1, 2), (1, 1)]).f_table()
+    cands = f_tables(list(_random_candidates(ctx, 40)))
+    late = max(cands, key=lambda row: (_pair_scan_reference(ctx, row[None])[0] or (0,))[0])
+    pairs = planarity._coset_minima(ctx, 2)
+    verdicts = []
+    scales = planarity._scales
+    monkeypatch.setattr(planarity, "_scales", lambda ctx, f_tabs, e:
+                        verdicts.append(scales(ctx, f_tabs, e)) or verdicts[-1])
+    survived = []
+    for held in (broken, at_zero, plus_x, late):
+        for stack in (held[None], np.stack([true, held, true])):
+            verdicts.clear()
+            got = planarity._bad_direction(ctx, stack, [square] * len(stack))
+            want = _pair_scan_reference(ctx, stack)
+            assert got == want
+            first_block = pairs[:-(-8 // len(stack))]
+            witness = want[len(stack) // 2]
+            survived.append(witness is None or witness[0] > first_block[-1])
+            assert (False in verdicts) == survived[-1]
+    assert _pair_scan_reference(ctx, late[None])[0] is not None
+    assert survived[4:] == [True] * 4  # x^2 + x and the late row
 
 
 @pytest.mark.parametrize("pmn", [(3, 1, 5), (3, 2, 3), (3, 1, 7), (5, 2, 2), (5, 1, 5),
@@ -527,13 +585,14 @@ def test_prefix_witnesses_match_the_whole_field(pmn, monkeypatch):
     # collision over the whole field is the same, and on candidates (their
     # D_c are F_p-affine) no row falls back to it
     ctx = new_ctx(*pmn)
-    f_tabs = f_tables(list(_random_candidates(ctx, 8)))
+    cands = list(_random_candidates(ctx, 8))
+    f_tabs = f_tables(cands)
     widths = []
     first_collisions = planarity._first_collisions
     monkeypatch.setattr(planarity, "_first_collisions",
                         lambda diffs, cs: widths.append(diffs.shape[1])
                         or first_collisions(diffs, cs))
-    found = planarity._bad_direction(ctx, f_tabs)
+    found = planarity._bad_direction(ctx, f_tabs, cands)
     assert set(widths) == {ctx.order // ctx.p + 1}
     rows = [i for i, w in enumerate(found) if w is not None]
     assert rows
@@ -557,7 +616,7 @@ def test_prefix_witness_falls_back_on_a_table_that_is_not_affine(monkeypatch):
     monkeypatch.setattr(planarity, "_first_collisions",
                         lambda diffs, cs: widths.append(diffs.shape[1])
                         or first_collisions(diffs, cs))
-    found = planarity._bad_direction(ctx, broken[None])
+    found = planarity._bad_direction(ctx, broken[None], [square_candidate(ctx)])
     assert widths == [ctx.order // ctx.p + 1, ctx.order]
     assert found == _pair_scan_reference(ctx, broken[None])
     assert found[0][2] > ctx.order // ctx.p
@@ -910,22 +969,25 @@ def test_invalid_witness_raises_under_python_O():
                                  (5, 1, 5), (3, 1, 8)],
                          ids=["F_3^5", "F_625", "F_7^3", "F_3^7", "F_5^5", "F_3^8"])
 def test_batched_recheck_matches_check_witness(pmn):
-    # the pinned stacks: every witness the kernel finds passes the batched
-    # re-check, as it passes check_witness; a witness with c = 0, with x1 =
-    # x2, or with x2 moved off its collision raises, naming that witness
+    # the pinned stacks: every witness a batch's kernel run finds passes
+    # check_witness in _verdict; a witness with c = 0, with x1 = x2, or with
+    # x2 moved off its collision raises there, naming that witness
     ctx = new_ctx(*pmn)
     cands = list(_random_candidates(ctx, 12)) + [square_candidate(ctx)]
-    found = planarity._bad_direction(ctx, f_tables(cands))
-    assert {w is None for w in found} == {True, False}
-    assert all(check_witness(cand, ctx, w) for cand, w in zip(cands, found) if w)
-    planarity._check_witnesses(cands, found)
-    i = max(i for i, w in enumerate(found) if w)
-    c, x1, x2 = found[i]
+    batch = Batch(cands)
+    reports = [is_planar_bruteforce(cand, batch=batch) for cand in cands]
+    assert {rep.planar for rep in reports} == {True, False}
+    assert all(check_witness(cand, ctx, rep.witness)
+               for cand, rep in zip(cands, reports) if not rep.planar)
+    i = max(i for i, rep in enumerate(reports) if not rep.planar)
+    c, x1, x2 = reports[i].witness
     moved = next(x for x in range(x2 + 1, ctx.order)
                  if not check_witness(cands[i], ctx, (c, x1, x)))
     for bad in [(0, x1, x2), (c, x1, x1), (c, x1, moved)]:
-        with pytest.raises(RuntimeError, match=re.escape(f"invalid witness {bad}")):
-            planarity._check_witnesses(cands, found[:i] + [bad] + found[i + 1:])
+        batch._witnesses[i] = bad
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"bruteforce produced an invalid witness {bad}")):
+            is_planar_bruteforce(cands[i], batch=batch)
 
 
 def test_reduction_skipped_u_never_vanish():
