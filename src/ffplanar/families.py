@@ -8,7 +8,10 @@ predicates themselves only evaluate the closed conditions in the field.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .field import FieldCtx
 from .linpoly import LinearizedPoly
@@ -86,6 +89,23 @@ def theorem_monomial_predicate(params: MonomialFamilyParams) -> bool:
     diff = ctx.sub(*params.norms)
     rhs = ctx.neg(ctx.pow(diff, pk + 1))
     return lhs == rhs
+
+
+def theorem_monomial_predicates(params: Sequence[MonomialFamilyParams]) -> list[bool]:
+    """theorem_monomial_predicate of each of a list of parameters of one
+    field and one k, in table mode, as vector ops over the list: the
+    norms the parameters carry, and N(b - c^q)^((p^k+1)/2) as the one power
+    (b - c^q)^((q+1)(p^k+1)/2)."""
+    ctx, k = params[0].ctx, params[0].k
+    pk = ctx.p**k
+    if pk % 4 != 1 or ctx.m != 2 * k:
+        return [False] * len(params)
+    b, c, norm_b, norm_c = np.array([(x.b, x.c, *x.norms) for x in params],
+                                    dtype=np.int64).T
+    lhs = ctx.pow_vec(ctx.sub_vec(b, ctx.frob_vec(c, ctx.m)),
+                      ctx._norm_exponent * ((pk + 1) // 2))
+    rhs = ctx.neg_vec(ctx.pow_vec(ctx.sub_vec(norm_b, norm_c), pk + 1))
+    return (lhs == rhs).tolist()
 
 
 @dataclass(frozen=True)

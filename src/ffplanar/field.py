@@ -20,8 +20,9 @@ from the exp and log tables, made on first use.  In polynomial mode add and
 neg run digit by digit, and mul, inv and pow by polynomial arithmetic.
 `log_sum` evaluates a sum of monomials at one point in table mode with no
 field addition: each term is one exponent, and the terms are summed as
-logarithms through Z.  Above ADD_TABLE_CAP, vector addition works on one
-plane of a few digits at a time.
+logarithms through Z.  Vector addition works on one plane of a few digits
+at a time in every field, the addition table's included: read at random,
+its order^2 entries would push the other tables out of cache.
 The differences f(y + c/2) - f(y - c/2) that brute force counts read the
 same planes, at points taken from sums of the high and the low halves of
 the digits (two tables, kept while they stay small); an even f is read on
@@ -282,6 +283,7 @@ class FieldCtx:
         self.degree = m * n
         self.order = p**self.degree
         self.q = p**m
+        self._hash = hash((p, m, n))
         self.modulus = find_primitive_modulus(p, self.degree)
         self.table_mode = self.order <= table_cap
         self.exp_table = None
@@ -592,12 +594,18 @@ class FieldCtx:
         reduce = sum(sums // b**i % b % p * p**i for i in range(g))
         return planes, reduce, p**g
 
+    @functools.cached_property
+    def _plane_rows(self) -> tuple[np.ndarray, ...]:
+        """The planes of _add_planes, highest first, as _plane_add reads them."""
+        return tuple(self._add_planes[0][::-1])
+
     def _plane_add(self, a, b) -> np.ndarray:
         """Digitwise a + b, one contiguous plane of digits at a time, so that
         no (..., degree) temporary is built."""
-        planes, reduce, base = self._add_planes
-        out = reduce.take(planes[-1].take(a) + planes[-1].take(b))
-        for plane in planes[-2::-1]:
+        _, reduce, base = self._add_planes
+        top, *rest = self._plane_rows
+        out = reduce.take(top.take(a) + top.take(b))
+        for plane in rest:
             out *= base
             out += reduce.take(plane.take(a) + plane.take(b))
         return out
@@ -706,8 +714,9 @@ class FieldCtx:
         (`_shift_tables`), then one add and one reduce lookup, in which a
         single plane also takes |V|."""
         planes, reduce, base = self._add_planes
-        even = bool((f_tabs.take(self._neg_table, axis=1) == f_tabs).all())
         f_planes = planes.take(f_tabs, axis=1)
+        # f is even iff each of its planes is, and planes are narrower than f
+        even = bool((f_planes.take(self._neg_table, axis=2) == f_planes).all())
         neg_planes = self._neg_planes.take(f_tabs, axis=1)
         read = self._class_reduce if even else reduce
         split, full, half = self._symmetric_halves
@@ -784,12 +793,9 @@ class FieldCtx:
         return memoryview(self.log_table)
 
     def add_vec(self, a, b):
-        tab = self.add_matrix
-        if tab is not None:
-            # on a stack of value tables one take from the flat table is
-            # about twice as fast as tab[a, b]
-            flat = np.asarray(a, dtype=np.int64) * self.order + b
-            return tab.ravel().take(flat).astype(np.int64)
+        # digit planes even where add_matrix exists: read at random, its
+        # (order, order) entries (1.5 MB on F_625) push a batch's tables out
+        # of cache, and the planes and their reduce table stay small
         return self._plane_add(a, b)
 
     def neg_vec(self, a):
@@ -869,14 +875,17 @@ class FieldCtx:
         # memoryviews do not pickle; they are made again on first use
         return {k: v for k, v in vars(self).items() if not isinstance(v, memoryview)}
 
+    # Every cache keyed by a context looks it up: new_ctx shares one instance
+    # per (p, m, n, table cap), so identity decides most comparisons, and the
+    # hash is taken once
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FieldCtx)
             and (self.p, self.m, self.n) == (other.p, other.m, other.n)
         )
 
     def __hash__(self):
-        return hash((self.p, self.m, self.n))
+        return self._hash
 
 
 @functools.lru_cache(maxsize=None)

@@ -69,18 +69,19 @@ kept per field.  E then comes from digit planes of the value tables and
 their negations, split once per stack: per plane, one gather at y + h and
 one at y - h along the table axis, one add and one reduce lookup give the
 class.  A row has as many values as classes in each direction, so it
-permutes there iff it hits every class.
+permutes there iff no two of its values share a class: sorted, no two
+neighbours are equal.
 Blocks double in width from ceil(8 / k) directions on a stack of k up to
 BRUTE_BLOCK_ENTRIES / order (one row on a bigger field); each block runs on
 every candidate still undecided, passed to the kernel as an index array
 into the stack, which is split into digit planes once.  A candidate leaves
-the stack at its first bad direction, and one collision pass per block
-reads the witnesses of all the candidates that block decided off D_c of
-their first bad directions, in x order, on x <= p^(d-1) alone: where D_c
-is F_p-affine, as on every candidate, and not injective, its kernel holds
-a w with top digit 1 at some position t, and x = p^t and x - w < x take
-one value.  A row with no repeat there (a table that is not affine) is
-read again over the whole field.
+the stack at its first bad direction, and one collision pass per stack,
+after the scan, reads the witnesses of all the candidates it decided off
+D_c of their first bad directions, in x order, on x <= p^(d-1) alone:
+where D_c is F_p-affine, as on every candidate, and not injective, its
+kernel holds a w with top digit 1 at some position t, and x = p^t and
+x - w < x take one value.  A row with no repeat there (a table that is not
+affine) is read again over the whole field.
 The first block takes the least of each pair {c, -c}.  Only the candidates
 still undecided after it take a scaling group: the gcd of the orders their
 monomials give (`_monomial_scaling`), kept if its generator scales every
@@ -111,7 +112,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,13 +182,12 @@ class PlanarCandidate:
         ell's nonzero c_t."""
         ctx = self.ctx
         M, log = ctx.order - 1, ctx._log_view
+        trace, ell = _term_exponents(ctx)
         terms = []
         if self.a:
             la = log[self.a]
-            terms += [(la * ctx.q**k % M, (ctx.q + 1) * ctx.q**k % M)
-                      for k in range(ctx.n)]
-        terms += [(log[c], 2 * ctx.p**t % M)
-                  for t, c in enumerate(self.ell.coeffs) if c]
+            terms = [(la * qk % M, e) for qk, e in trace]
+        terms += [(log[c], e) for c, e in zip(self.ell.coeffs, ell) if c]
         return tuple(terms)
 
     def f_table(self) -> np.ndarray:
@@ -211,6 +211,16 @@ class PlanarCandidate:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _term_exponents(ctx: FieldCtx) -> tuple[tuple, tuple]:
+    """(trace, ell) for `PlanarCandidate._log_terms`, mod order - 1: trace
+    the pairs (q^k, (q+1) q^k) for k < n, by which log a and x scale in
+    a^(q^k) x^((q+1) q^k), and ell the exponents 2 p^t for t < m*n."""
+    M = ctx.order - 1
+    return (tuple((ctx.q**k % M, (ctx.q + 1) * ctx.q**k % M) for k in range(ctx.n)),
+            tuple(2 * ctx.p**t % M for t in range(ctx.degree)))
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     planar: bool
@@ -224,37 +234,43 @@ class VerificationReport:
         if self.planar and self.witness is not None:
             raise ValueError("a planar report must not carry a witness")
 
+    def witness_json(self, ctx: FieldCtx) -> dict | None:
+        if self.witness is None:
+            return None
+        c, x1, x2 = map(ctx.format_element, self.witness)
+        return {"c": c, "x1": x1, "x2": x2}
+
     def to_json(self, ctx: FieldCtx) -> dict:
-        wit = None
-        if self.witness is not None:
-            c, x1, x2 = self.witness
-            wit = {
-                "c": ctx.format_element(c),
-                "x1": ctx.format_element(x1),
-                "x2": ctx.format_element(x2),
-            }
-        return {"planar": self.planar, "method": self.method, "witness": wit,
-                "ms": self.ms}
+        return {"planar": self.planar, "method": self.method,
+                "witness": self.witness_json(ctx), "ms": self.ms}
 
 
-def f_tables(cands: Sequence[PlanarCandidate]) -> np.ndarray:
-    """(k, order) value tables of k candidates of one field, from the value
-    tables of their ell, the missing ones made as one stack."""
+def f_tables(cands: Sequence[PlanarCandidate], ell_tabs: np.ndarray | None = None) -> np.ndarray:
+    """(k, order) value tables of k candidates of one field, from the stack
+    of their ell's value tables (`_ell_stack`), made here unless given."""
     ctx = cands[0].ctx
-    # ell's tables first, so that above the table cap it raises before any
-    # order-sized array is made
-    fill_values([cand.ell for cand in cands])
-    ell_sq = np.array([cand.ell.values for cand in cands])[:, ctx.square_table]
+    if ell_tabs is None:
+        ell_tabs = _ell_stack([cand.ell for cand in cands])
+    ell_sq = ell_tabs.take(ctx.square_table, axis=1)
     # the trace part once per distinct a, a x^(q+1) by one add of logs;
     # Tr(0) = 0 where a = 0 or x = 0
     index = {}
     row = [index.setdefault(cand.a, len(index)) for cand in cands]
     a = np.array(list(index), dtype=np.int64)
-    t = ctx.trace_table[ctx.exp_table[(ctx.log_table[a][:, None] + _log_powers_q_plus_1(ctx))
-                                      % (ctx.order - 1)]]
+    t = ctx.trace_table.take(ctx.exp_table.take(
+        (ctx.log_table.take(a)[:, None] + _log_powers_q_plus_1(ctx)) % (ctx.order - 1)))
     t[:, 0] = 0
     t[a == 0] = 0
-    return ctx.add_vec(t[row], ell_sq)
+    # one distinct a, as in a family scan, broadcasts over the stack
+    return ctx.add_vec(t if len(index) == 1 else t.take(row, axis=0), ell_sq)
+
+
+def _ell_stack(ells: Sequence[LinearizedPoly]) -> np.ndarray:
+    """The (k, order) stack of the value tables of k polynomials on one
+    field, the missing ones made as one stack (`fill_values`), which raises
+    above the table cap before any order-sized array is made."""
+    fill_values(ells)
+    return np.array([ell.values for ell in ells])
 
 
 @functools.lru_cache(maxsize=None)
@@ -373,11 +389,11 @@ def _scales(ctx: FieldCtx, f_tabs: np.ndarray, e: int) -> bool:
     row that vanishes); then each lam of that group scales it."""
     M = ctx.order - 1
     log, exp = _product_tables(ctx)
-    moved = f_tabs[:, _scaled_points(ctx, e)]
+    moved = f_tabs.take(_scaled_points(ctx, e), axis=1)
     rows = np.arange(len(f_tabs))
     x0 = (f_tabs != 0).argmax(axis=1)
-    log_mu = (log[moved[rows, x0]] - log[f_tabs[rows, x0]]) % M
-    return bool((moved == exp[log[f_tabs] + log_mu[:, None]]).all())
+    log_mu = (log.take(moved[rows, x0]) - log.take(f_tabs[rows, x0])) % M
+    return bool((moved == exp.take(log.take(f_tabs) + log_mu[:, None])).all())
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,15 +440,15 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray, fs: Sequence) -> list:
     is evaluated for every row still undecided, as many rows at a time as
     keep block x rows x order within BRUTE_BLOCK_ENTRIES, and a row drops
     out at its first bad direction.  The rows are read from the stack by
-    index, so that it is split into digit planes once, and the witnesses of
-    all the rows a block decides come from one `_witnesses` pass over D_c
-    of their first bad directions, in x order."""
+    index, so that it is split into digit planes once.  Each row's first bad
+    direction is kept, and after the scan the witnesses of every decided row
+    come from one `_witnesses` pass over D_c of those directions, in x
+    order."""
     cs = _coset_minima(ctx, 2)
     widest = max(1, BRUTE_BLOCK_ENTRIES // ctx.order)
-    found = [None] * len(f_tabs)
-    undecided = np.ones(len(f_tabs), dtype=bool)
+    first = np.zeros(len(f_tabs), dtype=np.int64)  # first bad c, 0 while undecided
     live = np.arange(len(f_tabs))  # the rows of f_tabs still undecided
-    points, differences = ctx.shifted_differences(f_tabs)
+    _, differences = ctx.shifted_differences(f_tabs)
     lo, width, scaled = 0, -(-8 // len(f_tabs)), False
     while lo < len(cs) and len(live):
         block = cs[lo:lo + min(width, widest)]
@@ -441,32 +457,31 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray, fs: Sequence) -> list:
         for start in range(0, len(live), step):
             rows = live[start:start + step]
             # classes[r, i, s] is the class of row r's E at points[s] in
-            # direction block[i], offset so that pair (r, i) marks the bins
-            # it hits among its own, one per point: it permutes iff it hits
-            # them all.  While every row is live, a slice reads views of the
-            # stack, not copies
+            # direction block[i], one of as many classes as points: it
+            # permutes iff no two points share a class, which sorting shows.
+            # While every row is live, a slice reads views of the stack,
+            # not copies
             classes = differences(block, slice(start, start + step)
                                   if len(live) == len(f_tabs) else rows)
-            hits = np.zeros(classes.size, dtype=bool)
-            hits[(classes + np.arange(0, classes.size, len(points)).reshape(
-                classes.shape[:2] + (1,))).ravel()] = True
-            bad = ~hits.reshape(classes.shape).all(axis=2)
+            classes.sort(axis=2)
+            bad = (classes[:, :, 1:] == classes[:, :, :-1]).any(axis=2)
             hit = bad.any(axis=1).nonzero()[0]
-            if len(hit):
-                # a row's first bad direction is its lowest; its witness
-                # comes from D_c in x order
-                c = block[bad[hit].argmax(axis=1)]
-                witnesses = _witnesses(ctx, f_tabs[rows[hit]], c)
-                for row, witness in zip(rows[hit].tolist(), witnesses):
-                    found[row] = witness
-                undecided[rows[hit]] = False
-        live = undecided.nonzero()[0]
+            # a row's first bad direction is its lowest
+            first[rows[hit]] = block[bad[hit].argmax(axis=1)]
+        live = live[first[live] == 0]
         if len(live) and lo < len(cs) and not scaled:
             scaled = True
             e = math.gcd(*(_monomial_scaling(fs[i]) for i in live.tolist()))
             if e > 2 and _scales(ctx, f_tabs[live], e):
                 cs = _coset_minima(ctx, math.lcm(2, e))
                 lo = int(np.searchsorted(cs, block[-1], side="right"))
+    found = [None] * len(f_tabs)
+    decided = first.nonzero()[0]
+    if len(decided):
+        # each row's witness is its own, so one pass reads them all
+        for row, witness in zip(decided.tolist(),
+                                _witnesses(ctx, f_tabs[decided], first[decided])):
+            found[row] = witness
     return found
 
 
@@ -495,7 +510,8 @@ def _difference_rows(ctx: FieldCtx, f_tabs: np.ndarray, cs: np.ndarray,
     """D_c(x) = f(x + c) - f(x) for x < count, row i of a (k, order) stack
     of value tables taken in direction cs[i]."""
     shifted = ctx.add_vec(cs[:, None], np.arange(count))
-    return ctx.sub_vec(f_tabs[np.arange(len(cs))[:, None], shifted], f_tabs[:, :count])
+    shifted += np.arange(0, f_tabs.size, ctx.order)[:, None]  # flat, row by row
+    return ctx.sub_vec(np.ascontiguousarray(f_tabs).take(shifted), f_tabs[:, :count])
 
 
 def is_planar_bruteforce(f: PlanarCandidate | MonomialSum,
@@ -682,8 +698,13 @@ def criterion_quadratic(cand: PlanarCandidate, batch: Batch | None = None) -> bo
     return (Batch([cand]) if batch is None else batch).criterion(cand)
 
 
-def _quadratic_criteria(cands: Sequence[PlanarCandidate]) -> list[bool]:
+def _quadratic_criteria(cands: Sequence[PlanarCandidate],
+                        ell_tabs: Callable[[], np.ndarray] | None = None) -> list[bool]:
     """criterion_quadratic of each candidate of a stack on one n = 2 tower.
+    `ell_tabs`, if given, returns the stack of all their ell's value tables;
+    it is read where every row has Tr(a) != 0 and the tables serve
+    (`_fq_values`), so that no table is made for a row that does not need
+    one.
 
     Rows with Tr(a) = 0 test whether ell permutes; the others go through one
     masked core over the pairs (u, ell(u)) of all of them (`_fq_values`)."""
@@ -691,43 +712,50 @@ def _quadratic_criteria(cands: Sequence[PlanarCandidate]) -> list[bool]:
     if ctx.n != 2:
         raise ValueError("the quadratic criterion requires a degree-2 tower")
     traces = {a: ctx.rel_trace(a) for a in {cand.a for cand in cands}}
-    tr_a = [traces[cand.a] for cand in cands]
-    verdicts = [tr == 0 and cand.ell.is_permutation() for cand, tr in zip(cands, tr_a)]
-    live = [i for i, tr in enumerate(tr_a) if tr]
-    if not live:
+    tr_a = np.array([traces[cand.a] for cand in cands], dtype=np.int64)
+    verdicts = [not tr and cand.ell.is_permutation() for cand, tr in zip(cands, tr_a.tolist())]
+    live = tr_a.nonzero()[0]
+    if not len(live):
         return verdicts
     ctx._need_tables()  # before any order-sized array is built
-    rows, us, lu = _fq_values(ctx, [cands[i].ell for i in live])
+    shared = ell_tabs is not None and len(live) == len(cands) \
+        and ctx.order <= CRITERION_TABLE_MAX
+    rows, us, lu = _fq_values(ctx, [cands[i].ell for i in live.tolist()],
+                              ell_tabs() if shared else None)
     # ell / Tr(a) lies in F_q exactly where ell does, and (ell / Tr(a))^2 -
     # N(u) times the nonzero square Tr(a)^2 of F_q, ell^2 - Tr(a)^2 N(u), has
-    # the same character.  N(u) = u^(q+1) is taken of these u alone, so that
+    # the same character.  Tr(a)^2 N(u) = g^(2 log Tr(a) + (q+1) log u) is one
+    # add of logs, Tr(a) and u being nonzero, taken of these u alone, so that
     # no order-sized norm table is built
-    tr = np.array([tr_a[i] for i in live], dtype=np.int64)[rows]
-    norms = ctx.pow_vec(us, ctx.q + 1)
-    w = ctx.sub_vec(ctx.mul_vec(lu, lu), ctx.mul_vec(ctx.mul_vec(tr, tr), norms))
-    bad = set(rows[ctx.subfield_eta_table[w] != 1].tolist())
-    for r, i in enumerate(live):
-        verdicts[i] = r not in bad
+    M, log = ctx.order - 1, ctx.log_table
+    tr_sq_log = 2 * log.take(tr_a[live])
+    scaled_norms = ctx.exp_table.take((tr_sq_log.take(rows) + (ctx.q + 1) * log.take(us)) % M)
+    w = ctx.sub_vec(ctx.mul_vec(lu, lu), scaled_norms)
+    bad = np.zeros(len(live), dtype=bool)
+    bad[rows[ctx.subfield_eta_table.take(w) != 1]] = True
+    for i, b in zip(live.tolist(), bad.tolist()):
+        verdicts[i] = not b
     return verdicts
 
 
-def _fq_values(ctx: FieldCtx, ells: Sequence[LinearizedPoly]):
+def _fq_values(ctx: FieldCtx, ells: Sequence[LinearizedPoly],
+               ell_tabs: np.ndarray | None = None):
     """(rows, us, ell(u)) over the nonzero u with ell(u) in F_q of each
     polynomial of a list on one field: index arrays, row by row, u ascending.
 
     Up to CRITERION_TABLE_MAX elements they are read off the stack of the
-    polynomials' value tables, the missing ones made as one stack.  Above
+    polynomials' value tables (`_ell_stack`), made here unless given.  Above
     it, u runs over the kernel of u -> ell(u)^q - ell(u), found from the d
     images ell(p^k) by fp_nullspace; the span tables of its basis and of the
     basis images list u and ell(u), so the cost follows the kernel's size
     instead of the field's."""
     if ctx.order <= CRITERION_TABLE_MAX:
-        fill_values(ells)
-        tabs = np.array([ell.values for ell in ells])
-        in_fq = ctx.subfield_mask[tabs]
+        tabs = _ell_stack(ells) if ell_tabs is None else ell_tabs
+        in_fq = ctx.subfield_mask.take(tabs)
         in_fq[:, 0] = False
-        rows, us = np.nonzero(in_fq)
-        return rows, us, tabs[rows, us]
+        flat = in_fq.ravel().nonzero()[0]
+        rows, us = np.divmod(flat, ctx.order)
+        return rows, us, tabs.take(flat)
     p, us, lus = ctx.p, [], []
     for ell in ells:
         moved = [ctx.sub(ctx.frobenius(v, ctx.m), v) for v in ell.images]
@@ -750,8 +778,9 @@ class Batch:
     on any of them runs the kernel once on the stack of all their value
     tables, the first criterion call runs one masked core over all of them,
     and every call reads its candidate's row, whose witness `_verdict`
-    re-checks.  The ell tables both read are made as one stack and cached on
-    each polynomial, where a reduction oracle finds them too."""
+    re-checks.  The ell tables both read are made as one stack, kept once
+    for both, and cached on each polynomial, where a reduction oracle finds
+    them too."""
 
     def __init__(self, cands: Sequence[PlanarCandidate]):
         self.cands = list(cands)
@@ -764,9 +793,14 @@ class Batch:
         return self._criteria[self._rows[id(cand)]]
 
     @functools.cached_property
+    def _ell_tabs(self) -> np.ndarray:
+        return _ell_stack([cand.ell for cand in self.cands])
+
+    @functools.cached_property
     def _witnesses(self) -> list:
-        return _bad_direction(self.cands[0].ctx, f_tables(self.cands), self.cands)
+        return _bad_direction(self.cands[0].ctx, f_tables(self.cands, self._ell_tabs),
+                              self.cands)
 
     @functools.cached_property
     def _criteria(self) -> list[bool]:
-        return _quadratic_criteria(self.cands)
+        return _quadratic_criteria(self.cands, lambda: self._ell_tabs)

@@ -3,6 +3,10 @@
 Jobs visit a family's parameter space in raw index order, apply cheap
 closed-form filters, and evaluate the expensive planarity oracle on every
 candidate, on a deterministic audit subsample, or whenever filters disagree.
+Candidates are checked a batch at a time: the criterion and brute force run
+once per batch (`planarity.Batch`), and so does closed-binomial, as vector
+ops over the batch's parameters in table mode; the other filters and
+oracles run once per candidate.
 A raw index is a little-endian mixed-radix number of the family's parameter
 digits, whose radices are declared once per family in `_RADICES`:
 `candidate_space` is their product, `index_digits` splits an index into its
@@ -30,6 +34,7 @@ from .families import (
     cubic_theorem_predicate,
     example1_construct,
     theorem_monomial_predicate,
+    theorem_monomial_predicates,
     theorem_nbc_predicate,
 )
 from .field import FieldCtx, new_ctx
@@ -61,8 +66,20 @@ ORACLES = ("bruteforce", "rank", "reduction")
 # each closed predicate takes its own family's parameters
 FILTERS = {"criterion-n2": None, "closed-binomial": "binomial",
            "closed-nbc": "nbc", "closed-cubic": "cubic"}
-# the encoder json.dumps(obj, sort_keys=True) would build on every call
+# json.dumps(obj, sort_keys=True) as one call: JSONEncoder.encode makes its C
+# encoder again for every object, so the one here is made once (the Python
+# encoder serves where the C accelerator is missing).  Findings hold no
+# cycles, so it keeps no markers
 _ENCODER = json.JSONEncoder(sort_keys=True)
+if json.encoder.c_make_encoder is None:
+    _encode = _ENCODER.encode
+else:
+    _C_ENCODER = json.encoder.c_make_encoder(
+        None, _ENCODER.default, json.encoder.encode_basestring_ascii, None,
+        _ENCODER.key_separator, _ENCODER.item_separator, True, False, True)
+
+    def _encode(obj) -> str:
+        return "".join(_C_ENCODER(obj, 0))
 
 
 def splitmix64(x: int) -> int:
@@ -132,7 +149,7 @@ class Finding:
     flagged: bool
 
     def to_json_line(self) -> str:
-        return _ENCODER.encode({
+        return _encode({
             "index": self.index, "params": self.params,
             "filters": self.filters, "oracle": self.oracle,
             "witness": self.witness, "flagged": self.flagged,
@@ -243,25 +260,37 @@ def _chunk_findings(job: SearchJob, config: Config, indices) -> list[Finding]:
     return out
 
 
+def _filter_column(name: str, ctx: FieldCtx, batch, filtered: Batch) -> list[bool]:
+    """One filter's verdicts on every candidate of a batch: closed-binomial
+    in table mode as one vector pass over the batch, any other one candidate
+    at a time."""
+    if name == "closed-binomial" and ctx.table_mode:
+        return theorem_monomial_predicates([params for *_, params in batch])
+    return [_apply_filter(name, cand, params, filtered) for _, _, cand, params in batch]
+
+
 def _batch_findings(job: SearchJob, config: Config, ctx: FieldCtx,
                     batch) -> list[Finding]:
     """Findings for (raw, params_json, candidate, family_params) tuples.  The
     filters run on every candidate, sharing a Batch of them all; the oracle
-    runs on the candidates it must check, sharing a Batch of those."""
+    runs on the candidates it must check, sharing a Batch of those (the same
+    one when it checks them all)."""
     filtered = Batch([cand for _, _, cand, _ in batch])
-    fvals = [{name: _apply_filter(name, cand, params, filtered) for name in job.filters}
-             for _, _, cand, params in batch]
+    columns = [_filter_column(name, ctx, batch, filtered) for name in job.filters]
+    fvals = [{name: column[i] for name, column in zip(job.filters, columns)}
+             for i in range(len(batch))]
     flagged = [len(set(fv.values())) > 1 for fv in fvals]
-    oracled = [i for i, (raw, *_) in enumerate(batch)
-               if job.oracle_all or flagged[i] or raw % job.audit_every == 0]
-    checked = Batch([batch[i][2] for i in oracled])
+    oracled = {i for i, (raw, *_) in enumerate(batch)
+               if job.oracle_all or flagged[i] or raw % job.audit_every == 0}
+    checked = filtered if len(oracled) == len(batch) else \
+        Batch([batch[i][2] for i in sorted(oracled)])
     out = []
     for i, (raw, params_json, cand, _) in enumerate(batch):
         oracle = witness = None
         if i in oracled:
             report = _run_oracle(job, cand, config, checked)
             oracle = report.planar
-            witness = report.to_json(ctx)["witness"]
+            witness = report.witness_json(ctx)
             flagged[i] = flagged[i] or any(v != oracle for v in fvals[i].values())
         out.append(Finding(raw, params_json, fvals[i], oracle, witness, flagged[i]))
     return out
@@ -341,6 +370,6 @@ def run(job: SearchJob, config: Config | None = None, workers: int = 1,
         if out is not None:
             out.write(f.to_json_line() + "\n")
     if out is not None:
-        out.write(_ENCODER.encode({"summary": counts}) + "\n")
+        out.write(_encode({"summary": counts}) + "\n")
     return RunResult(counts)
 

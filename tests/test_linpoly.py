@@ -286,7 +286,7 @@ def test_linpoly_json_round_trip():
     "pmn", [(3, 1, 2), (3, 2, 2), (5, 2, 2), (3, 1, 7), (7, 1, 3), (257, 1, 1)],
     ids=["F_9", "F_81", "F_625", "F_3^7", "F_7^3", "F_257"])
 def test_eval_vec_matches_scalar(pmn):
-    # F_625 adds by table, F_3^7 by digit planes above ADD_TABLE_CAP, and
+    # F_625 has an addition table (for scalar add), F_3^7 none, and
     # F_257 has p >= 256
     ctx = new_ctx(*pmn)
     rng = np.random.default_rng(11)

@@ -622,6 +622,56 @@ def test_prefix_witness_falls_back_on_a_table_that_is_not_affine(monkeypatch):
     assert found[0][2] > ctx.order // ctx.p
 
 
+@pytest.mark.parametrize("pmn", [(5, 2, 2), (7, 1, 3)], ids=["F_625", "F_7^3"])
+def test_one_witness_pass_per_stack(pmn, monkeypatch):
+    # every witness of a stack comes from one _witnesses call after its scan:
+    # rows decided in the first block and in later ones, beside planar rows,
+    # x^2 moved at the top element (not affine: its prefix holds no repeat,
+    # and the same call reads it again over the whole field) and, in the
+    # second stack, x^2 moved at 7, which claims all of F^* and makes the
+    # stack fail the table test.  Verdicts and witnesses are those of a scan
+    # of every c < -c
+    ctx = new_ctx(*pmn)
+    cands = list(_random_candidates(ctx, 24))
+    square = square_candidate(ctx)
+    tabs, true = f_tables(cands), square.f_table()
+    top, moved = true.copy(), true.copy()
+    top[-1] = ctx.add(int(top[-1]), 1)
+    moved[7] = ctx.add(int(moved[7]), 2)
+    # the moved row at `at`, x^2 after it
+    stacks = {name: (np.vstack([tabs[:at], held, true, tabs[at:]]),
+                     cands[:at] + [square, square] + cands[at:], at)
+              for name, held, at in (("not affine", top, 8), ("failed claim", moved, 5))}
+    calls, widths, verdicts = [], [], []
+    witnesses = planarity._witnesses
+    first_collisions = planarity._first_collisions
+    scales = planarity._scales
+    monkeypatch.setattr(planarity, "_witnesses", lambda ctx, f_tabs, cs:
+                        calls.append(len(f_tabs)) or witnesses(ctx, f_tabs, cs))
+    monkeypatch.setattr(planarity, "_first_collisions", lambda diffs, cs:
+                        widths.append(diffs.shape[1]) or first_collisions(diffs, cs))
+    monkeypatch.setattr(planarity, "_scales", lambda ctx, f_tabs, e:
+                        verdicts.append(scales(ctx, f_tabs, e)) or verdicts[-1])
+    prefix = ctx.order // ctx.p + 1
+    for name, (stack, fs, at) in stacks.items():
+        calls.clear(), widths.clear(), verdicts.clear()
+        got = planarity._bad_direction(ctx, stack, fs)
+        assert got == _pair_scan_reference(ctx, stack), name
+        decided = [w[0] for w in got if w is not None]
+        assert calls == [len(decided)], name
+        first_block = planarity._coset_minima(ctx, 2)[:-(-8 // len(stack))]
+        assert min(decided) <= first_block[-1] < max(decided), name
+        assert got[at] is not None and got[at + 1] is None, name
+        if name == "not affine":
+            assert widths == [prefix, ctx.order] and got[at][2] >= prefix
+        else:
+            assert verdicts == [False]
+    # a stack with no bad direction makes no witness pass
+    calls.clear()
+    assert planarity._bad_direction(ctx, true[None], [square]) == [None]
+    assert calls == []
+
+
 def _pinned_bruteforce_reports():
     """(planar, witness) of brute force on seeded inputs: random candidates
     and x^2 on towers either side of ADD_TABLE_CAP, the general polynomials

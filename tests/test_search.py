@@ -416,6 +416,21 @@ def test_bruteforce_scan_output_pinned():
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+def test_audit_path_scan_output_pinned():
+    # every other pinned scan oracles every candidate; this one oracles only
+    # the audit subsample, so the oracle's batch is a subset of the filters'
+    # one.  The filters agree on every candidate, so nothing is flagged.
+    # sha256 of the output before closed-binomial ran once per batch
+    job = SearchJob(5, 2, 2, family="binomial", filters=("closed-binomial", "criterion-n2"),
+                    mode="sample", sample_count=500)
+    buf = io.StringIO()
+    summary = run(job, out=buf).summary
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        "54d1445cd5b2c91b27a7c59621e59bd060527b5006144bd4d5be0264db909242"
+    assert 0 < summary["oracled"] < summary["candidates"]
+    assert summary["disagreements"] == 0
+
+
 def test_reduction_scan_output_pinned():
     # sha256 of the output of the reduction route when it evaluated ell(u) by
     # scalar arithmetic for every u, before it read ell's value table
@@ -432,6 +447,25 @@ def test_reduction_scan_output_pinned():
         buf = io.StringIO()
         run(job, out=buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_finding_lines_are_json_dumps_with_sorted_keys():
+    # the scan's encoder, made once per process, writes each finding and the
+    # summary as json.dumps(obj, sort_keys=True) does: nested lists (cubic
+    # params), witness dicts, nulls and flags
+    jobs = [SearchJob(3, 1, 3, family="cubic", filters=("closed-cubic",), oracle="rank",
+                      oracle_all=True, mode="sample", sample_count=40),
+            SearchJob(5, 2, 2, family="binomial", filters=("closed-binomial", "criterion-n2"),
+                      mode="sample", sample_count=60)]
+    for job in jobs:
+        lines = []
+        for f in findings(job):
+            lines.append(f.to_json_line())
+            assert lines[-1] == json.dumps(dataclasses.asdict(f), sort_keys=True)
+        assert any('"witness": {' in line for line in lines)
+        assert any('"witness": null' in line for line in lines)
+    summary = {"summary": {"candidates": 3, "filter_true[closed-cubic]": 1}}
+    assert search._encode(summary) == json.dumps(summary, sort_keys=True)
 
 
 def test_sample_mode_deterministic():
