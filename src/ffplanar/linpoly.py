@@ -179,29 +179,34 @@ def _image_map(ctx: FieldCtx) -> np.ndarray:
     return out
 
 
-def fill_values(ells) -> None:
-    """Cache `LinearizedPoly.values` on each polynomial (all on one field)
-    that has no table yet, the missing tables made as one stack; ValueError
-    above the table cap.
+def fill_values(ells) -> np.ndarray:
+    """The (k, order) stack of the value tables of k polynomials on one
+    field; ValueError above the table cap, before any order-sized array is
+    made.  The tables missing from `LinearizedPoly.values` are made as one
+    read-only stack and cached there as its rows, so a list of new
+    polynomials, as in a scan batch, gets that stack itself, with no copy,
+    and any other list a new stack of its rows.
 
     Their basis images come from one vector pass too, with no scalar field
     op: the digits of the k maps' images are the digits of their (k, d)
     coefficients times `_image_map`, mod p.  `LinearizedPoly.images` is
     cached from them where it is missing."""
     todo = [ell for ell in ells if "values" not in vars(ell)]
-    if not todo:
-        return
-    ctx = todo[0].ctx
-    d = ctx.degree
-    coeffs = digit_rows(ctx, [ell.coeffs for ell in todo]).reshape(len(todo), d * d)
-    digits = (coeffs @ _image_map(ctx) % ctx.p).reshape(len(todo), d, d)
-    tabs = value_tables(ctx, digits)
-    tabs.flags.writeable = False
-    images = (digits @ _digit_weights(ctx.p, d)).tolist()
-    # where functools.cached_property keeps them
-    for ell, row, tab in zip(todo, images, tabs):
-        vars(ell).setdefault("images", tuple(row))
-        vars(ell)["values"] = tab
+    if todo:
+        ctx = todo[0].ctx
+        d = ctx.degree
+        coeffs = digit_rows(ctx, [ell.coeffs for ell in todo]).reshape(len(todo), d * d)
+        digits = (coeffs @ _image_map(ctx) % ctx.p).reshape(len(todo), d, d)
+        tabs = value_tables(ctx, digits)
+        tabs.flags.writeable = False
+        images = (digits @ _digit_weights(ctx.p, d)).tolist()
+        # where functools.cached_property keeps them
+        for ell, row, tab in zip(todo, images, tabs):
+            vars(ell).setdefault("images", tuple(row))
+            vars(ell)["values"] = tab
+        if len(todo) == len(ells):
+            return tabs
+    return np.array([ell.values for ell in ells])
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +363,9 @@ class LinearizedPoly:
     @functools.cached_property
     def values(self) -> np.ndarray:
         """Read-only table of ell at every element index, cached on the
-        polynomial by `fill_values`, which makes a stack of them at once;
-        ValueError above the table cap."""
-        fill_values([self])
-        return vars(self)["values"]
+        polynomial, a row of the stack `fill_values` makes; ValueError above
+        the table cap."""
+        return fill_values([self])[0]
 
     def eval_vec(self, xs: np.ndarray) -> np.ndarray:
         """ell at each index in xs, read from `values`."""
@@ -383,9 +387,6 @@ class LinearizedPoly:
             self.ctx,
             tuple(self.ctx.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)),
         )
-
-    def __neg__(self) -> "LinearizedPoly":
-        return LinearizedPoly(self.ctx, tuple(self.ctx.neg(v) for v in self.coeffs))
 
     # -- linear-map structure ------------------------------------------------
 

@@ -38,9 +38,13 @@ D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
 Each route refuses an input over its cap before any work, then runs a search
 that returns a witness (c, x1, x2) or None; `_verdict` times the call,
 re-checks the witness on f and builds the report.  Scalar f, which rank's
-basis values and the re-check read, is in table mode a sum of at most
-n + m*n monomials (f is Dembowski-Ostrom): a^(q^k) x^((q+1) q^k) for the
-trace and c_t x^(2 p^t) for ell, kept as (log coefficient, exponent) pairs.
+basis values and the re-check read, is in table mode the sum of f's
+monomials (f is Dembowski-Ostrom), a^(q^k) x^((q+1) q^k) for the trace and
+c_t x^(2 p^t) for ell, with the coefficients of equal exponents mod
+order - 1 added and zero sums dropped: on n = 2 the trace pair is one term
+Tr(a) x^(q+1), and none where Tr(a) = 0.  A candidate and a MonomialSum
+keep these terms as (log coefficient, exponent) pairs, made by one builder
+(`_merged_log_terms`), and read their scaling group off the same pairs.
 Each term at x is one exponent, and `FieldCtx.log_sum` adds them through
 the Zech table, so scalar f reads no value table, addition table or digit
 plane; polynomial mode sums the conjugates and ell's terms with scalar ops.
@@ -154,8 +158,36 @@ CANDIDATE_SHAPE = {
 }
 
 
+class _Monomials:
+    """What table mode reads of a function given by its `monomials`, each
+    built once per object: its terms as `FieldCtx.log_sum` reads them
+    (`_merged_log_terms`) and the order of a group it scales under
+    (`_monomial_scaling`), which brute force and rank both read."""
+
+    @functools.cached_property
+    def _log_terms(self) -> tuple[tuple[int, int], ...]:
+        return _merged_log_terms(self.ctx, self.monomials)
+
+    @functools.cached_property
+    def _scaling(self) -> int:
+        return _monomial_scaling(self)
+
+
+def _merged_log_terms(ctx: FieldCtx, monomials) -> tuple[tuple[int, int], ...]:
+    """sum c x^e over (c, e) pairs as `FieldCtx.log_sum` reads it at x != 0:
+    one (log c, e mod (order - 1)) pair per exponent.  x^e = x^(e mod
+    (order - 1)) there, so the coefficients of equal exponents are added in
+    the field (e = 0 and e = order - 1 are both the constant term), and
+    zero sums, zero coefficients among them, drop out."""
+    merged = {}
+    for c, e in monomials:
+        e %= ctx.order - 1
+        merged[e] = ctx.add(merged[e], c) if e in merged else c
+    return tuple((ctx._log_view[c], e) for e, c in merged.items() if c)
+
+
 @dataclass(frozen=True)
-class PlanarCandidate:
+class PlanarCandidate(_Monomials):
     """f(x) = Tr(a x^(q+1)) + ell(x^2); a = 0 is admitted as a degenerate case."""
 
     ctx: FieldCtx
@@ -175,20 +207,14 @@ class PlanarCandidate:
         t = ctx.rel_trace(ctx.mul(self.a, ctx.pow(x, ctx.q + 1)))
         return ctx.add(t, self.ell(ctx.mul(x, x)))
 
-    @functools.cached_property
-    def _log_terms(self) -> tuple[tuple[int, int], ...]:
-        """f's monomials in table mode, as `FieldCtx.log_sum` reads them:
+    @property
+    def monomials(self) -> list[tuple[int, int]]:
+        """f's monomials (coefficient, exponent) as the formula gives them:
         a^(q^k) x^((q+1) q^k) for k < n, the trace, and c_t x^(2 p^t) for
-        ell's nonzero c_t."""
-        ctx = self.ctx
-        M, log = ctx.order - 1, ctx._log_view
-        trace, ell = _term_exponents(ctx)
-        terms = []
-        if self.a:
-            la = log[self.a]
-            terms = [(la * qk % M, e) for qk, e in trace]
-        terms += [(log[c], e) for c, e in zip(self.ell.coeffs, ell) if c]
-        return tuple(terms)
+        t < m*n, ell; zero coefficients included."""
+        ctx, q = self.ctx, self.ctx.q
+        return ([(ctx.pow(self.a, q**k), (q + 1) * q**k) for k in range(ctx.n)]
+                + [(c, 2 * ctx.p**t) for t, c in enumerate(self.ell.coeffs)])
 
     def f_table(self) -> np.ndarray:
         return f_tables([self])[0]
@@ -209,16 +235,6 @@ class PlanarCandidate:
             ctx.parse_element(obj["a"]),
             LinearizedPoly.from_json(ctx, obj["ell"]),
         )
-
-
-@functools.lru_cache(maxsize=None)
-def _term_exponents(ctx: FieldCtx) -> tuple[tuple, tuple]:
-    """(trace, ell) for `PlanarCandidate._log_terms`, mod order - 1: trace
-    the pairs (q^k, (q+1) q^k) for k < n, by which log a and x scale in
-    a^(q^k) x^((q+1) q^k), and ell the exponents 2 p^t for t < m*n."""
-    M = ctx.order - 1
-    return (tuple((ctx.q**k % M, (ctx.q + 1) * ctx.q**k % M) for k in range(ctx.n)),
-            tuple(2 * ctx.p**t % M for t in range(ctx.degree)))
 
 
 @dataclass(frozen=True)
@@ -247,10 +263,10 @@ class VerificationReport:
 
 def f_tables(cands: Sequence[PlanarCandidate], ell_tabs: np.ndarray | None = None) -> np.ndarray:
     """(k, order) value tables of k candidates of one field, from the stack
-    of their ell's value tables (`_ell_stack`), made here unless given."""
+    of their ell's value tables (`fill_values`), made here unless given."""
     ctx = cands[0].ctx
     if ell_tabs is None:
-        ell_tabs = _ell_stack([cand.ell for cand in cands])
+        ell_tabs = fill_values([cand.ell for cand in cands])
     ell_sq = ell_tabs.take(ctx.square_table, axis=1)
     # the trace part once per distinct a, a x^(q+1) by one add of logs;
     # Tr(0) = 0 where a = 0 or x = 0
@@ -263,14 +279,6 @@ def f_tables(cands: Sequence[PlanarCandidate], ell_tabs: np.ndarray | None = Non
     t[a == 0] = 0
     # one distinct a, as in a family scan, broadcasts over the stack
     return ctx.add_vec(t if len(index) == 1 else t.take(row, axis=0), ell_sq)
-
-
-def _ell_stack(ells: Sequence[LinearizedPoly]) -> np.ndarray:
-    """The (k, order) stack of the value tables of k polynomials on one
-    field, the missing ones made as one stack (`fill_values`), which raises
-    above the table cap before any order-sized array is made."""
-    fill_values(ells)
-    return np.array([ell.values for ell in ells])
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,7 +312,7 @@ def _verdict(method: str, f, ctx: FieldCtx, started: float, witness) -> Verifica
 
 
 @dataclass(frozen=True)
-class MonomialSum:
+class MonomialSum(_Monomials):
     """f(x) = sum coeff * x^exp over (coeff, exp) pairs: any polynomial, for
     brute force on functions outside the candidate shape.  One that scales
     under no lam but 1 (x^2 + x, say) keeps the scan of every c < -c, and so
@@ -321,14 +329,6 @@ class MonomialSum:
         for coeff, e in self.monomials:
             acc = ctx.add(acc, ctx.mul(coeff, ctx.pow(x, e)))
         return acc
-
-    @functools.cached_property
-    def _log_terms(self) -> tuple[tuple[int, int], ...]:
-        """The monomials with nonzero coefficients, as `FieldCtx.log_sum`
-        reads them at x != 0; x^e = x^(e mod (order - 1)) there, so e = 0
-        and e = order - 1 are both the constant term."""
-        M, log = self.ctx.order - 1, self.ctx._log_view
-        return tuple((log[coeff], e % M) for coeff, e in self.monomials if coeff)
 
     def f_table(self) -> np.ndarray:
         ctx = self.ctx
@@ -471,7 +471,7 @@ def _bad_direction(ctx: FieldCtx, f_tabs: np.ndarray, fs: Sequence) -> list:
         live = live[first[live] == 0]
         if len(live) and lo < len(cs) and not scaled:
             scaled = True
-            e = math.gcd(*(_monomial_scaling(fs[i]) for i in live.tolist()))
+            e = math.gcd(*(fs[i]._scaling for i in live.tolist()))
             if e > 2 and _scales(ctx, f_tabs[live], e):
                 cs = _coset_minima(ctx, math.lcm(2, e))
                 lo = int(np.searchsorted(cs, block[-1], side="right"))
@@ -546,21 +546,23 @@ def is_planar_rank(cand: PlanarCandidate,
         raise ValueError(f"{directions} rank directions exceed brute-force cap {brute_cap}")
     seen = {}  # f at every point read so far; the witness check reads f(0) again
     f = lambda x: seen[x] if x in seen else seen.setdefault(x, cand(x))
-    witness = _singular_direction(ctx, f, _rank_directions(ctx, _monomial_scaling(cand)))
+    witness = _singular_direction(ctx, f, _rank_directions(ctx, cand._scaling))
     return _verdict("rank", f, ctx, started, witness)
 
 
-def _monomial_scaling(cand: PlanarCandidate | MonomialSum) -> int:
-    """The order e of a subgroup of F^* under which f scales, read off its
-    monomials x^(e_i): f(lam x) = lam^(e_0) f(x) wherever every lam^(e_i -
-    e_0) = 1, so e = gcd(order - 1, e_i - e_0).  Every term is listed, the
-    trace's even where they cancel (Tr(a) = 0), which can only make the
-    group smaller.  For a candidate p - 1 divides e (every e_i is 2 mod
-    p - 1).  Outside table mode, F_p^*: e = p - 1."""
-    ctx = cand.ctx
+def _monomial_scaling(f: PlanarCandidate | MonomialSum) -> int:
+    """The order e of a subgroup of F^* under which f scales, read off the
+    exponents e_i of its merged terms (`_log_terms`): f(lam x) = lam^(e_0)
+    f(x) wherever every lam^(e_i - e_0) = 1, so e = gcd(order - 1, e_i -
+    e_0).  Each exponent is listed once, with a nonzero coefficient, so
+    terms that cancel (the trace pair on n = 2 where Tr(a) = 0) do not
+    shrink the group.  For a candidate p - 1 divides e (every e_i is 2 mod
+    p - 1).  Outside table mode, F_p^*: e = p - 1.  Brute force and rank
+    read it as `f._scaling`, once per function."""
+    ctx = f.ctx
     if not ctx.table_mode:
         return ctx.p - 1
-    terms = cand._log_terms
+    terms = f._log_terms
     g = ctx.order - 1
     for _, e in terms:
         g = math.gcd(g, e - terms[0][1])
@@ -744,13 +746,13 @@ def _fq_values(ctx: FieldCtx, ells: Sequence[LinearizedPoly],
     polynomial of a list on one field: index arrays, row by row, u ascending.
 
     Up to CRITERION_TABLE_MAX elements they are read off the stack of the
-    polynomials' value tables (`_ell_stack`), made here unless given.  Above
+    polynomials' value tables (`fill_values`), made here unless given.  Above
     it, u runs over the kernel of u -> ell(u)^q - ell(u), found from the d
     images ell(p^k) by fp_nullspace; the span tables of its basis and of the
     basis images list u and ell(u), so the cost follows the kernel's size
     instead of the field's."""
     if ctx.order <= CRITERION_TABLE_MAX:
-        tabs = _ell_stack(ells) if ell_tabs is None else ell_tabs
+        tabs = fill_values(ells) if ell_tabs is None else ell_tabs
         in_fq = ctx.subfield_mask.take(tabs)
         in_fq[:, 0] = False
         flat = in_fq.ravel().nonzero()[0]
@@ -778,8 +780,9 @@ class Batch:
     on any of them runs the kernel once on the stack of all their value
     tables, the first criterion call runs one masked core over all of them,
     and every call reads its candidate's row, whose witness `_verdict`
-    re-checks.  The ell tables both read are made as one stack, kept once
-    for both, and cached on each polynomial, where a reduction oracle finds
+    re-checks.  The ell tables both read are one stack (`fill_values`),
+    kept once for both: the stack made for the batch's new polynomials, no
+    copy, whose rows each polynomial caches, where a reduction oracle finds
     them too."""
 
     def __init__(self, cands: Sequence[PlanarCandidate]):
@@ -794,7 +797,7 @@ class Batch:
 
     @functools.cached_property
     def _ell_tabs(self) -> np.ndarray:
-        return _ell_stack([cand.ell for cand in self.cands])
+        return fill_values([cand.ell for cand in self.cands])
 
     @functools.cached_property
     def _witnesses(self) -> list:

@@ -415,17 +415,20 @@ def _scalar_images(ell):
                               "F_257"])
 def test_fill_values_matches_scalar_images(pmn):
     # one vector pass makes the images and the tables of a whole stack, dense
-    # and sparse ells mixed; each row matches the scalar images, the table
-    # built from them alone, and ell at sampled points
+    # and sparse ells mixed, and returns that stack, whose rows each ell
+    # keeps; each row matches the scalar images, the table built from them
+    # alone, and ell at sampled points
     ctx = new_ctx(*pmn)
     rng = np.random.default_rng(ctx.order + 1)
     ells = [random_poly(ctx, rng) for _ in range(4)]
     ells += [LinearizedPoly.monomial(ctx, int(rng.integers(1, ctx.order)), t)
              for t in rng.integers(0, ctx.degree, 3).tolist()]
     ells += [LinearizedPoly.zero(ctx), LinearizedPoly.identity(ctx)]
-    fill_values(ells)
+    stack = fill_values(ells)
+    assert stack.shape == (len(ells), ctx.order) and not stack.flags.writeable
     xs = rng.integers(0, ctx.order, 50).tolist()
-    for ell in ells:
+    for ell, row in zip(ells, stack):
+        assert np.shares_memory(stack, ell.values) and np.array_equal(row, ell.values)
         want = _scalar_images(ell)
         assert vars(ell)["images"] == want and ell.images == want
         assert all(type(v) is int for v in ell.images)
@@ -436,12 +439,15 @@ def test_fill_values_matches_scalar_images(pmn):
 
 def test_fill_values_keeps_what_is_cached():
     # a table already made is not made again, and images already computed
-    # stay the same object
+    # stay the same object; the stack holds every row, cached or new
     ctx = new_ctx(5, 2, 2)
     rng = np.random.default_rng(3)
     done, fresh, imaged = (random_poly(ctx, rng) for _ in range(3))
     table = done.values
     images = imaged.images
-    fill_values([done, fresh, imaged])
+    stack = fill_values([done, fresh, imaged])
     assert done.values is table and imaged.images is images
+    assert [row.tolist() for row in stack] == \
+        [ell.values.tolist() for ell in (done, fresh, imaged)]
+    assert np.array_equal(fill_values([fresh, done])[::-1], stack[:2])
     assert fresh.images == _scalar_images(fresh)

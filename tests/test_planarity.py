@@ -862,8 +862,8 @@ def _planar_binomial_members(ctx, count):
 
 def _scaling_inputs(ctx, count):
     """Candidates whose monomials scale under groups of every size: random
-    ones, rows with Tr(a) = 0 (their trace terms cancel, yet are listed) and
-    one ell monomial, a = 0 with one ell monomial, and x^2."""
+    ones, rows with Tr(a) = 0 (on n = 2 their trace terms cancel and drop
+    out) and one ell monomial, a = 0 with one ell monomial, and x^2."""
     rng = np.random.default_rng(ctx.order + 2)
     cands = list(_random_candidates(ctx, count))
     zero_trace = [a for a in range(1, ctx.order) if ctx.rel_trace(a) == 0]
@@ -918,6 +918,110 @@ def test_rank_directions_are_the_class_minima_on_f_p_star():
     cubic = CubicCoeffs(F27, 1, ((1, 2, 0),)).candidate()
     assert planarity._monomial_scaling(cubic) == 2
     assert planarity._monomial_scaling(square_candidate(new_ctx(3, 1, 5, table_cap=1))) == 2
+
+
+@pytest.mark.parametrize("pmn", [(3, 1, 2), (3, 2, 2), (5, 2, 2), (3, 1, 3), (5, 1, 4)],
+                         ids=["F_9", "F_81", "F_625", "F_27", "F_5^4"])
+def test_candidate_terms_merge_equal_exponents(pmn):
+    # on n = 2, a x^(q+1) and a^q x^(q^2+q) share the exponent q + 1 mod
+    # q^2 - 1 and are one term Tr(a) x^(q+1), none where Tr(a) = 0; on
+    # n >= 3 the n trace exponents differ.  ell's terms are never merged
+    ctx = new_ctx(*pmn)
+    M, q, log = ctx.order - 1, ctx.q, ctx.log_table
+    rng = np.random.default_rng(ctx.order)
+    ell = LinearizedPoly(ctx, tuple(int(v) for v in rng.integers(1, ctx.order, ctx.degree)))
+    ell_terms = {(int(log[c]), 2 * ctx.p**t % M) for t, c in enumerate(ell.coeffs)}
+    traces = {ctx.rel_trace(a): a for a in range(1, ctx.order)}
+    assert 0 in traces and len(traces) == ctx.q
+    for a in traces.values():
+        terms = PlanarCandidate(ctx, a, ell)._log_terms
+        assert len({e for _, e in terms}) == len(terms)
+        trace = set(terms) - ell_terms
+        assert set(terms) - trace == ell_terms
+        tr = ctx.rel_trace(a)
+        if ctx.n == 2:
+            assert trace == ({(int(log[tr]), q + 1)} if tr else set())
+        else:
+            assert trace == {(int(log[a]) * q**k % M, (q + 1) * q**k % M)
+                             for k in range(ctx.n)}
+    if pmn == (5, 2, 2):
+        # q25 candidates: Tr(a) x^(q+1) and ell's two terms
+        members = _planar_binomial_members(ctx, 3) + [
+            MonomialFamilyParams(ctx, 1, b, c).candidate() for b, c in
+            rng.integers(1, ctx.order, (20, 2)).tolist() if ctx.rel_norm(b) != ctx.rel_norm(c)]
+        assert {len(cand._log_terms) for cand in members} == {3}
+
+
+def test_monomial_sum_terms_merge_equal_exponents():
+    # e and e + (order - 1) are one term, whose coefficients add; a pair
+    # that cancels drops out, and so do zero coefficients
+    ctx = F243
+    M, log = ctx.order - 1, ctx.log_table
+    c1, c2, c3 = 5, 17, 101
+    f = MonomialSum(ctx, [(c1, 4), (c3, 7), (0, 9), (c2, 4 + M)])
+    assert f._log_terms == ((log[ctx.add(c1, c2)], 4), (log[c3], 7))
+    cancelling = MonomialSum(ctx, [(c1, 4), (c3, 7), (ctx.neg(c1), 4 + M)])
+    assert cancelling._log_terms == ((log[c3], 7),)
+    assert planarity._monomial_scaling(cancelling) == M
+
+
+def test_scaling_is_read_once_per_function(monkeypatch):
+    # brute force and rank read one cached group per candidate, however
+    # often they run; a MonomialSum caches its own
+    calls = []
+    scaling = planarity._monomial_scaling
+    monkeypatch.setattr(planarity, "_monomial_scaling",
+                        lambda f: calls.append(f) or scaling(f))
+    planar, = _planar_binomial_members(F625, 1)
+    for _ in range(2):
+        assert is_planar_bruteforce(planar).planar and is_planar_rank(planar).planar
+    assert calls == [planar]
+    square = MonomialSum(F625, [(1, 2)])
+    assert is_planar_bruteforce(square).planar and is_planar_bruteforce(square).planar
+    assert calls == [planar, square]
+
+
+def _unmerged_scaling(cand):
+    """The group read off every monomial of a candidate with a nonzero
+    coefficient, equal exponents listed apart: the trace pair of a Tr(a) = 0
+    row on n = 2 keeps its exponent, which can only make the group smaller."""
+    M = cand.ctx.order - 1
+    es = [e % M for c, e in cand.monomials if c]
+    return math.gcd(M, *(e - es[0] for e in es))
+
+
+@pytest.mark.parametrize("pmn", [(3, 1, 2), (3, 2, 2), (5, 2, 2), (3, 4, 2)],
+                         ids=["F_9", "F_81", "F_625", "F_3^8"])
+def test_traceless_rows_match_unmerged_groups(pmn, monkeypatch):
+    # a Tr(a) = 0 row scales under the group of ell(x^2) alone, at least as
+    # large as the unmerged terms give; rank and brute force scan fewer
+    # directions and report the verdicts and witnesses the smaller group gives
+    ctx = new_ctx(*pmn)
+    rng = np.random.default_rng(ctx.order)
+    zero_trace = [a for a in range(1, ctx.order) if ctx.rel_trace(a) == 0]
+    while True:
+        dense = LinearizedPoly(ctx, tuple(int(v) for v in
+                                          rng.integers(0, ctx.order, ctx.degree)))
+        if not dense.is_permutation():
+            break
+    ells = [LinearizedPoly.identity(ctx),
+            LinearizedPoly.monomial(ctx, int(rng.integers(1, ctx.order)), ctx.degree - 1),
+            LinearizedPoly.monomial(ctx, 1, ctx.m) - LinearizedPoly.identity(ctx), dense]
+    rows = [(int(rng.choice(zero_trace)), ell) for ell in ells]
+
+    def routes(a, ell):
+        cand = PlanarCandidate(ctx, a, ell)
+        return [(rep.planar, rep.witness) for rep in
+                (is_planar_bruteforce(cand), is_planar_rank(cand))], cand._scaling
+
+    merged = [routes(a, ell) for a, ell in rows]
+    monkeypatch.setattr(planarity, "_monomial_scaling", _unmerged_scaling)
+    unmerged = [routes(a, ell) for a, ell in rows]
+    assert [m[0] for m in merged] == [u[0] for u in unmerged]
+    assert [m[0][0][0] for m in merged] == [True, True, False, False]
+    directions = lambda e: sum(map(len, planarity._rank_directions(ctx, e)))
+    assert all(m[1] % u[1] == 0 for m, u in zip(merged, unmerged))
+    assert any(directions(m[1]) < directions(u[1]) for m, u in zip(merged, unmerged))
 
 
 def reference_reduction(cand):
