@@ -205,13 +205,15 @@ def cmd_verify(args, config: Config) -> int:
     cand = _candidate_from_args(args, config)
     ctx = cand.ctx
     reports = {}
-    if ctx.order <= config.brute_cap:
+    # brute force, the reduction and the criterion read value or log tables,
+    # so outside table mode rank answers alone
+    if ctx.table_mode and ctx.order <= config.brute_cap:
         reports["bruteforce"] = is_planar_bruteforce(cand, config.brute_cap)
         reports["reduction"] = is_planar_reduction(cand, config.brute_cap)
     reports["rank"] = is_planar_rank(cand, config.brute_cap)
     records = [rep.to_json(ctx) for rep in reports.values()]
     methods = sorted(reports)
-    if ctx.n == 2:
+    if ctx.n == 2 and ctx.table_mode:
         started = time.perf_counter()
         criterion = criterion_quadratic(cand)
         ms = (time.perf_counter() - started) * 1e3

@@ -185,9 +185,7 @@ def theorem_nbc_forms(params: NbcFamilyParams) -> tuple[bool, bool | None]:
         if rhs != 0:
             third = True
         else:
-            third = all(
-                ctx.pow(w, q - 1) != bq_cinv for w in range(1, ctx.order)
-            )
+            third = not _power_equation_solutions(ctx, q - 1, bq_cinv)
     else:
         third = all(
             ctx.pow(w, q - 1) != bq_cinv

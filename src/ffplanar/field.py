@@ -11,13 +11,13 @@ modular polynomial arithmetic.  Both modes implement the same operations and
 agree elementwise.
 
 Scalar operations read the numpy tables the vector operations use, through
-memoryviews made on first use: mul, inv and pow read the exp/log tables in
-table mode, and add, neg and sub read the addition and negation tables when
-the field has at most ADD_TABLE_CAP (1024) elements.  Above that, in table
-mode, add and sub read the Zech table Z[k] = log(1 + g^k), g^i + g^j =
-g^(i + Z(j - i)), and neg is -g^i = g^(i + (order-1)/2); Z is one gather
-from the exp and log tables, made on first use.  In polynomial mode add and
-neg run digit by digit, and mul, inv and pow by polynomial arithmetic.
+memoryviews made on first use.  In table mode mul, inv and pow read the
+exp/log tables, neg is -g^i = g^(i + (order-1)/2), and add reads the
+addition table when the field has at most ADD_TABLE_CAP (1024) elements,
+and above that the Zech table Z[k] = log(1 + g^k), g^i + g^j = g^(i +
+Z(j - i)); Z is one gather from the exp and log tables, made on first use.
+In polynomial mode add and neg run digit by digit, and mul, inv and pow by
+polynomial arithmetic.  In both modes sub adds the negation.
 `log_sum` evaluates a sum of monomials at one point in table mode with no
 field addition: each term is one exponent, and the terms are summed as
 logarithms through Z.  Vector addition works on one plane of a few digits
@@ -404,14 +404,21 @@ class FieldCtx:
     # -- scalar arithmetic -------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        # the addition table up to ADD_TABLE_CAP elements, because it is the
+        # faster path: an add read it in 126-165 ns against 329-429 ns by
+        # Zech on F_3^5, F_5^4 and F_7^3 (timeit, min of 7, shared 2-vCPU
+        # machine, Python 3.11)
         tab = self._add_view
         if tab is not None:
             return tab[a, b]
         if self.table_mode:
+            # g^i + g^j = g^(i + Z(j - i))
             if a == 0 or b == 0:
                 return a or b
-            log = self._log_view
-            return self._zech_add(log[a], log[b])
+            M, log = self.order - 1, self._log_view
+            i = log[a]
+            z = self._zech_view[(log[b] - i) % M]
+            return 0 if z < 0 else self._exp_view[(i + z) % M]
         p, out, w = self.p, 0, 1
         for _ in range(self.degree):
             out += (a % p + b % p) % p * w
@@ -421,14 +428,12 @@ class FieldCtx:
         return out
 
     def neg(self, a: int) -> int:
-        tab = self._neg_view
-        if tab is not None:
-            return tab[a]
         if self.table_mode:
+            # -g^i = g^(i + (order - 1)/2)
             if a == 0:
                 return 0
-            half = (self.order - 1) // 2  # -1 = g^half
-            return self._exp_view[(self._log_view[a] + half) % (self.order - 1)]
+            M = self.order - 1
+            return self._exp_view[(self._log_view[a] + M // 2) % M]
         p, out, w = self.p, 0, 1
         for _ in range(self.degree):
             out += (-a % p) * w
@@ -437,23 +442,7 @@ class FieldCtx:
         return out
 
     def sub(self, a: int, b: int) -> int:
-        tab = self._add_view
-        if tab is not None:
-            return tab[a, self._neg_view[b]]
-        if self.table_mode:
-            if b == 0:
-                return a
-            if a == 0:
-                return self.neg(b)
-            log = self._log_view
-            return self._zech_add(log[a], log[b] + (self.order - 1) // 2)
         return self.add(a, self.neg(b))
-
-    def _zech_add(self, i: int, j: int) -> int:
-        """g^i + g^j, by g^i (1 + g^(j - i)) = g^(i + Z(j - i))."""
-        M = self.order - 1
-        z = self._zech_view[(j - i) % M]
-        return 0 if z < 0 else self._exp_view[(i + z) % M]
 
     def log_sum(self, terms, x: int) -> int:
         """sum of c x^e at a nonzero x in table mode, for the terms given as
@@ -755,17 +744,13 @@ class FieldCtx:
         p, idx = self.p, np.arange(self.order, dtype=np.int64)
         return sum(-(idx // p**i) % p * p**i for i in range(self.degree))
 
-    # Scalar add/neg/sub read add_matrix and the negation table, and
-    # mul/inv/pow the exp/log tables, through memoryviews of the same
-    # buffers: indexing one yields a Python int without a numpy scalar.
+    # Scalar add reads add_matrix, and neg, mul, inv and pow the exp/log
+    # tables, through memoryviews of the same buffers: indexing one yields a
+    # Python int without a numpy scalar.
 
     @functools.cached_property
     def _add_view(self) -> memoryview | None:
         return None if self.order > ADD_TABLE_CAP else memoryview(self.add_matrix)
-
-    @functools.cached_property
-    def _neg_view(self) -> memoryview | None:
-        return None if self.order > ADD_TABLE_CAP else memoryview(self._neg_table)
 
     @functools.cached_property
     def zech_table(self) -> np.ndarray:

@@ -38,16 +38,17 @@ D_c(x) = f(x+c) - f(x), c != 0, permutes the field:
 Each route refuses an input over its cap before any work, then runs a search
 that returns a witness (c, x1, x2) or None; `_verdict` times the call,
 re-checks the witness on f and builds the report.  Scalar f, which rank's
-basis values and the re-check read, is in table mode the sum of f's
+basis values and the re-check read, is in both field modes the sum of f's
 monomials (f is Dembowski-Ostrom), a^(q^k) x^((q+1) q^k) for the trace and
 c_t x^(2 p^t) for ell, with the coefficients of equal exponents mod
 order - 1 added and zero sums dropped: on n = 2 the trace pair is one term
 Tr(a) x^(q+1), and none where Tr(a) = 0.  A candidate and a MonomialSum
-keep these terms as (log coefficient, exponent) pairs, made by one builder
-(`_merged_log_terms`), and read their scaling group off the same pairs.
-Each term at x is one exponent, and `FieldCtx.log_sum` adds them through
-the Zech table, so scalar f reads no value table, addition table or digit
-plane; polynomial mode sums the conjugates and ell's terms with scalar ops.
+share one body for this (`_Monomials`): the merged terms are made once per
+object (`_merged_terms`), and so are f(0), a constant, and the scaling
+group read off the same terms.  In table mode each term at x is one
+exponent of the terms' logs, and `FieldCtx.log_sum` adds them through the
+Zech table, so scalar f reads no value table, addition table or digit
+plane; polynomial mode sums the same terms with scalar ops.
 The directions and v the three scans skip are never the least of their
 coset, so each still reports the lowest non-permuting direction (the
 lowest vanishing v), with the witness a scan of every one would give.
@@ -159,31 +160,55 @@ CANDIDATE_SHAPE = {
 
 
 class _Monomials:
-    """What table mode reads of a function given by its `monomials`, each
-    built once per object: its terms as `FieldCtx.log_sum` reads them
-    (`_merged_log_terms`) and the order of a group it scales under
+    """A function given by its `monomials`, (coefficient, exponent) pairs,
+    evaluated as their sum.  Each of these is built once per object: the
+    merged terms (`_merged_terms`), their logs as `FieldCtx.log_sum` reads
+    them in table mode, f(0), and the order of a group f scales under
     (`_monomial_scaling`), which brute force and rank both read."""
 
     @functools.cached_property
+    def _terms(self) -> tuple[tuple[int, int], ...]:
+        return _merged_terms(self.ctx, self.monomials)
+
+    @functools.cached_property
     def _log_terms(self) -> tuple[tuple[int, int], ...]:
-        return _merged_log_terms(self.ctx, self.monomials)
+        log = self.ctx._log_view
+        return tuple((log[c], e) for c, e in self._terms)
+
+    @functools.cached_property
+    def _at_zero(self) -> int:
+        """f(0), the sum of the coefficients of exponent 0: x^e = 0 at x = 0
+        for every other e, so the merged terms, where e = 0 and e = order - 1
+        are one, do not give it.  0 for every candidate."""
+        return functools.reduce(self.ctx.add, (c for c, e in self.monomials if e == 0), 0)
 
     @functools.cached_property
     def _scaling(self) -> int:
         return _monomial_scaling(self)
 
+    def __call__(self, x: int) -> int:
+        if not x:
+            return self._at_zero
+        ctx = self.ctx
+        if ctx.table_mode:
+            return ctx.log_sum(self._log_terms, x)
+        acc = 0
+        for c, e in self._terms:
+            acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, e)))
+        return acc
 
-def _merged_log_terms(ctx: FieldCtx, monomials) -> tuple[tuple[int, int], ...]:
-    """sum c x^e over (c, e) pairs as `FieldCtx.log_sum` reads it at x != 0:
-    one (log c, e mod (order - 1)) pair per exponent.  x^e = x^(e mod
-    (order - 1)) there, so the coefficients of equal exponents are added in
-    the field (e = 0 and e = order - 1 are both the constant term), and
-    zero sums, zero coefficients among them, drop out."""
+
+def _merged_terms(ctx: FieldCtx, monomials) -> tuple[tuple[int, int], ...]:
+    """sum c x^e over (c, e) pairs as it reads at x != 0: one (c, e mod
+    (order - 1)) pair per exponent.  x^e = x^(e mod (order - 1)) there, so
+    the coefficients of equal exponents are added (e = 0 and e = order - 1
+    are both the constant term), and zero sums, zero coefficients among
+    them, drop out."""
     merged = {}
     for c, e in monomials:
         e %= ctx.order - 1
         merged[e] = ctx.add(merged[e], c) if e in merged else c
-    return tuple((ctx._log_view[c], e) for e, c in merged.items() if c)
+    return tuple((c, e) for e, c in merged.items() if c)
 
 
 @dataclass(frozen=True)
@@ -199,13 +224,6 @@ class PlanarCandidate(_Monomials):
             raise ValueError("candidate parts use different field contexts")
         if not 0 <= self.a < self.ctx.order:
             raise ValueError("coefficient index out of range")
-
-    def __call__(self, x: int) -> int:
-        ctx = self.ctx
-        if ctx.table_mode:
-            return ctx.log_sum(self._log_terms, x) if x else 0
-        t = ctx.rel_trace(ctx.mul(self.a, ctx.pow(x, ctx.q + 1)))
-        return ctx.add(t, self.ell(ctx.mul(x, x)))
 
     @property
     def monomials(self) -> list[tuple[int, int]]:
@@ -320,15 +338,6 @@ class MonomialSum(_Monomials):
 
     ctx: FieldCtx
     monomials: Sequence[tuple[int, int]]
-
-    def __call__(self, x: int) -> int:
-        ctx = self.ctx
-        if ctx.table_mode and x:
-            return ctx.log_sum(self._log_terms, x)
-        acc = 0
-        for coeff, e in self.monomials:
-            acc = ctx.add(acc, ctx.mul(coeff, ctx.pow(x, e)))
-        return acc
 
     def f_table(self) -> np.ndarray:
         ctx = self.ctx
@@ -552,17 +561,18 @@ def is_planar_rank(cand: PlanarCandidate,
 
 def _monomial_scaling(f: PlanarCandidate | MonomialSum) -> int:
     """The order e of a subgroup of F^* under which f scales, read off the
-    exponents e_i of its merged terms (`_log_terms`): f(lam x) = lam^(e_0)
-    f(x) wherever every lam^(e_i - e_0) = 1, so e = gcd(order - 1, e_i -
-    e_0).  Each exponent is listed once, with a nonzero coefficient, so
-    terms that cancel (the trace pair on n = 2 where Tr(a) = 0) do not
-    shrink the group.  For a candidate p - 1 divides e (every e_i is 2 mod
-    p - 1).  Outside table mode, F_p^*: e = p - 1.  Brute force and rank
-    read it as `f._scaling`, once per function."""
+    exponents e_i of its merged terms (`_terms`): f(lam x) = lam^(e_0) f(x)
+    wherever every lam^(e_i - e_0) = 1, so e = gcd(order - 1, e_i - e_0).
+    Each exponent is listed once, with a nonzero coefficient, so terms that
+    cancel (the trace pair on n = 2 where Tr(a) = 0) do not shrink the
+    group.  For a candidate p - 1 divides e (every e_i is 2 mod p - 1).
+    Outside table mode, F_p^*: e = p - 1, since rank reads the coset minima
+    of any larger group off the log table.  Brute force and rank read it as
+    `f._scaling`, once per function."""
     ctx = f.ctx
     if not ctx.table_mode:
         return ctx.p - 1
-    terms = f._log_terms
+    terms = f._terms
     g = ctx.order - 1
     for _, e in terms:
         g = math.gcd(g, e - terms[0][1])

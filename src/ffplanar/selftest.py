@@ -328,50 +328,40 @@ def _check_cubic_root_test(shared: _Shared) -> tuple[bool, str]:
     return True, "2028 exhaustive + 10000 sampled + 1000 determinant triples"
 
 
+def _kernel_fault(ell: LinearizedPoly, at: str, exact: bool = True) -> str | None:
+    """Why ell breaks the kernel bound of a planar candidate, or None: its
+    kernel has at most q elements, and, if `exact`, exactly q where its
+    image meets F_q only in 0."""
+    ctx, dim = ell.ctx, ell.kernel().dim
+    if ctx.p**dim > ctx.q:
+        return f"kernel too large at {at}"
+    if exact and ctx.p**dim != ctx.q:
+        fq = set(ctx.subfield_elements())
+        if [e for e in ell.image().elements() if e in fq] == [0]:
+            return f"kernel not exactly q at {at}"
+    return None
+
+
 def _check_kernel_bound(shared: _Shared) -> tuple[bool, str]:
-    checked = 0
     sweep = shared.binomial_sweep(5, 2, 1)
     ctx25 = sweep["ctx"]
-    fq25 = set(ctx25.subfield_elements())
     planar_pairs = np.argwhere(sweep["oracle"] & sweep["valid"])
     rng = np.random.default_rng(shared.config.seed)
     sample = planar_pairs[rng.integers(0, len(planar_pairs), size=300)]
-    for b, c in sample:
-        ell = MonomialFamilyParams(ctx25, 1, int(b), int(c)).ell()
-        ker = ell.kernel()
-        if ctx25.p**ker.dim > ctx25.q:
-            return False, f"kernel too large at ({b},{c})"
-        image = ell.image()
-        inter = [e for e in image.elements() if e in fq25]
-        if inter == [0] and ctx25.p**ker.dim != ctx25.q:
-            return False, f"kernel not exactly q at ({b},{c})"
-        checked += 1
+    cases = [(MonomialFamilyParams(ctx25, 1, int(b), int(c)).ell(), f"({b},{c})", True)
+             for b, c in sample]
     scan = shared.nbc_q9_scan()
     ctx9 = scan["ctx"]
-    fq9 = set(ctx9.subfield_elements())
-    neg1 = ctx9.neg(1)
-    for c0, pred, oracle, _, _ in scan["rows"]:
-        if not oracle:
-            continue
-        ell = NbcFamilyParams(ctx9, 1, 1, neg1, c0).ell()
-        ker = ell.kernel()
-        if ctx9.p**ker.dim > ctx9.q:
-            return False, f"kernel too large at c0={c0}"
-        image = ell.image()
-        inter = [e for e in image.elements() if e in fq9]
-        if inter == [0] and ctx9.p**ker.dim != ctx9.q:
-            return False, f"kernel not exactly q at c0={c0}"
-        checked += 1
-    mono = shared.f9_monomial_scan()
+    cases += [(NbcFamilyParams(ctx9, 1, 1, ctx9.neg(1), c0).ell(), f"c0={c0}", True)
+              for c0, pred, oracle, _, _ in scan["rows"] if oracle]
     ctx = new_ctx(3, 1, 2)
-    for b, t, crit, oracle in mono["rows"]:
-        if not oracle:
-            continue
-        ell = LinearizedPoly.monomial(ctx, b, t)
-        if ctx.p**ell.kernel().dim > ctx.q:
-            return False, f"kernel too large at monomial ({b},{t})"
-        checked += 1
-    return True, f"{checked} planar candidates within the kernel bound"
+    cases += [(LinearizedPoly.monomial(ctx, b, t), f"monomial ({b},{t})", False)
+              for b, t, crit, oracle in shared.f9_monomial_scan()["rows"] if oracle]
+    for case in cases:
+        fault = _kernel_fault(*case)
+        if fault:
+            return False, fault
+    return True, f"{len(cases)} planar candidates within the kernel bound"
 
 
 def _check_subspace_roundtrip(shared: _Shared) -> tuple[bool, str]:

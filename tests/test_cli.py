@@ -101,6 +101,38 @@ def test_configured_brute_cap_bounds_rank(tmp_path, capsys):
         assert err == "error: 13 rank directions exceed brute-force cap 12\n"
 
 
+def test_verify_below_the_table_cap_runs_rank_alone(tmp_path, capsys):
+    # a field above the table cap is in polynomial mode, where brute force,
+    # the reduction and the criterion have no tables to read: verify runs
+    # rank, which re-checks its witness on f summed from its monomials
+    from ffplanar.field import new_ctx
+    from ffplanar.linpoly import LinearizedPoly
+    from ffplanar.planarity import check_witness
+
+    config = tmp_path / "cap1.json"
+    config.write_text(json.dumps({"table_cap": 1}))
+    code, out, err = run_cli(capsys, "--config", str(config), "verify",
+                             "--p", "3", "--m", "1", "--n", "2", "--a", "1")
+    assert code == 1 and err == ""
+    (record, summary) = [json.loads(line) for line in out.strip().split("\n")]
+    assert summary == {"agreement": True, "methods": ["rank"], "planar": False}
+    assert record["method"] == "rank" and not record["planar"]
+    ctx = new_ctx(3, 1, 2, table_cap=1)
+    assert not ctx.table_mode
+    witness = [ctx.parse_element(record["witness"][k]) for k in ("c", "x1", "x2")]
+    assert check_witness(PlanarCandidate(ctx, 1, LinearizedPoly.zero(ctx)), ctx, witness)
+    code, out, _ = run_cli(capsys, "--config", str(config), "verify", "--p", "3",
+                           "--m", "1", "--n", "5", "--ell-preset", "identity")
+    assert code == 0 and json.loads(out.strip().split("\n")[-1])["methods"] == ["rank"]
+    # README's example config: F_3^8 has 6561 elements, above its cap of 4096
+    config.write_text(json.dumps({"table_cap": 4096, "fmt": "csv"}))
+    code, out, _ = run_cli(capsys, "--config", str(config), "verify", "--p", "3",
+                           "--m", "1", "--n", "8", "--ell-preset", "identity")
+    rows = list(csv.DictReader(out.splitlines()))
+    assert code == 0 and [row["method"] for row in rows] == ["rank", ""]
+    assert rows[-1]["methods"] == '["rank"]' and rows[-1]["planar"] == "True"
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

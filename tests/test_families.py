@@ -235,6 +235,31 @@ def test_nbc_bullet_and_simplified_forms_agree_q9():
         assert bullet == simplified
 
 
+@pytest.mark.parametrize("ctx", [F81, F625], ids=["F_81", "F_625"])
+def test_nbc_degenerate_twisted_equation_matches_bruteforce(ctx):
+    # (c^q/b)^(p^k) = 1 and (c^q/b) c0^q = c0: the twisted equation holds
+    # for every omega, so the third bullet asks whether no omega has
+    # omega^(q-1) = b^q/c at all.  The predicate, whose other bullets hold
+    # on some of these inputs, matches brute force on each
+    rng = np.random.default_rng(ctx.order)
+    q, cases, deciding = ctx.q, 0, 0
+    while cases < 40:
+        b, c = (int(v) for v in rng.integers(1, ctx.order, 2))
+        binv_cq = ctx.mul(ctx.inv(b), ctx.frobenius(c, ctx.m))
+        if ctx.rel_norm(b) != ctx.rel_norm(c) or ctx.pow(binv_cq, ctx.p) != 1:
+            continue
+        for c0 in range(ctx.order):
+            if ctx.mul(binv_cq, ctx.frobenius(c0, ctx.m)) != c0:
+                continue
+            params = NbcFamilyParams(ctx, 1, b, c, c0)
+            assert theorem_nbc_predicate(params) == \
+                is_planar_bruteforce(params.candidate()).planar
+            first = ctx.pow(ctx.mul(ctx.inv(b), c), (q + 1) // 2) == ctx.neg(1)
+            deciding += first and c0 == 0
+            cases += 1
+    assert deciding > 0
+
+
 def test_nbc_first_bullet_violation():
     # c = b makes (b^-1 c)^((q+1)/2) = +1, so the predicate is false
     params = NbcFamilyParams(F81, 1, 1, 1, 0)

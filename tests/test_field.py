@@ -330,9 +330,12 @@ def test_shifted_differences_match_vector_ops(shape):
 def test_scalar_tables_made_on_first_use():
     ctx = FieldCtx(3, 1, 5, DEFAULT_TABLE_CAP)
     assert ctx._cache == {}
-    assert not {"_add_view", "_neg_view", "_exp_view", "_log_view"} & set(vars(ctx))
+    assert not {"_add_view", "_exp_view", "_log_view"} & set(vars(ctx))
+    # sub is an add of a negation: the addition table and, for the
+    # negation, the exp and log tables
     assert ctx.sub(ctx.add(7, 9), 9) == 7
-    assert {"_add_view", "_neg_view"} <= set(vars(ctx))
+    assert {"_add_view", "_exp_view", "_log_view"} <= set(vars(ctx))
+    assert "_zech_view" not in vars(ctx)
     # the views are left out of a pickle and made again
     back = pickle.loads(pickle.dumps(ctx))
     assert back.mul(back.add(7, 9), 5) == ctx.mul(ctx.add(7, 9), 5)
@@ -472,10 +475,9 @@ def test_zech_table_is_log_of_one_plus():
         assert (ctx.zech_table == -1).sum() == 1
 
 
-def test_zech_scalar_ops_on_every_pair_of_f_3_7():
-    # above ADD_TABLE_CAP scalar add, sub and neg read Z: every pair of
-    # F_3^7 against digitwise sums made by vector arithmetic
-    ctx = new_ctx(3, 1, 7)
+def _assert_scalar_ops_on_every_pair(ctx):
+    """Scalar add, sub and neg on every pair against digitwise sums made by
+    vector arithmetic."""
     xs = np.arange(ctx.order)
     bs = range(ctx.order)
     assert list(map(ctx.neg, bs)) == _digitwise(ctx, 0, xs, -1).tolist()
@@ -483,6 +485,21 @@ def test_zech_scalar_ops_on_every_pair_of_f_3_7():
         row = [a] * ctx.order
         assert list(map(ctx.add, row, bs)) == _digitwise(ctx, a, xs).tolist()
         assert list(map(ctx.sub, row, bs)) == _digitwise(ctx, a, xs, -1).tolist()
+
+
+def test_zech_scalar_ops_on_every_pair_of_f_3_7():
+    # above ADD_TABLE_CAP scalar add reads Z, neg shifts a log and sub adds
+    # the negation
+    _assert_scalar_ops_on_every_pair(new_ctx(3, 1, 7))
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 2), (3, 1, 3), (3, 2, 2), (7, 1, 3), (3, 1, 5)])
+def test_scalar_ops_below_the_add_table_cap_on_every_pair(shape):
+    # add reads the addition table, neg shifts a log by (order - 1)/2, and
+    # sub adds the negation
+    ctx = new_ctx(*shape)
+    assert ctx.add_matrix is not None
+    _assert_scalar_ops_on_every_pair(ctx)
 
 
 @pytest.mark.parametrize("shape", [(3, 1, 7), (5, 1, 5), (7, 1, 4), (11, 1, 3),

@@ -1405,6 +1405,32 @@ def test_f_in_polynomial_mode_keeps_the_conjugate_formula():
 
 
 @pytest.mark.parametrize("table_cap", [DEFAULT_TABLE_CAP, 1], ids=["table", "polynomial"])
+@pytest.mark.parametrize("pmn", [(3, 1, 2), (3, 2, 2), (3, 1, 3), (3, 1, 5)],
+                         ids=["F_9", "F_81", "F_27", "F_3^5"])
+def test_f_is_its_monomials_in_both_modes(pmn, table_cap):
+    # one body sums f's merged terms, through the Zech table or with scalar
+    # ops, and reads f(0) as a constant; the trace + ell formula is the
+    # reference: n = 2 merges the trace pair, and the candidates include
+    # a = 0, ell = 0 and, on n = 2, Tr(a) = 0
+    ctx = field.FieldCtx(*pmn, table_cap)
+    assert ctx.table_mode == (table_cap > 1)
+    for cand in _candidates_for_evaluation(ctx, np.random.default_rng(ctx.order)):
+        assert [cand(x) for x in ctx.elements()] == \
+            [reference_f(cand, x) for x in ctx.elements()]
+        assert vars(cand)["_at_zero"] == 0
+        if ctx.n == 2:
+            tr = ctx.rel_trace(cand.a)
+            trace_terms = [(c, e) for c, e in cand._terms if e == ctx.q + 1]
+            assert trace_terms == ([(tr, ctx.q + 1)] if tr else [])
+    # a constant term is f(0); at x != 0 it merges with x^(order - 1)
+    c = [int(v) for v in np.random.default_rng(3).integers(1, ctx.order, 3)]
+    f = MonomialSum(ctx, [(c[0], 0), (c[1], 2), (c[2], ctx.order - 1)])
+    assert f(0) == c[0] and vars(f)["_at_zero"] == c[0]
+    assert [f(x) for x in range(1, ctx.order)] == \
+        [ctx.add(ctx.add(c[0], c[2]), ctx.mul(c[1], ctx.mul(x, x))) for x in range(1, ctx.order)]
+
+
+@pytest.mark.parametrize("table_cap", [DEFAULT_TABLE_CAP, 1], ids=["table", "polynomial"])
 def test_monomial_sum_in_the_log_domain(table_cap):
     # e = 0 is the constant term, which is f(0); e >= order and repeated
     # exponents reduce mod order - 1 at x != 0; zero coefficients drop out
